@@ -15,7 +15,7 @@
 //! | `slink_complete_n2048` | the same complete-linkage head-to-head at 2048 points |
 //! | `slink_crowd_n512` | single-linkage SLINK under the 3-worker crowd oracle, **scalar loop vs `le_batch` committee rounds** (PR 5) |
 //! | `kcenter_n1024` | Algorithm 6 greedy 32-center over 1024 128-d points, adversarial `mu = 0.2` |
-//! | `session_kcenter_n1024` | the same greedy 32-center routed through the facade's `Session` front door (zero-overhead check) |
+//! | `session_kcenter_n1024` | the same greedy 32-center routed through the facade's `Session` front door (zero-overhead check; 7 interleaved direct/Session pairs, medians plus the per-pair ratio spread) |
 //! | `serve_mixed_n512` | a sustained mixed request stream, **sequential solo sessions vs the concurrent serving plane** (PR 6): shared-memo backend + cross-request round coalescing |
 //! | `serve_faulty_n512` | the serving plane under a seeded fault storm (PR 7): **fault-free serving vs injected faults masked by bounded retry** — answers must stay bit-identical, the overhead of masking is the measurement |
 //! | `adaptive_noise_n512` | the adaptive noise plane under a misspecified rate (PR 8): **silently fixed-rate sessions vs probe + `AdaptPolicy::Escalate`** — the probing/adaptation overhead is the measurement, misspecification detection and probe-off bit-identity are the acceptance checks |
@@ -41,7 +41,7 @@
 //! ```
 //!
 //! `--smoke` shrinks every workload (~16x fewer queries) for CI;
-//! `--out` defaults to `BENCH_PR10.json` in the current directory;
+//! `--out` defaults to `BENCH_PR12.json` in the current directory;
 //! `--check-baseline` compares this run's query counts against a
 //! committed baseline JSON and exits non-zero on any regression
 //! (count > baseline) — the CI guard for the pinned workloads.
@@ -565,6 +565,12 @@ fn run_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
 // `Session` front door — the zero-overhead proof for the engine API.
 // ---------------------------------------------------------------------
 
+/// Direct and `Session` passes alternate this many times; the report
+/// carries the median of each and the spread of the per-pair ratios.
+const SESSION_KCENTER_PAIRS: usize = 7;
+
+type KCenterOut = Vec<(Vec<usize>, Vec<usize>)>;
+
 fn run_session_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
     use noisy_oracle::data::AnyMetric;
     use noisy_oracle::{Engine, Noise, Session, Task};
@@ -576,64 +582,96 @@ fn run_session_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
     // count must reproduce bit-for-bit across the two reports.
     let seeds = rep_seeds(0x6C, reps);
 
-    // Baseline: the direct call over a shared DistCache (PR 3's optimized
-    // shape of the kcenter workload).
-    let start = Instant::now();
-    let cached = CachedMetric::new(metric.clone());
-    let mut queries = 0u64;
-    let mut base_out = Vec::with_capacity(reps);
-    for &(_, rng_seed) in &seeds {
-        let mut oracle = Counting::new(AdversarialQuadOracle::new(&cached, 0.2, InvertAdversary));
-        let c = kcenter_adv(
-            &KCenterAdvParams::experimental(k),
-            &mut oracle,
-            &mut StdRng::seed_from_u64(rng_seed),
-        );
-        queries += oracle.queries();
-        base_out.push((c.centers, c.assignment));
-    }
-    let baseline_ms = ms(start);
+    // Baseline: the direct call over a fresh DistCache shared across the
+    // reps (PR 3's optimized shape of the kcenter workload).
+    let direct = || -> (KCenterOut, u64) {
+        let cached = CachedMetric::new(metric.clone());
+        let mut queries = 0u64;
+        let mut out = Vec::with_capacity(reps);
+        for &(_, rng_seed) in &seeds {
+            let mut oracle =
+                Counting::new(AdversarialQuadOracle::new(&cached, 0.2, InvertAdversary));
+            let c = kcenter_adv(
+                &KCenterAdvParams::experimental(k),
+                &mut oracle,
+                &mut StdRng::seed_from_u64(rng_seed),
+            );
+            queries += oracle.queries();
+            out.push((c.centers, c.assignment));
+        }
+        (out, queries)
+    };
 
-    // "Optimized": the identical runs through `Session::run` on one
+    // "Optimized": the identical runs through `Session::run` on a fresh
     // shared `Engine`. The facade must add nothing — same answers, same
     // query counts (checked below via outputs_match), wall time within
     // noise of the direct loop.
-    let start = Instant::now();
-    let engine = Engine::from_metric(AnyMetric::Euclidean(metric), true);
-    let mut opt_queries = 0u64;
-    let mut opt_out = Vec::with_capacity(reps);
-    for &(_, rng_seed) in &seeds {
-        let session = Session::builder()
-            .engine(engine.clone())
-            .noise(Noise::Adversarial { mu: 0.2 })
-            .seed(rng_seed)
-            .build()
-            .expect("valid session configuration");
-        let outcome = session
-            .run(Task::KCenter { k })
-            .expect("unbudgeted run cannot fail");
-        let c = outcome
-            .answer
-            .clustering()
-            .expect("KCenter returns a clustering")
-            .clone();
-        opt_queries += outcome.report.queries;
-        opt_out.push((c.centers, c.assignment));
+    let facade = || -> (KCenterOut, u64) {
+        let engine = Engine::from_metric(AnyMetric::Euclidean(metric.clone()), true);
+        let mut queries = 0u64;
+        let mut out = Vec::with_capacity(reps);
+        for &(_, rng_seed) in &seeds {
+            let session = Session::builder()
+                .engine(engine.clone())
+                .noise(Noise::Adversarial { mu: 0.2 })
+                .seed(rng_seed)
+                .build()
+                .expect("valid session configuration");
+            let outcome = session
+                .run(Task::KCenter { k })
+                .expect("unbudgeted run cannot fail");
+            let c = outcome
+                .answer
+                .clustering()
+                .expect("KCenter returns a clustering")
+                .clone();
+            queries += outcome.report.queries;
+            out.push((c.centers, c.assignment));
+        }
+        (out, queries)
+    };
+
+    // Interleave the two so a drift in host speed hits both alike.
+    let mut base_ms = Vec::with_capacity(SESSION_KCENTER_PAIRS);
+    let mut opt_ms = Vec::with_capacity(SESSION_KCENTER_PAIRS);
+    let mut outputs_match = true;
+    let mut queries = 0;
+    for _ in 0..SESSION_KCENTER_PAIRS {
+        let start = Instant::now();
+        let (base_out, base_queries) = direct();
+        base_ms.push(ms(start));
+        let start = Instant::now();
+        let (opt_out, opt_queries) = facade();
+        opt_ms.push(ms(start));
+        outputs_match &= base_out == opt_out && base_queries == opt_queries;
+        queries = base_queries;
     }
-    let optimized_ms = ms(start);
+    let mut ratios: Vec<f64> = base_ms.iter().zip(&opt_ms).map(|(b, o)| b / o).collect();
+    let ratio_median = median(&mut ratios);
 
     WorkloadReport {
         name: format!("session_kcenter_n{n}"),
         n,
         reps,
-        baseline_ms,
-        optimized_ms,
+        baseline_ms: median(&mut base_ms),
+        optimized_ms: median(&mut opt_ms),
         queries,
         threads: 1,
         optimization: "Session front door over a shared Engine (zero-overhead facade check)",
-        outputs_match: base_out == opt_out && queries == opt_queries,
-        detail: None,
+        outputs_match,
+        detail: Some(format!(
+            "walls are medians of {SESSION_KCENTER_PAIRS} interleaved direct/Session pairs; \
+             per-pair speedup median {ratio_median:.3} min {:.3} max {:.3}",
+            ratios[0],
+            ratios[ratios.len() - 1]
+        )),
     }
+}
+
+/// Sorts `xs` and returns its middle element.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 // ---------------------------------------------------------------------
@@ -1138,7 +1176,7 @@ fn write_json(path: &str, mode: &str, reports: &[WorkloadReport]) -> std::io::Re
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"nco-perfsuite/v3\",\n");
-    s.push_str("  \"pr\": \"PR10\",\n");
+    s.push_str("  \"pr\": \"PR12\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!(
         "  \"parallel_feature\": {},\n",
@@ -1273,7 +1311,7 @@ fn check_baseline(path: &str, reports: &[WorkloadReport]) -> Result<(), String> 
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_PR10.json");
+    let mut out_path = String::from("BENCH_PR12.json");
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

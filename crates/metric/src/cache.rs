@@ -18,11 +18,14 @@
 //! Slots are `AtomicU64` distance bit patterns (sentinel [`u64::MAX`], a
 //! NaN no validated metric can produce), so a cache shared through `&self`
 //! across the `parallel` feature's worker threads needs no locks: racing
-//! writers store identical bits, and relaxed ordering suffices because
-//! the value is determined by the key alone.
+//! writers compute identical bits, a compare-exchange lets exactly one of
+//! them claim the slot, and relaxed ordering suffices because the value is
+//! determined by the key alone. The claiming writer also bumps an exact
+//! fill counter, so [`DistCache::filled`] is one load, cheap enough to
+//! read on every request.
 
 use crate::Metric;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Bit pattern marking a not-yet-computed slot. A real distance is finite
 /// and non-negative (every metric in this crate validates that), so its
@@ -37,6 +40,10 @@ pub struct DistCache {
     /// replaces the two multiplies of the closed-form triangular index on
     /// the per-query hot path.
     row_off: Vec<usize>,
+    /// Slots filled so far, bumped only by the writer whose
+    /// compare-exchange claimed the slot. A statistic: it publishes no
+    /// other data, so relaxed ordering suffices.
+    filled: AtomicUsize,
 }
 
 impl DistCache {
@@ -50,7 +57,12 @@ impl DistCache {
         let row_off = (0..n)
             .map(|i| (i * n - i * (i + 1) / 2).wrapping_sub(i + 1))
             .collect();
-        Self { n, slots, row_off }
+        Self {
+            n,
+            slots,
+            row_off,
+            filled: AtomicUsize::new(0),
+        }
     }
 
     /// Number of points the cache covers.
@@ -85,13 +97,24 @@ impl DistCache {
             d.is_finite() && d >= 0.0,
             "metric produced an uncacheable distance {d}"
         );
-        slot.store(d.to_bits(), Ordering::Relaxed);
+        if slot
+            .compare_exchange(UNSET, d.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            self.filled.fetch_add(1, Ordering::Relaxed);
+        }
         d
     }
 
-    /// How many pairs have been evaluated so far (O(n²) scan; statistics
-    /// and tests only).
+    /// How many distinct pairs have been evaluated so far. Exact (racing
+    /// writers of one slot count once) and O(1).
     pub fn filled(&self) -> usize {
+        self.filled.load(Ordering::Relaxed)
+    }
+
+    /// Reference count for [`DistCache::filled`]: a scan of every slot.
+    #[cfg(test)]
+    fn scan_filled(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| s.load(Ordering::Relaxed) != UNSET)
@@ -110,6 +133,7 @@ impl Clone for DistCache {
             n: self.n,
             slots,
             row_off: self.row_off.clone(),
+            filled: AtomicUsize::new(self.filled()),
         }
     }
 }
@@ -119,6 +143,7 @@ impl std::fmt::Debug for DistCache {
         f.debug_struct("DistCache")
             .field("n", &self.n)
             .field("slots", &self.slots.len())
+            .field("filled", &self.filled())
             .finish()
     }
 }
@@ -219,14 +244,16 @@ mod tests {
     fn concurrent_fill_is_consistent() {
         let raw = metric();
         let cached = CachedMetric::new(raw.clone());
+        // Overlapping windows of one pair sequence: most slots are raced
+        // for by all four threads, and the touched set is a strict subset.
+        let pair = |k: usize| ((k * 3) % 20, (k * 7 + 1) % 19);
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 let cached = &cached;
                 let raw = &raw;
                 scope.spawn(move || {
-                    for k in 0..100 {
-                        let i = (t * 5 + k) % 20;
-                        let j = (k * 7 + 1) % 20;
+                    for k in t * 10..t * 10 + 100 {
+                        let (i, j) = pair(k);
                         if i != j {
                             assert_eq!(cached.dist(i, j).to_bits(), raw.dist(i, j).to_bits());
                         }
@@ -234,6 +261,14 @@ mod tests {
                 });
             }
         });
+        let touched: std::collections::HashSet<(usize, usize)> = (0..130)
+            .map(pair)
+            .filter(|&(i, j)| i != j)
+            .map(|(i, j)| (i.min(j), i.max(j)))
+            .collect();
+        assert!(touched.len() < 20 * 19 / 2);
+        assert_eq!(cached.cache().filled(), touched.len());
+        assert_eq!(cached.cache().filled(), cached.cache().scan_filled());
     }
 
     #[test]
@@ -243,6 +278,26 @@ mod tests {
         let copy = cached.clone();
         assert_eq!(copy.cache().filled(), 1);
         assert_eq!(copy.dist(1, 2).to_bits(), cached.dist(1, 2).to_bits());
+        // From here on the two counts move independently.
+        let _ = copy.dist(3, 4);
+        let _ = copy.dist(4, 5);
+        let _ = cached.dist(6, 7);
+        assert_eq!(copy.cache().filled(), 3);
+        assert_eq!(copy.cache().filled(), copy.cache().scan_filled());
+        assert_eq!(cached.cache().filled(), 2);
+        assert_eq!(cached.cache().filled(), cached.cache().scan_filled());
+    }
+
+    #[test]
+    fn a_lost_fill_race_is_not_counted() {
+        // The nested lookup plays a racing writer that claims the slot
+        // while the outer one is still computing: the outer store loses
+        // the compare-exchange and must not count the slot again.
+        let cache = DistCache::new(4);
+        let d = cache.get_or_compute(0, 1, || cache.get_or_compute(1, 0, || 2.5));
+        assert_eq!(d, 2.5);
+        assert_eq!(cache.filled(), 1);
+        assert_eq!(cache.filled(), cache.scan_filled());
     }
 
     #[test]

@@ -227,6 +227,10 @@ impl<O: ComparisonOracle> ComparisonOracle for Budgeted<O> {
     fn doomed(&self) -> bool {
         self.exceeded || self.killed || self.inner.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
+    }
 }
 
 impl<O: QuadrupletOracle> QuadrupletOracle for Budgeted<O> {
@@ -291,6 +295,10 @@ impl<O: QuadrupletOracle> QuadrupletOracle for Budgeted<O> {
     // boundaries only.
     fn doomed(&self) -> bool {
         self.exceeded || self.killed || self.inner.doomed()
+    }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
     }
 }
 
@@ -452,6 +460,10 @@ impl<O: ComparisonOracle> ComparisonOracle for SharedBudgeted<O> {
     fn doomed(&self) -> bool {
         self.exceeded() || self.killed() || self.inner.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
+    }
 }
 
 impl<O: QuadrupletOracle> QuadrupletOracle for SharedBudgeted<O> {
@@ -488,6 +500,10 @@ impl<O: QuadrupletOracle> QuadrupletOracle for SharedBudgeted<O> {
     // See the comparison-side note.
     fn doomed(&self) -> bool {
         self.exceeded() || self.killed() || self.inner.doomed()
+    }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
     }
 }
 

@@ -94,6 +94,10 @@ impl<O: ComparisonOracle> ComparisonOracle for Counting<O> {
     fn doomed(&self) -> bool {
         self.inner.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
+    }
 }
 
 impl<O: QuadrupletOracle> QuadrupletOracle for Counting<O> {
@@ -123,6 +127,10 @@ impl<O: QuadrupletOracle> QuadrupletOracle for Counting<O> {
 
     fn doomed(&self) -> bool {
         self.inner.doomed()
+    }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
     }
 }
 
@@ -205,6 +213,10 @@ impl<O: ComparisonOracle> ComparisonOracle for SharedCounting<O> {
     fn doomed(&self) -> bool {
         self.inner.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
+    }
 }
 
 impl<O: QuadrupletOracle> QuadrupletOracle for SharedCounting<O> {
@@ -236,6 +248,10 @@ impl<O: QuadrupletOracle> QuadrupletOracle for SharedCounting<O> {
 
     fn doomed(&self) -> bool {
         self.inner.doomed()
+    }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
     }
 }
 

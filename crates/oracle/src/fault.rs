@@ -369,6 +369,10 @@ impl<O: ComparisonOracle> ComparisonOracle for FaultyOracle<O> {
     fn doomed(&self) -> bool {
         self.inner.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.plan.is_active() || self.inner.fallible()
+    }
 }
 
 impl<O: QuadrupletOracle> QuadrupletOracle for FaultyOracle<O> {
@@ -420,6 +424,10 @@ impl<O: QuadrupletOracle> QuadrupletOracle for FaultyOracle<O> {
     fn doomed(&self) -> bool {
         self.inner.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.plan.is_active() || self.inner.fallible()
+    }
 }
 
 /// How hard [`Retrying`] fights a fault before giving up.
@@ -470,8 +478,11 @@ impl Default for RetryPolicy {
 
 /// Bounded-retry recovery over a fallible oracle chain.
 ///
-/// `Retrying` drives its inner chain exclusively through the fallible
-/// `try_le` / `try_le_batch` interface. A faulted ask is re-asked up to
+/// `Retrying` drives its inner chain through the fallible `try_le` /
+/// `try_le_batch` interface — unless the chain reports it cannot fault
+/// ([`ComparisonOracle::fallible`] is `false`), in which case every ask
+/// goes straight to the infallible `le` / `le_batch`, which answers and
+/// bills identically. A faulted ask is re-asked up to
 /// [`RetryPolicy::max_attempts`] times total; batched rounds retry only
 /// the faulted lanes (each retry round is a fresh inner round, so a
 /// meter inside bills exactly the re-asked lanes). Retries of persistent
@@ -556,6 +567,11 @@ macro_rules! retry_scalar {
         if $self.failed.is_some() {
             return OVER_BUDGET_ANSWER;
         }
+        if !$self.inner.fallible() {
+            // Nothing below can fault: the infallible ask answers and
+            // bills exactly like a first try that succeeds.
+            return $self.inner.le($($q),+);
+        }
         let max = $self.policy.attempts();
         for attempt in 1..=max {
             if attempt > 1 {
@@ -581,6 +597,12 @@ macro_rules! retry_scalar {
 
 macro_rules! retry_batch {
     ($self:ident, $queries:ident, $out:ident, $qty:ty) => {{
+        if $self.failed.is_none() && !$self.inner.fallible() {
+            // Nothing below can fault: forward the round as is (an empty
+            // one included, so round meters inside still tick).
+            $self.inner.le_batch($queries, $out);
+            return;
+        }
         if $queries.is_empty() {
             // Forward the empty round so round meters inside still tick.
             let mut results = Vec::new();
@@ -678,8 +700,8 @@ mod tests {
     use super::*;
     use crate::budget::Budgeted;
     use crate::counting::Counting;
-    use crate::probabilistic::ProbValueOracle;
-    use crate::{MemoOracle, TrueQuadOracle, TrueValueOracle};
+    use crate::probabilistic::{ProbQuadOracle, ProbValueOracle};
+    use crate::{MemoOracle, ProbeOracle, ProbePlan, TrueQuadOracle, TrueValueOracle};
     use nco_metric::EuclideanMetric;
 
     fn values(n: usize) -> Vec<f64> {
@@ -791,25 +813,150 @@ mod tests {
         assert_eq!(oracle.inner().queries(), spent);
     }
 
+    /// Answers through the infallible path only: any fallible ask panics.
+    /// Forwards `fallible`, so it can sit anywhere in a chain.
+    struct NoFallibleAsks<O>(O);
+
+    impl<O: ComparisonOracle> ComparisonOracle for NoFallibleAsks<O> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn le(&mut self, i: usize, j: usize) -> bool {
+            self.0.le(i, j)
+        }
+        fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
+            self.0.le_batch(queries, out);
+        }
+        fn try_le(&mut self, _: usize, _: usize) -> Result<bool, QueryFault> {
+            panic!("fallible ask on an infallible chain")
+        }
+        fn try_le_batch(&mut self, _: &[(usize, usize)], _: &mut Vec<Result<bool, QueryFault>>) {
+            panic!("fallible round on an infallible chain")
+        }
+        fn fallible(&self) -> bool {
+            self.0.fallible()
+        }
+    }
+
+    impl<O: QuadrupletOracle> QuadrupletOracle for NoFallibleAsks<O> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
+            self.0.le(a, b, c, d)
+        }
+        fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
+            self.0.le_batch(queries, out);
+        }
+        fn try_le(&mut self, _: usize, _: usize, _: usize, _: usize) -> Result<bool, QueryFault> {
+            panic!("fallible ask on an infallible chain")
+        }
+        fn try_le_batch(&mut self, _: &[[usize; 4]], _: &mut Vec<Result<bool, QueryFault>>) {
+            panic!("fallible round on an infallible chain")
+        }
+        fn fallible(&self) -> bool {
+            self.0.fallible()
+        }
+    }
+
     #[test]
     fn retrying_is_transparent_without_faults() {
+        // Spies above and below the inactive fault layer: any fallible
+        // ask under `Retrying` panics, so the answers and bills below come
+        // from the infallible bypass alone.
+        fn idle_faults<O>(raw: O) -> NoFallibleAsks<FaultyOracle<NoFallibleAsks<O>>> {
+            NoFallibleAsks(FaultyOracle::new(NoFallibleAsks(raw), FaultPlan::none()))
+        }
+
+        // Comparison side, within budget.
         let vals = values(30);
-        let mut plain = Budgeted::new(ProbValueOracle::new(vals.clone(), 0.2, 3), Some(500));
-        let faulty = FaultyOracle::new(ProbValueOracle::new(vals, 0.2, 3), FaultPlan::none());
-        let mut wrapped = Retrying::new(Budgeted::new(faulty, Some(500)), RetryPolicy::default());
+        let raw = || ProbValueOracle::new(vals.clone(), 0.2, 3);
+        let mut plain = Budgeted::new(NoFallibleAsks(raw()), Some(500));
+        let chain = Budgeted::new(idle_faults(raw()), Some(500));
+        let mut wrapped = Retrying::new(chain, RetryPolicy::default());
+        assert!(!ComparisonOracle::fallible(wrapped.inner()));
         let batch: Vec<(usize, usize)> = (0..29).map(|i| (i, i + 1)).collect();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         plain.le_batch(&batch, &mut a);
         wrapped.le_batch(&batch, &mut b);
+        plain.le_batch(&[], &mut a);
+        wrapped.le_batch(&[], &mut b);
         for i in 0..20 {
             a.push(plain.le(i, 29 - i));
             b.push(wrapped.le(i, 29 - i));
         }
         assert_eq!(a, b);
         assert_eq!(plain.queries(), wrapped.inner().queries());
+        assert_eq!(plain.rounds(), 2, "the empty round is billed too");
         assert_eq!(plain.rounds(), wrapped.inner().rounds());
         assert_eq!(wrapped.retries(), 0);
-        assert_eq!(wrapped.inner().inner().stats().attempts, 0);
+        assert_eq!(wrapped.inner().inner().0.stats().attempts, 0);
+
+        // Quadruplet side, crossing a small budget mid-round.
+        let m = EuclideanMetric::from_points(
+            &(0..24)
+                .map(|i| vec![(i * 7 % 24) as f64])
+                .collect::<Vec<_>>(),
+        );
+        let raw = || ProbQuadOracle::new(m.clone(), 0.2, 9);
+        let mut plain = Budgeted::new(NoFallibleAsks(raw()), Some(30));
+        let chain = Budgeted::new(idle_faults(raw()), Some(30));
+        let mut wrapped = Retrying::new(chain, RetryPolicy::default());
+        assert!(!QuadrupletOracle::fallible(wrapped.inner()));
+        let queries: Vec<[usize; 4]> = (0..23).map(|i| [i, i + 1, 0, 23]).collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        plain.le_batch(&[], &mut a);
+        wrapped.le_batch(&[], &mut b);
+        plain.le_batch(&queries, &mut a);
+        wrapped.le_batch(&queries, &mut b);
+        for i in 0..10 {
+            a.push(plain.le(i, i + 2, 1, 20));
+            b.push(wrapped.le(i, i + 2, 1, 20));
+        }
+        assert_eq!(a, b);
+        assert_eq!(plain.queries(), wrapped.inner().queries());
+        assert_eq!(plain.rounds(), 2);
+        assert_eq!(plain.rounds(), wrapped.inner().rounds());
+        assert!(plain.exceeded() && wrapped.inner().exceeded());
+        assert!(wrapped.failed().is_none());
+    }
+
+    #[test]
+    fn fallible_is_forwarded_by_every_wrapper() {
+        let plan = FaultPlan::new(1).transient(0.5);
+        let cmp = || FaultyOracle::new(TrueValueOracle::new(values(8)), plan);
+        assert!(ComparisonOracle::fallible(&cmp()));
+        assert!(!ComparisonOracle::fallible(&FaultyOracle::new(
+            TrueValueOracle::new(values(8)),
+            FaultPlan::none()
+        )));
+        assert!(ComparisonOracle::fallible(&Counting::new(cmp())));
+        assert!(ComparisonOracle::fallible(&Budgeted::new(cmp(), None)));
+        assert!(ComparisonOracle::fallible(&MemoOracle::new(cmp())));
+        assert!(ComparisonOracle::fallible(&ProbeOracle::new(
+            cmp(),
+            ProbePlan::none()
+        )));
+        let mut inner = cmp();
+        assert!(ComparisonOracle::fallible(&&mut inner));
+        // Faults inside a recovery layer stay inside it.
+        assert!(!ComparisonOracle::fallible(&Retrying::new(
+            cmp(),
+            RetryPolicy::default()
+        )));
+
+        let m = EuclideanMetric::from_points(&(0..8).map(|i| vec![i as f64]).collect::<Vec<_>>());
+        let quad = || FaultyOracle::new(TrueQuadOracle::new(m.clone()), plan);
+        assert!(QuadrupletOracle::fallible(&quad()));
+        assert!(QuadrupletOracle::fallible(&Counting::new(quad())));
+        assert!(QuadrupletOracle::fallible(&Budgeted::new(quad(), None)));
+        assert!(QuadrupletOracle::fallible(&MemoOracle::new(quad())));
+        assert!(QuadrupletOracle::fallible(&ProbeOracle::new(
+            quad(),
+            ProbePlan::none()
+        )));
+        let mut inner = quad();
+        assert!(QuadrupletOracle::fallible(&&mut inner));
     }
 
     #[test]

@@ -130,6 +130,22 @@ pub trait ComparisonOracle {
     fn doomed(&self) -> bool {
         false
     }
+
+    /// `true` if a fallible ask through this oracle stack
+    /// ([`ComparisonOracle::try_le`], [`ComparisonOracle::try_le_batch`])
+    /// can come back `Err`. A recovery layer ([`Retrying`]) reads it to
+    /// skip the fallible detour when nothing below it can fault: the
+    /// infallible path then gives the same answers and the same bill,
+    /// without a fault check per ask or result buffers per round.
+    ///
+    /// Purely observational, like [`ComparisonOracle::doomed`]. The
+    /// default — never fallible — is right for every oracle that keeps the
+    /// default `try_le`/`try_le_batch`. An oracle whose fallible asks can
+    /// fail must override it ([`fault::FaultyOracle`] does), and wrapping
+    /// layers forward it.
+    fn fallible(&self) -> bool {
+        false
+    }
 }
 
 /// A (possibly noisy) quadruplet oracle over records in a hidden metric
@@ -179,6 +195,13 @@ pub trait QuadrupletOracle {
     fn doomed(&self) -> bool {
         false
     }
+
+    /// `true` if a fallible ask through this oracle stack can come back
+    /// `Err`; see [`ComparisonOracle::fallible`]. The default is never
+    /// fallible.
+    fn fallible(&self) -> bool {
+        false
+    }
 }
 
 impl<O: ComparisonOracle + ?Sized> ComparisonOracle for &mut O {
@@ -204,6 +227,9 @@ impl<O: ComparisonOracle + ?Sized> ComparisonOracle for &mut O {
     fn doomed(&self) -> bool {
         (**self).doomed()
     }
+    fn fallible(&self) -> bool {
+        (**self).fallible()
+    }
 }
 
 impl<O: QuadrupletOracle + ?Sized> QuadrupletOracle for &mut O {
@@ -224,6 +250,9 @@ impl<O: QuadrupletOracle + ?Sized> QuadrupletOracle for &mut O {
     }
     fn doomed(&self) -> bool {
         (**self).doomed()
+    }
+    fn fallible(&self) -> bool {
+        (**self).fallible()
     }
 }
 

@@ -421,6 +421,10 @@ impl<O: ComparisonOracle + PersistentNoise> ComparisonOracle for MemoOracle<O> {
     fn doomed(&self) -> bool {
         self.inner.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
+    }
 }
 
 impl<O: QuadrupletOracle + PersistentNoise> QuadrupletOracle for MemoOracle<O> {
@@ -607,6 +611,10 @@ impl<O: QuadrupletOracle + PersistentNoise> QuadrupletOracle for MemoOracle<O> {
 
     fn doomed(&self) -> bool {
         self.inner.doomed()
+    }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
     }
 }
 

@@ -367,6 +367,10 @@ impl<O: ComparisonOracle> ComparisonOracle for ProbeOracle<O> {
     fn doomed(&self) -> bool {
         self.inner.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
+    }
 }
 
 impl<O: QuadrupletOracle> QuadrupletOracle for ProbeOracle<O> {
@@ -396,6 +400,10 @@ impl<O: QuadrupletOracle> QuadrupletOracle for ProbeOracle<O> {
 
     fn doomed(&self) -> bool {
         self.inner.doomed()
+    }
+
+    fn fallible(&self) -> bool {
+        self.inner.fallible()
     }
 }
 

@@ -36,13 +36,15 @@ pub struct RunReport {
     /// by the end of this run (`None` when distance caching is off).
     /// Cumulative across runs sharing the engine, by design: the cache is
     /// the engine-level resource concurrent sessions amortise into. For
-    /// this run's own contribution see [`Self::cache_added`].
+    /// this run's own contribution see [`Self::cache_added`]. Exact, and
+    /// free to read: the cache keeps a running fill count, so reporting
+    /// it costs the run one atomic load, not a scan of the table.
     pub cache_entries: Option<u64>,
     /// Distances **this run** added to the engine's shared `DistCache`
     /// (`None` when distance caching is off): the end-of-run
     /// [`Self::cache_entries`] minus the entries already materialised
-    /// when the run started. Per-request attributable, unlike the
-    /// engine-level total.
+    /// when the run started (two O(1) reads of the fill count).
+    /// Per-request attributable, unlike the engine-level total.
     pub cache_added: Option<u64>,
     /// Wall-clock time of the run.
     pub wall: Duration,

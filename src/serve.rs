@@ -146,6 +146,10 @@ impl QuadrupletOracle for BoxedQuad {
     fn doomed(&self) -> bool {
         self.0.doomed()
     }
+
+    fn fallible(&self) -> bool {
+        self.0.fallible()
+    }
 }
 
 impl PersistentNoise for BoxedQuad {}
@@ -179,6 +183,10 @@ impl ComparisonOracle for BoxedCmp {
 
     fn doomed(&self) -> bool {
         self.0.doomed()
+    }
+
+    fn fallible(&self) -> bool {
+        self.0.fallible()
     }
 }
 

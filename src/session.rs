@@ -64,7 +64,7 @@ use nco_core::order::{
     sort_prob_with_progress, OrderAdvParams, OrderProbParams,
 };
 use nco_data::{AnyMetric, Dataset};
-use nco_metric::{CachedMetric, DistCache, EuclideanMetric, Metric};
+use nco_metric::{CachedMetric, EuclideanMetric, Metric};
 use nco_oracle::adversarial::{AdversarialQuadOracle, AdversarialValueOracle, InvertAdversary};
 use nco_oracle::budget::{Budgeted, SharedBudgeted};
 use nco_oracle::crowd::{AccuracyProfile, CrowdQuadOracle, CrowdValueOracle};
@@ -172,8 +172,9 @@ pub enum AdaptPolicy {
 enum MetricStore {
     /// Every distance recomputed on demand.
     Plain(AnyMetric),
-    /// Lazy distances memoised in a lock-free [`DistCache`], shared by
-    /// every session (and thread) on the engine.
+    /// Lazy distances memoised in a lock-free
+    /// [`DistCache`](nco_metric::DistCache), shared by every session (and
+    /// thread) on the engine.
     Cached(CachedMetric<AnyMetric>),
 }
 
@@ -215,8 +216,9 @@ impl Engine {
 
     /// An engine over a metric space (for neighbour / clustering /
     /// hierarchy sessions). `cache_distances` wraps the metric in a
-    /// shared [`DistCache`] so each distinct pair distance is evaluated
-    /// at most once across every session on this engine.
+    /// shared [`DistCache`](nco_metric::DistCache) so each distinct pair
+    /// distance is evaluated at most once across every session on this
+    /// engine.
     pub fn from_metric(metric: AnyMetric, cache_distances: bool) -> Arc<Self> {
         let store = if cache_distances {
             MetricStore::Cached(CachedMetric::new(metric))
@@ -253,17 +255,10 @@ impl Engine {
 
     /// Distinct distances currently materialised in the engine's shared
     /// cache (`None` when distance caching is off or the engine holds
-    /// raw values).
+    /// raw values). Exact and O(1): one load of the cache's fill count.
     pub fn cache_entries(&self) -> Option<u64> {
         match &self.source {
             Source::Metric(MetricStore::Cached(c)) => Some(c.cache().filled() as u64),
-            _ => None,
-        }
-    }
-
-    fn cache(&self) -> Option<&DistCache> {
-        match &self.source {
-            Source::Metric(MetricStore::Cached(c)) => Some(c.cache()),
             _ => None,
         }
     }
@@ -348,7 +343,7 @@ impl CancelToken {
 /// | [`values`](Self::values) / [`points`](Self::points) / [`metric`](Self::metric) / [`dataset`](Self::dataset) / [`engine`](Self::engine) | — (required) | the data source |
 /// | [`noise`](Self::noise) | [`Noise::Exact`] | oracle noise model |
 /// | [`confidence`](Self::confidence) | experimental params | theorem-grade failure probability `delta` |
-/// | [`cache_distances`](Self::cache_distances) | `false` | engine-level [`DistCache`] |
+/// | [`cache_distances`](Self::cache_distances) | `false` | engine-level [`DistCache`](nco_metric::DistCache) |
 /// | [`memoize`](Self::memoize) | `false` | exact answer memo ([`MemoOracle`]) |
 /// | [`threads`](Self::threads) | `1` | worker fan-out (hierarchy tasks) |
 /// | [`seed`](Self::seed) | `0` | rng stream of each run |
@@ -478,7 +473,8 @@ impl SessionBuilder {
     }
 
     /// Memoise lazy distance evaluations in an engine-level
-    /// [`DistCache`] shared across all sessions on the engine.
+    /// [`DistCache`](nco_metric::DistCache) shared across all sessions on
+    /// the engine.
     pub fn cache_distances(mut self, on: bool) -> Self {
         self.cache_distances = on;
         self
@@ -1740,7 +1736,7 @@ impl Session {
                 attempts,
             });
         }
-        let cache_entries = self.engine.cache().map(|c| c.filled() as u64);
+        let cache_entries = self.engine.cache_entries();
         let report = RunReport {
             queries: m.queries,
             rounds: m.rounds,
