@@ -9,7 +9,7 @@
 //! | `neighbor_n2048` | 12 farthest + 12 nearest searches (Alg. 13/15), 128-d points, persistent `p = 0.15` |
 //! | `neighbor_d64_n2048` | 16 farthest + 16 nearest searches over 64-d points, persistent `p = 0.15` |
 //! | `slink_n512` | Algorithm 11 single-linkage hierarchy over 512 128-d points, persistent `p = 0.05` |
-//! | `slink_n1024` | counter-stream SLINK on the **shared-scaffold search plane** (PR 10): from-scratch scaffold vs cached scaffold + fan-out |
+//! | `slink_n1024` | single-linkage SLINK on the **shared-scaffold search plane** (PR 10): from-scratch scaffold vs cached scaffold |
 //! | `slink_n2048` | the same scaffold head-to-head at 2048 points |
 //! | `slink_complete_n1024` | complete-linkage SLINK, **from-scratch sweep vs incremental merge plane + scaffolded pointer repair** (PR 5, PR 10) |
 //! | `slink_complete_n2048` | the same complete-linkage head-to-head at 2048 points |
@@ -28,8 +28,8 @@
 //! configurations do the same logical work, that oracle-query totals are
 //! equal) before reporting, so a speedup can never come from doing
 //! different work. For the `slink_n*` and `slink_complete_n*` workloads
-//! the baseline is the from-scratch reference (`hier_oracle_par_scratch`
-//! / `hier_oracle_scratch`) and the optimized run reuses the cached
+//! the baseline is the from-scratch reference (`hier_oracle_scratch`)
+//! and the optimized run reuses the cached
 //! scaffold/merge-plane state — there the *dendrogram equality* is the
 //! decision-identity acceptance check and the query totals intentionally
 //! differ (that saving is the optimization).
@@ -41,15 +41,14 @@
 //! ```
 //!
 //! `--smoke` shrinks every workload (~16x fewer queries) for CI;
-//! `--out` defaults to `BENCH_PR12.json` in the current directory;
+//! `--out` defaults to `BENCH_PR13.json` in the current directory;
 //! `--check-baseline` compares this run's query counts against a
 //! committed baseline JSON and exits non-zero on any regression
 //! (count > baseline) — the CI guard for the pinned workloads.
 
 use nco_core::comparator::{Comparator, ValueCmp};
 use nco_core::hier::{
-    hier_oracle, hier_oracle_par_scratch, hier_oracle_par_stats, hier_oracle_scratch,
-    hier_oracle_stats, Dendrogram, HierParams, Linkage,
+    hier_oracle, hier_oracle_scratch, hier_oracle_stats, Dendrogram, HierParams, Linkage,
 };
 use nco_core::kcenter::{kcenter_adv, KCenterAdvParams};
 use nco_core::maxfind::{max_prob, AdvParams, ProbParams};
@@ -57,7 +56,7 @@ use nco_core::neighbor::{farthest_adv, nearest_adv};
 use nco_core::order::{select_prob, sort_prob, OrderProbParams};
 use nco_metric::{CachedMetric, EuclideanMetric, SquareMetric};
 use nco_oracle::adversarial::{AdversarialQuadOracle, InvertAdversary};
-use nco_oracle::counting::{Counting, SharedCounting};
+use nco_oracle::counting::Counting;
 use nco_oracle::probabilistic::{ProbQuadOracle, ProbValueOracle};
 use rand::rngs::{CounterRng, StdRng};
 use rand::{Rng, RngCore, SeedableRng};
@@ -70,8 +69,8 @@ struct WorkloadReport {
     baseline_ms: f64,
     optimized_ms: f64,
     queries: u64,
-    /// Worker threads the optimized configuration fanned out across
-    /// (1 = serial; multi-host bench trajectories compare through this).
+    /// Worker threads the optimized configuration ran on (1 = serial;
+    /// the serving workloads report their worker count).
     threads: usize,
     optimization: &'static str,
     outputs_match: bool,
@@ -135,61 +134,28 @@ fn run_count_max_prob(n: usize, reps: usize) -> WorkloadReport {
     let params = ProbParams::experimental();
     let seeds = rep_seeds(0xA1, reps);
 
-    // Baseline: the serial scoring rounds.
-    let start = Instant::now();
-    let mut queries = 0u64;
-    let mut serial_winners = Vec::with_capacity(reps);
-    for &(oracle_seed, rng_seed) in &seeds {
-        let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
-        let items: Vec<usize> = (0..n).collect();
-        let w = max_prob(
-            &items,
-            &params,
-            &mut ValueCmp::new(&mut oracle),
-            &mut StdRng::seed_from_u64(rng_seed),
-        );
-        queries += oracle.queries();
-        serial_winners.push(w);
-    }
-    let baseline_ms = ms(start);
-
-    // Optimized: thread fan-out of each scoring round when compiled with
-    // `parallel` *and* more than one worker is available (bit-identical
-    // to serial; with one core, the serial engine — already the fastest
-    // single-thread shape — runs instead).
-    let fan_out = cfg!(feature = "parallel") && threads() > 1;
-    let start = Instant::now();
-    let mut opt_queries = 0u64;
-    let mut opt_winners = Vec::with_capacity(reps);
-    for &(oracle_seed, rng_seed) in &seeds {
-        let items: Vec<usize> = (0..n).collect();
-        #[cfg(feature = "parallel")]
-        if fan_out {
-            use nco_core::parallel::{default_threads, AtomicCountingCmp, SharedValueCmp};
-            let oracle = ProbValueOracle::new(values.clone(), 0.2, oracle_seed);
-            let cmp = AtomicCountingCmp::new(SharedValueCmp::new(&oracle));
-            let w = nco_core::maxfind::max_prob_par(
+    // Both configurations run the serial scoring rounds: the workload pins
+    // the engine's query count and its run-to-run wall-time spread.
+    let run = || {
+        let start = Instant::now();
+        let mut queries = 0u64;
+        let mut winners = Vec::with_capacity(reps);
+        for &(oracle_seed, rng_seed) in &seeds {
+            let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
+            let items: Vec<usize> = (0..n).collect();
+            let w = max_prob(
                 &items,
                 &params,
-                &cmp,
+                &mut ValueCmp::new(&mut oracle),
                 &mut StdRng::seed_from_u64(rng_seed),
-                default_threads(),
             );
-            opt_queries += cmp.calls();
-            opt_winners.push(w);
-            continue;
+            queries += oracle.queries();
+            winners.push(w);
         }
-        let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
-        let w = max_prob(
-            &items,
-            &params,
-            &mut ValueCmp::new(&mut oracle),
-            &mut StdRng::seed_from_u64(rng_seed),
-        );
-        opt_queries += oracle.queries();
-        opt_winners.push(w);
-    }
-    let optimized_ms = ms(start);
+        (ms(start), queries, winners)
+    };
+    let (baseline_ms, queries, serial_winners) = run();
+    let (optimized_ms, opt_queries, opt_winners) = run();
 
     WorkloadReport {
         name: format!("count_max_prob_n{n}"),
@@ -198,12 +164,8 @@ fn run_count_max_prob(n: usize, reps: usize) -> WorkloadReport {
         baseline_ms,
         optimized_ms,
         queries,
-        threads: if fan_out { threads() } else { 1 },
-        optimization: if fan_out {
-            "std::thread::scope fan-out of scoring rounds (bit-identical)"
-        } else {
-            "serial rounds (single worker available; fan-out needs --features parallel and >1 core)"
-        },
+        threads: 1,
+        optimization: "none: both configurations run the serial scoring rounds",
         outputs_match: serial_winners == opt_winners && queries == opt_queries,
         detail: None,
     }
@@ -312,10 +274,10 @@ fn run_slink(n: usize) -> WorkloadReport {
 }
 
 // ---------------------------------------------------------------------
-// Workload 5: counter-stream SLINK — the parallel-initialisation variant.
+// Workload 5: single-linkage SLINK on the shared-scaffold search plane.
 // ---------------------------------------------------------------------
 
-fn run_slink_par(n: usize) -> WorkloadReport {
+fn run_slink_scaffold(n: usize) -> WorkloadReport {
     let dim = 64;
     let metric = mixture_points(n, dim, 8, 0x511B);
     // PR 10: both configurations run on the shared-scaffold search plane —
@@ -331,29 +293,18 @@ fn run_slink_par(n: usize) -> WorkloadReport {
     // noise the two are decision-identical by construction, which is what
     // `outputs_match` verifies below.
     let start = Instant::now();
-    let mut oracle = SharedCounting::new(ProbQuadOracle::new(dense.clone(), 0.05, oracle_seed));
-    let base = hier_oracle_par_scratch(
-        &params,
-        &mut oracle,
-        &mut StdRng::seed_from_u64(rng_seed),
-        1,
-    );
+    let mut oracle = Counting::new(ProbQuadOracle::new(dense.clone(), 0.05, oracle_seed));
+    let base = hier_oracle_scratch(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
     let scratch_queries = oracle.queries();
     let baseline_ms = ms(start);
 
     // Optimized: the cached scaffold (row sweeps reuse bracket winners,
     // pair outcomes and Count-Min scores; merges dirty only the touched
-    // buckets) with the initial row sweeps fanned out across all
-    // available workers — bit-identical at any worker count because the
-    // deal is drawn serially and the sweeps consume no randomness.
+    // buckets).
     let start = Instant::now();
-    let mut oracle = SharedCounting::new(ProbQuadOracle::new(dense, 0.05, oracle_seed));
-    let (opt, stats) = hier_oracle_par_stats(
-        &params,
-        &mut oracle,
-        &mut StdRng::seed_from_u64(rng_seed),
-        threads(),
-    );
+    let mut oracle = Counting::new(ProbQuadOracle::new(dense, 0.05, oracle_seed));
+    let (opt, stats) =
+        hier_oracle_stats(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
     let optimized_ms = ms(start);
 
     WorkloadReport {
@@ -366,9 +317,8 @@ fn run_slink_par(n: usize) -> WorkloadReport {
         // from-scratch baseline deliberately issues more — the saving is
         // the PR 10 optimization.
         queries: oracle.queries(),
-        threads: threads(),
-        optimization:
-            "shared-scaffold search plane: cached row sweeps + counter-stream fan-out (PR 10)",
+        threads: 1,
+        optimization: "shared-scaffold search plane: cached row sweeps (PR 10)",
         outputs_match: base == opt && oracle.queries() <= scratch_queries,
         detail: Some(format!(
             "scratch_queries={scratch_queries} scaffold_hits={} repair_contests={} \
@@ -1175,13 +1125,9 @@ fn run_select(n: usize, reps: usize) -> WorkloadReport {
 fn write_json(path: &str, mode: &str, reports: &[WorkloadReport]) -> std::io::Result<()> {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"nco-perfsuite/v3\",\n");
-    s.push_str("  \"pr\": \"PR12\",\n");
+    s.push_str("  \"schema\": \"nco-perfsuite/v4\",\n");
+    s.push_str("  \"pr\": \"PR13\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!(
-        "  \"parallel_feature\": {},\n",
-        cfg!(feature = "parallel")
-    ));
     s.push_str(&format!(
         "  \"host_logical_cores\": {},\n",
         host_logical_cores()
@@ -1226,30 +1172,18 @@ fn write_json(path: &str, mode: &str, reports: &[WorkloadReport]) -> std::io::Re
     std::fs::write(path, s)
 }
 
-/// Logical cores of the host, independent of the `parallel` feature —
-/// recorded in the JSON so bench trajectories from different machines are
-/// comparable.
+/// Logical cores of the host — recorded in the JSON so bench trajectories
+/// from different machines are comparable.
 fn host_logical_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-fn threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        nco_core::parallel::default_threads()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-}
-
 /// Pulls `(name, n, queries)` triples out of a perfsuite JSON file using
 /// plain string scanning — the file format is our own, and the binary
 /// must stay dependency-free (no serde in the offline build). Works for
-/// both the v1 and v2 schemas (the scanned fields are common to both).
+/// every schema version, v1 to v4 (the scanned fields are common to all).
 fn extract_workloads(json: &str) -> Vec<(String, u64, u64)> {
     fn field_u64(segment: &str, key: &str) -> Option<u64> {
         let at = segment.find(&format!("\"{key}\":"))?;
@@ -1311,7 +1245,7 @@ fn check_baseline(path: &str, reports: &[WorkloadReport]) -> Result<(), String> 
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_PR12.json");
+    let mut out_path = String::from("BENCH_PR13.json");
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -1331,10 +1265,8 @@ fn main() {
 
     let mode = if smoke { "smoke" } else { "full" };
     eprintln!(
-        "perfsuite: mode = {mode}, threads = {}, host cores = {}, parallel = {}",
-        threads(),
-        host_logical_cores(),
-        cfg!(feature = "parallel")
+        "perfsuite: mode = {mode}, host cores = {}",
+        host_logical_cores()
     );
 
     let reports = if smoke {
@@ -1343,8 +1275,8 @@ fn main() {
             run_neighbor("neighbor", 512, 128, 4, (0x4E16, 0x4E)),
             run_neighbor("neighbor_d64", 512, 64, 6, (0x4E64, 0x4D)),
             run_slink(128),
-            run_slink_par(256),
-            run_slink_par(512),
+            run_slink_scaffold(256),
+            run_slink_scaffold(512),
             run_slink_complete(256),
             run_slink_complete(512),
             run_slink_crowd(128),
@@ -1362,8 +1294,8 @@ fn main() {
             run_neighbor("neighbor", 2048, 128, 12, (0x4E16, 0x4E)),
             run_neighbor("neighbor_d64", 2048, 64, 16, (0x4E64, 0x4D)),
             run_slink(512),
-            run_slink_par(1024),
-            run_slink_par(2048),
+            run_slink_scaffold(1024),
+            run_slink_scaffold(2048),
             run_slink_complete(1024),
             run_slink_complete(2048),
             run_slink_crowd(512),

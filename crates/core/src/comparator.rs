@@ -192,15 +192,6 @@ impl Comparator<usize> for ExactKeyCmp<'_> {
     }
 }
 
-/// Exact keys are trivially persistent, so the comparator can also be
-/// queried through a shared reference from parallel rounds.
-#[cfg(feature = "parallel")]
-impl crate::parallel::SyncComparator<usize> for ExactKeyCmp<'_> {
-    fn le(&self, a: usize, b: usize) -> bool {
-        self.keys[a] <= self.keys[b]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -125,7 +125,7 @@ impl ClusterGraph {
         assert!(sa != DEAD && sb != DEAD, "merge of a dead cluster");
 
         // One query per survivor, issued as a single batched round so
-        // oracle-side amortisation (distance dedup, thread fan-out) can
+        // oracle-side amortisation (distance dedup) can
         // kick in — the `le_batch` contract keeps answers bit-identical
         // to the scalar loop. O(r1, r2) == Yes  <=>  d(r1) <= d(r2).
         let mut survivors: Vec<usize> = Vec::with_capacity(self.active.len());

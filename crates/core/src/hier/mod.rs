@@ -27,10 +27,7 @@ mod graph;
 mod slink;
 
 pub use exact::hier_exact;
-pub use slink::{
-    hier_oracle, hier_oracle_par, hier_oracle_par_scratch, hier_oracle_par_stats,
-    hier_oracle_scratch, hier_oracle_stats, HierParams, MergePlaneStats,
-};
+pub use slink::{hier_oracle, hier_oracle_scratch, hier_oracle_stats, HierParams, MergePlaneStats};
 
 /// Agglomeration objective: how the distance between two clusters is
 /// defined (Section 2.1).

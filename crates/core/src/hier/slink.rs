@@ -29,8 +29,7 @@
 //! cached outcome is bit-equal to what re-asking would return, so the
 //! incremental plane produces **the identical merge sequence and
 //! tie-breaks** as the from-scratch sweep over the same structure — the
-//! [`hier_oracle_scratch`] / [`hier_oracle_par_scratch`] reference
-//! engines, pinned across noise models in
+//! [`hier_oracle_scratch`] reference engine, pinned across noise models in
 //! `tests/hier_incremental_equivalence.rs`. When more than half the live
 //! candidates are dirty (complete-linkage repair cascades), the plane
 //! falls back to a full sweep of the incumbent structure, which is
@@ -38,10 +37,8 @@
 //!
 //! Per-merge randomness (bucket deals for new clusters, sample top-ups,
 //! repair searches) is drawn from per-merge [`CounterRng`] streams keyed
-//! by the merge index, so the query transcript is deterministic at any
-//! worker count; with the `parallel` feature and `threads > 1`,
-//! [`hier_oracle_par`] fans large re-contest and rep-refresh rounds
-//! across `std::thread::scope` workers, bit-identically.
+//! by the merge index, so each merge's draws depend only on the seed and
+//! the merge index.
 //!
 //! ## The shared-scaffold search plane (opt-in)
 //!
@@ -68,7 +65,7 @@ use crate::comparator::Comparator;
 use crate::maxfind::{
     max_adv, min_adv_incremental, AdvParams, MinContest, RowScaffold, SweepBuffers,
 };
-use nco_oracle::{PersistentNoise, QuadrupletOracle, SharedQuadrupletOracle};
+use nco_oracle::{PersistentNoise, QuadrupletOracle};
 use rand::rngs::CounterRng;
 use rand::Rng;
 
@@ -136,8 +133,7 @@ impl Default for HierParams {
 }
 
 /// Cost counters of the incremental merge plane, returned by
-/// [`hier_oracle_stats`] / [`hier_oracle_par_stats`] and surfaced in the
-/// facade's `RunReport`.
+/// [`hier_oracle_stats`] and surfaced in the facade's `RunReport`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MergePlaneStats {
     /// Merges performed (`n - 1` for a complete agglomeration).
@@ -219,44 +215,6 @@ impl<O: QuadrupletOracle> Comparator<usize> for RevRepCmp<'_, O> {
     }
 }
 
-/// [`RevRepCmp`] through a shared oracle reference — the comparator the
-/// fanned-out initial nearest-neighbour searches of [`hier_oracle_par`]
-/// build per worker (answers are pure functions of the query, so the
-/// shared path is bit-identical to the `&mut` path).
-struct RevSharedRepCmp<'a, O> {
-    oracle: &'a O,
-    graph: &'a ClusterGraph,
-    me: usize,
-}
-
-impl<O: SharedQuadrupletOracle> Comparator<usize> for RevSharedRepCmp<'_, O> {
-    fn le(&mut self, c1: usize, c2: usize) -> bool {
-        let r1 = self.graph.rep(self.me, c2);
-        let r2 = self.graph.rep(self.me, c1);
-        self.oracle.le_shared(r1.0, r1.1, r2.0, r2.1)
-    }
-
-    /// Rounds through the shared path answer query by query (`le_shared`
-    /// has no batch form), but in a tight translated loop: answers and
-    /// counts are identical to the scalar default, while the row's
-    /// distance-table loads pipeline instead of serialising duel by duel.
-    /// `note_round` bills the round up front, exactly as the `&mut`
-    /// comparator's `le_batch` would have.
-    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
-        self.oracle.note_round();
-        out.reserve(round.len());
-        out.extend(round.iter().map(|&(c1, c2)| {
-            let r1 = self.graph.rep(self.me, c2);
-            let r2 = self.graph.rep(self.me, c1);
-            self.oracle.le_shared(r1.0, r1.1, r2.0, r2.1)
-        }));
-    }
-
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
 /// Compares neighbour clusters of a fixed cluster by rep-pair distance in
 /// the **direct minimum orientation** the scaffold plane expects:
 /// `le(u, v)` asks `oracle.le(rep(me, u), rep(me, v))` — `true` promotes
@@ -299,37 +257,6 @@ impl<O: QuadrupletOracle> Comparator<usize> for RepCmp<'_, O> {
     }
 }
 
-/// [`RepCmp`] through a shared oracle reference — the per-worker
-/// comparator of the fanned scaffolded initial pass (see
-/// [`RevSharedRepCmp`] for the round-billing contract).
-struct SharedRepCmp<'a, O> {
-    oracle: &'a O,
-    graph: &'a ClusterGraph,
-    me: usize,
-}
-
-impl<O: SharedQuadrupletOracle> Comparator<usize> for SharedRepCmp<'_, O> {
-    fn le(&mut self, c1: usize, c2: usize) -> bool {
-        let r1 = self.graph.rep(self.me, c1);
-        let r2 = self.graph.rep(self.me, c2);
-        self.oracle.le_shared(r1.0, r1.1, r2.0, r2.1)
-    }
-
-    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
-        self.oracle.note_round();
-        out.reserve(round.len());
-        out.extend(round.iter().map(|&(c1, c2)| {
-            let r1 = self.graph.rep(self.me, c1);
-            let r2 = self.graph.rep(self.me, c2);
-            self.oracle.le_shared(r1.0, r1.1, r2.0, r2.1)
-        }));
-    }
-
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
 /// Compares candidate clusters by the rep pair to their current nearest
 /// neighbour — the closest-pair search of Algorithm 11 line 7. Rounds are
 /// translated to quadruplet batches in a reusable buffer.
@@ -362,70 +289,6 @@ impl<O: QuadrupletOracle> Comparator<usize> for CandidateCmp<'_, O> {
             [r1.0, r1.1, r2.0, r2.1]
         }));
         oracle.le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
-/// Fans batched quadruplet rounds across `std::thread::scope` workers
-/// through the shared (`&self`) query path. Answers are pure functions of
-/// the query under every persistent noise model, and workers' answer
-/// chunks are reassembled in query order, so a fanned round is
-/// bit-identical to the serial loop at any worker count. Rounds below
-/// [`MIN_FAN_ROUND`] run serially — spawn overhead would dominate.
-#[cfg(feature = "parallel")]
-struct FanQuad<'a, O> {
-    oracle: &'a O,
-    threads: usize,
-}
-
-/// Smallest round worth fanning out (deterministic: a pure function of
-/// the round length, never of timing).
-#[cfg(feature = "parallel")]
-const MIN_FAN_ROUND: usize = 512;
-
-#[cfg(feature = "parallel")]
-impl<O: SharedQuadrupletOracle> QuadrupletOracle for FanQuad<'_, O> {
-    fn n(&self) -> usize {
-        self.oracle.n()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.oracle.le_shared(a, b, c, d)
-    }
-
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        // One batched call is one round no matter how it is answered;
-        // billing it here keeps the fanned path's round meter equal to
-        // the serial path's `le_batch` accounting.
-        self.oracle.note_round();
-        out.reserve(queries.len());
-        if self.threads < 2 || queries.len() < MIN_FAN_ROUND {
-            for &[a, b, c, d] in queries {
-                let ans = self.oracle.le_shared(a, b, c, d);
-                out.push(ans);
-            }
-            return;
-        }
-        let chunk = queries.len().div_ceil(self.threads);
-        let oracle = self.oracle;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|&[a, b, c, d]| oracle.le_shared(a, b, c, d))
-                            .collect::<Vec<bool>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("round worker panicked"));
-            }
-        });
     }
 
     fn doomed(&self) -> bool {
@@ -509,33 +372,6 @@ where
         );
     }
     (graph, nn, plane, buf)
-}
-
-/// [`nearest_of`] through a shared oracle reference (the worker-side form
-/// of the initial pointer pass). Identical candidate list, comparator
-/// decisions and rng consumption — only the borrow discipline differs.
-fn nearest_of_shared<O, R>(
-    graph: &ClusterGraph,
-    c: usize,
-    params: &AdvParams,
-    oracle: &O,
-    rng: &mut R,
-    scratch: &mut Vec<usize>,
-) -> usize
-where
-    O: SharedQuadrupletOracle,
-    R: Rng + ?Sized,
-{
-    scratch.clear();
-    scratch.extend(graph.active().iter().copied().filter(|&x| x != c));
-    debug_assert!(!scratch.is_empty());
-    let mut cmp = RevSharedRepCmp {
-        oracle,
-        graph,
-        me: c,
-    };
-    // Same reversal-fused minimum as `nearest_of`.
-    max_adv(scratch, params, &mut cmp, rng).expect("at least one neighbour")
 }
 
 /// Algorithm 11: agglomerative clustering (single or complete linkage)
@@ -636,273 +472,6 @@ where
     (graph, nn)
 }
 
-/// Counter-stream twin of [`hier_oracle`]: the initial `n`
-/// nearest-neighbour searches draw from **per-row
-/// [`CounterRng`](rand::rngs::CounterRng) streams** derived from one serial
-/// draw on the caller's rng, which makes the rows rng-independent — so
-/// they can fan out across `std::thread::scope` workers (with the
-/// `parallel` feature and `threads > 1`) and still produce the same
-/// pointers, the same queries and the same dendrogram as the `threads = 1`
-/// run, bit for bit. With `threads > 1` the merge loop additionally fans
-/// its large re-contest and rep-refresh rounds across workers through the
-/// shared query path — also bit-identical, since round answers are pure
-/// functions of the queries and are reassembled in query order.
-///
-/// Note the randomness *schedule* differs from [`hier_oracle`] (per-row
-/// streams instead of one shared cursor), so for a given seed the two
-/// entry points return different — equally guarantee-respecting —
-/// dendrograms. Pick one per experiment; `perfsuite` pins both.
-///
-/// Without the `parallel` feature `threads` is ignored and everything runs
-/// serially — still through the per-row streams, so results match a
-/// `parallel`-enabled binary exactly.
-///
-/// # Panics
-/// Panics if `oracle.n() < 2`.
-pub fn hier_oracle_par<O, R>(
-    params: &HierParams,
-    oracle: &mut O,
-    rng: &mut R,
-    threads: usize,
-) -> Dendrogram
-where
-    O: SharedQuadrupletOracle + PersistentNoise,
-    R: Rng + ?Sized,
-{
-    hier_oracle_par_stats(params, oracle, rng, threads).0
-}
-
-/// [`hier_oracle_par`] returning the merge-plane cost counters alongside
-/// the dendrogram.
-///
-/// # Panics
-/// Panics if `oracle.n() < 2`.
-pub fn hier_oracle_par_stats<O, R>(
-    params: &HierParams,
-    oracle: &mut O,
-    rng: &mut R,
-    threads: usize,
-) -> (Dendrogram, MergePlaneStats)
-where
-    O: SharedQuadrupletOracle + PersistentNoise,
-    R: Rng + ?Sized,
-{
-    run_par(params, oracle, rng, threads, false)
-}
-
-/// The from-scratch reference sweep of the counter-stream engine — see
-/// [`hier_oracle_scratch`].
-///
-/// # Panics
-/// Panics if `oracle.n() < 2`.
-pub fn hier_oracle_par_scratch<O, R>(
-    params: &HierParams,
-    oracle: &mut O,
-    rng: &mut R,
-    threads: usize,
-) -> Dendrogram
-where
-    O: SharedQuadrupletOracle + PersistentNoise,
-    R: Rng + ?Sized,
-{
-    run_par(params, oracle, rng, threads, true).0
-}
-
-fn run_par<O, R>(
-    params: &HierParams,
-    oracle: &mut O,
-    rng: &mut R,
-    threads: usize,
-    scratch: bool,
-) -> (Dendrogram, MergePlaneStats)
-where
-    O: SharedQuadrupletOracle,
-    R: Rng + ?Sized,
-{
-    if params.scaffold {
-        return run_par_scaffold(params, oracle, rng, threads, scratch);
-    }
-    let n = oracle.n();
-    assert!(n >= 2, "agglomeration needs at least two records");
-    let graph = ClusterGraph::new(n);
-
-    // One serial draw keys every row stream; row `c` then owns the
-    // deterministic stream `base.stream(c)` regardless of which worker
-    // (or how many workers) executes it.
-    let base = CounterRng::new(rng.next_u64(), rng.next_u64());
-    let mut nn: Vec<usize> = vec![usize::MAX; 2 * n - 1];
-
-    #[cfg(feature = "parallel")]
-    let fan_out = threads > 1;
-    #[cfg(not(feature = "parallel"))]
-    let fan_out = false;
-    let _ = threads;
-
-    if !fan_out {
-        let mut neighbours: Vec<usize> = Vec::with_capacity(n);
-        for (c, pointer) in nn.iter_mut().enumerate().take(n) {
-            let mut row_rng = base.stream(c as u64);
-            *pointer = nearest_of_shared(
-                &graph,
-                c,
-                &params.search,
-                &*oracle,
-                &mut row_rng,
-                &mut neighbours,
-            );
-        }
-    }
-    #[cfg(feature = "parallel")]
-    if fan_out {
-        let chunk = n.div_ceil(threads);
-        let graph = &graph;
-        let oracle = &*oracle;
-        let base = &base;
-        std::thread::scope(|scope| {
-            for (w, rows) in nn[..n].chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let mut neighbours: Vec<usize> = Vec::with_capacity(n);
-                    for (offset, pointer) in rows.iter_mut().enumerate() {
-                        let c = w * chunk + offset;
-                        let mut row_rng = base.stream(c as u64);
-                        *pointer = nearest_of_shared(
-                            graph,
-                            c,
-                            &params.search,
-                            oracle,
-                            &mut row_rng,
-                            &mut neighbours,
-                        );
-                    }
-                });
-            }
-        });
-    }
-
-    #[cfg(feature = "parallel")]
-    if fan_out {
-        let mut fan = FanQuad {
-            oracle: &*oracle,
-            threads,
-        };
-        return agglomerate(params, graph, nn, &mut fan, rng, scratch, None);
-    }
-    agglomerate(params, graph, nn, oracle, rng, scratch, None)
-}
-
-/// Scaffolded twin of [`run_par`]: the shared [`RowScaffold`] deal is
-/// drawn serially from the caller's rng **before** any fan-out, and row
-/// sweeps consume no randomness at all — worker-count independence is
-/// structural, with nothing left to schedule. (The legacy plane needs
-/// per-row [`CounterRng`] streams precisely because each row's search
-/// draws its own sample and partitions; the shared deal subsumes both.)
-/// Fanned workers sweep disjoint row ranges against the read-only deal
-/// and write disjoint `nn` / row-state slots, so the transcript is
-/// bit-identical at any worker count.
-fn run_par_scaffold<O, R>(
-    params: &HierParams,
-    oracle: &mut O,
-    rng: &mut R,
-    threads: usize,
-    scratch: bool,
-) -> (Dendrogram, MergePlaneStats)
-where
-    O: SharedQuadrupletOracle,
-    R: Rng + ?Sized,
-{
-    let n = oracle.n();
-    assert!(n >= 2, "agglomeration needs at least two records");
-    let graph = ClusterGraph::new(n);
-    let items: Vec<usize> = (0..n).collect();
-    let mut plane = RowScaffold::new(&items, 2 * n - 1, &params.search, rng);
-    let mut nn: Vec<usize> = vec![usize::MAX; 2 * n - 1];
-    let use_cache = !scratch;
-
-    #[cfg(feature = "parallel")]
-    let fan_out = threads > 1;
-    #[cfg(not(feature = "parallel"))]
-    let fan_out = false;
-    let _ = threads;
-
-    if !fan_out {
-        let mut buf = SweepBuffers::new(2 * n - 1);
-        for (c, pointer) in nn.iter_mut().enumerate().take(n) {
-            let mut cmp = SharedRepCmp {
-                oracle: &*oracle,
-                graph: &graph,
-                me: c,
-            };
-            *pointer = plane.sweep(c, &mut cmp, use_cache, &mut buf);
-        }
-        return agglomerate(params, graph, nn, oracle, rng, scratch, Some((plane, buf)));
-    }
-    #[cfg(feature = "parallel")]
-    {
-        use crate::maxfind::{sweep_row, RowState, ScaffoldStats};
-        let chunk = n.div_ceil(threads);
-        let total = plane.deal.total_buckets();
-        let mut tallies: Vec<ScaffoldStats> = Vec::new();
-        {
-            let deal = &plane.deal;
-            let rows = &mut plane.rows;
-            let graph = &graph;
-            let oracle = &*oracle;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = nn[..n]
-                    .chunks_mut(chunk)
-                    .zip(rows[..n].chunks_mut(chunk))
-                    .enumerate()
-                    .map(|(w, (pointers, states))| {
-                        scope.spawn(move || {
-                            let mut buf = SweepBuffers::new(2 * n - 1);
-                            let mut tally = ScaffoldStats::default();
-                            for (offset, (pointer, slot)) in
-                                pointers.iter_mut().zip(states.iter_mut()).enumerate()
-                            {
-                                let c = w * chunk + offset;
-                                let mut state = RowState::new(total);
-                                let mut cmp = SharedRepCmp {
-                                    oracle,
-                                    graph,
-                                    me: c,
-                                };
-                                let (win, _) = sweep_row(
-                                    deal, c, &mut state, &mut cmp, use_cache, &mut buf, &mut tally,
-                                );
-                                *pointer = win;
-                                *slot = Some(state);
-                            }
-                            tally
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    tallies.push(h.join().expect("row worker panicked"));
-                }
-            });
-        }
-        for t in &tallies {
-            plane.absorb_stats(t);
-        }
-        let buf = SweepBuffers::new(2 * n - 1);
-        let mut fan = FanQuad {
-            oracle: &*oracle,
-            threads,
-        };
-        agglomerate(
-            params,
-            graph,
-            nn,
-            &mut fan,
-            rng,
-            scratch,
-            Some((plane, buf)),
-        )
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("fan_out is false without the parallel feature")
-}
-
 /// The merge loop shared by every entry point: incremental closest-pair
 /// selection ([`MinContest`]), merging, and pointer repair. `scratch`
 /// forces the from-scratch reference sweep at every merge. With a
@@ -928,8 +497,7 @@ where
     // Per-merge counter streams keyed by the merge index: stream 0 deals
     // the initial winner structure; merge `t` draws pointer repairs from
     // stream `2t + 1` and structure maintenance (bucket deal of the new
-    // cluster, sample top-up) from stream `2t + 2`. Serial control flow
-    // plus keyed streams make the transcript worker-count-independent.
+    // cluster, sample top-up) from stream `2t + 2`.
     let base = CounterRng::new(rng.next_u64(), rng.next_u64());
     let mut contest = {
         let mut deal_rng = base.stream(0);
@@ -1285,60 +853,6 @@ mod tests {
         // The old base-2 constant would have inflated this to 15.
         let p = HierParams::with_confidence(Linkage::Complete, 2, 0.5);
         assert_eq!(p.search.rounds, 3); // ceil(2 ln 4) = ceil(2.77)
-    }
-
-    #[test]
-    fn counter_stream_variant_is_deterministic_and_valid() {
-        let pts: Vec<Vec<f64>> = (0..48)
-            .map(|i| vec![((i * 37) % 101) as f64, ((i * 61) % 97) as f64])
-            .collect();
-        let m = EuclideanMetric::from_points(&pts);
-        let run = |seed: u64| {
-            let mut o = TrueQuadOracle::new(m.clone());
-            hier_oracle_par(
-                &HierParams::experimental(Linkage::Single),
-                &mut o,
-                &mut rng(seed),
-                1,
-            )
-        };
-        let a = run(11);
-        let b = run(11);
-        assert_eq!(a, b, "same seed must reproduce the dendrogram");
-        assert_eq!(a.merges.len(), 47);
-        a.validate();
-    }
-
-    /// The fan-out is bit-identical to the single-worker run of the same
-    /// entry point: per-row counter streams make rows rng-independent and
-    /// fanned merge-plane rounds are reassembled in query order.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn counter_stream_fan_out_matches_single_worker() {
-        use nco_oracle::probabilistic::ProbQuadOracle;
-        use nco_oracle::SharedCounting;
-        let pts: Vec<Vec<f64>> = (0..64)
-            .map(|i| vec![((i * 29) % 83) as f64, ((i * 53) % 89) as f64])
-            .collect();
-        let m = EuclideanMetric::from_points(&pts);
-        for seed in 0..5u64 {
-            let mut serial = SharedCounting::new(ProbQuadOracle::new(m.clone(), 0.1, 70 + seed));
-            let a = hier_oracle_par(
-                &HierParams::experimental(Linkage::Single),
-                &mut serial,
-                &mut rng(seed),
-                1,
-            );
-            let mut par = SharedCounting::new(ProbQuadOracle::new(m.clone(), 0.1, 70 + seed));
-            let b = hier_oracle_par(
-                &HierParams::experimental(Linkage::Single),
-                &mut par,
-                &mut rng(seed),
-                4,
-            );
-            assert_eq!(a, b, "seed {seed}");
-            assert_eq!(serial.queries(), par.queries(), "seed {seed}");
-        }
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub mod kcenter;
 pub mod maxfind;
 pub mod neighbor;
 pub mod order;
-#[cfg(feature = "parallel")]
-pub mod parallel;
 
 pub use comparator::Comparator;
 pub use kcenter::Clustering;

@@ -98,81 +98,6 @@ pub fn count_scores_into<I: Copy, C: Comparator<I>>(
     }
 }
 
-/// Parallel twin of [`count_scores`]: rows of the query triangle are
-/// striped across `threads` workers (row `i` carries `n - 1 - i` queries,
-/// so striping balances the load), each accumulating into a local score
-/// vector that is summed afterwards. The query *multiset* is exactly the
-/// serial triangle and scores are additive, so the result is identical.
-#[cfg(feature = "parallel")]
-pub fn count_scores_par<I, C>(items: &[I], cmp: &C, threads: usize) -> Vec<u32>
-where
-    I: Copy + Sync,
-    C: crate::parallel::SyncComparator<I>,
-{
-    if threads <= 1 {
-        // One worker: the serial triangle is bit-identical; skip spawning.
-        return count_scores(items, &mut crate::parallel::AsSerial(cmp));
-    }
-    let n = items.len();
-    let mut scores = vec![0u32; n];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads.min(n.max(1)) {
-            handles.push(scope.spawn(move || {
-                let mut local = vec![0u32; n];
-                let mut i = t;
-                while i < n {
-                    let vi = items[i];
-                    for (j, &vj) in items.iter().enumerate().skip(i + 1) {
-                        if cmp.le(vi, vj) {
-                            local[j] += 1;
-                        } else {
-                            local[i] += 1;
-                        }
-                    }
-                    i += threads;
-                }
-                local
-            }));
-        }
-        for h in handles {
-            let local = h.join().expect("scoring worker panicked");
-            for (s, l) in scores.iter_mut().zip(local) {
-                *s += l;
-            }
-        }
-    });
-    scores
-}
-
-/// Parallel twin of [`count_max`], built on [`count_scores_par`]. Same
-/// tie-breaking, bit-identical winner.
-#[cfg(feature = "parallel")]
-pub fn count_max_par<I, C>(items: &[I], cmp: &C, threads: usize) -> Option<I>
-where
-    I: Copy + Sync,
-    C: crate::parallel::SyncComparator<I>,
-{
-    match items.len() {
-        0 => None,
-        1 => Some(items[0]),
-        2 => Some(duel(
-            items[0],
-            items[1],
-            &mut crate::parallel::AsSerial(cmp),
-        )),
-        _ => {
-            let scores = count_scores_par(items, cmp, threads);
-            let best = scores
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?
-                .0;
-            Some(items[best])
-        }
-    }
-}
-
 /// Algorithm 1: returns the item with the highest `Count` score (first
 /// maximal on ties — "breaking ties arbitrarily").
 pub fn count_max<I: Copy, C: Comparator<I>>(items: &[I], cmp: &mut C) -> Option<I> {

@@ -41,19 +41,11 @@ pub use adversarial::{
     MinContest,
 };
 pub use count_max::{count_max, count_min, count_scores, count_scores_into, duel};
-#[cfg(feature = "parallel")]
-pub use count_max::{count_max_par, count_scores_par};
-#[cfg(feature = "parallel")]
-pub use probabilistic::max_prob_par;
 pub use probabilistic::{max_prob, max_prob_with_progress, min_prob, ProbParams};
-#[cfg(feature = "parallel")]
-pub(crate) use scaffold::{sweep_row, RowState};
 pub use scaffold::{RowScaffold, ScaffoldStats, SweepBuffers};
 pub use topk::{
     rank_by_counts, top_k_adv, top_k_adv_with_progress, top_k_prob, top_k_prob_with_progress,
 };
-#[cfg(feature = "parallel")]
-pub use tournament::tournament_par;
 pub use tournament::{tournament, tournament_partition};
 
 /// Deduplicates items preserving first-occurrence order (used by Max-Adv on

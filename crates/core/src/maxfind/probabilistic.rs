@@ -193,87 +193,6 @@ where
     winner
 }
 
-/// Parallel twin of [`max_prob`]: each scoring round fans the survivor
-/// list across `threads` chunks under `std::thread::scope`.
-///
-/// Bit-identical to the serial run by construction (see
-/// [`crate::parallel`]): the sample is drawn serially from the same rng
-/// stream, every worker issues exactly the queries the serial loop would
-/// issue for its chunk of survivors (answers are pure functions of the
-/// query, so cross-thread ordering is irrelevant), and the kept lists are
-/// concatenated in chunk order. Query totals and the returned item match
-/// the serial run exactly.
-#[cfg(feature = "parallel")]
-pub fn max_prob_par<I, C, R>(
-    items: &[I],
-    params: &ProbParams,
-    cmp: &C,
-    rng: &mut R,
-    threads: usize,
-) -> Option<I>
-where
-    I: Copy + Eq + Hash + Send + Sync,
-    C: crate::parallel::SyncComparator<I>,
-    R: Rng + ?Sized,
-{
-    if threads <= 1 {
-        // One worker: the fan-out would only add spawn overhead, and the
-        // serial engine is bit-identical by construction.
-        return max_prob(items, params, &mut crate::parallel::AsSerial(cmp), rng);
-    }
-    let n0 = items.len();
-    if n0 == 0 {
-        return None;
-    }
-    let s = params.sample_size(n0);
-    let threshold = params.keep_ratio * s as f64;
-    let cap = params.rounds_cap(n0);
-
-    let mut survivors: Vec<I> = items.to_vec();
-    let mut sample: Vec<I> = Vec::with_capacity(s);
-    let mut round = 0usize;
-    while survivors.len() > s && round < cap {
-        // Randomness stays serial: identical draws to the serial version.
-        sample.clear();
-        for _ in 0..s {
-            sample.push(survivors[rng.random_range(0..survivors.len())]);
-        }
-        let in_sample: std::collections::HashSet<I> = sample.iter().copied().collect();
-        let chunk = survivors.len().div_ceil(threads);
-        let mut kept: Vec<I> = Vec::with_capacity(survivors.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for ch in survivors.chunks(chunk) {
-                let sample = &sample;
-                let in_sample = &in_sample;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::with_capacity(ch.len());
-                    for &u in ch {
-                        if in_sample.contains(&u) {
-                            continue;
-                        }
-                        let count = sample.iter().filter(|&&x| !cmp.le(u, x)).count();
-                        if count as f64 >= threshold {
-                            local.push(u);
-                        }
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                kept.extend(h.join().expect("scoring worker panicked"));
-            }
-        });
-        if kept.is_empty() {
-            survivors = dedup_keep_order(&sample);
-            break;
-        }
-        survivors = kept;
-        round += 1;
-    }
-    count_max(&survivors, &mut crate::parallel::AsSerial(cmp))
-}
-
 /// Minimum-finding twin of [`max_prob`] (reversed comparator — the paper's
 /// "count Yes answers" variant in Section 3.2).
 pub fn min_prob<I, C, R>(items: &[I], params: &ProbParams, cmp: &mut C, rng: &mut R) -> Option<I>

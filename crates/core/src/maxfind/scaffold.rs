@@ -59,19 +59,6 @@ pub struct ScaffoldStats {
     pub pool_duels: u64,
 }
 
-impl ScaffoldStats {
-    /// Folds another counter set into this one (used to merge per-worker
-    /// tallies after a fanned initial pass).
-    pub fn absorb(&mut self, other: &ScaffoldStats) {
-        self.row_sweeps += other.row_sweeps;
-        self.scaffold_hits += other.scaffold_hits;
-        self.repair_contests += other.repair_contests;
-        self.repair_fallbacks += other.repair_fallbacks;
-        self.bracket_duels += other.bracket_duels;
-        self.pool_duels += other.pool_duels;
-    }
-}
-
 /// The shared, read-only-during-a-sweep part of the scaffold: the random
 /// bucket deals (one per Tournament-Partition round), the persistent
 /// sample, the liveness table and the change epochs.
@@ -81,7 +68,7 @@ impl ScaffoldStats {
 /// pairings — and therefore cached duels — stay stable across membership
 /// churn instead of shifting one slot left after every death.
 #[derive(Debug)]
-pub(crate) struct ScaffoldDeal {
+struct ScaffoldDeal {
     rounds: usize,
     buckets_per_round: usize,
     sample_target: usize,
@@ -102,7 +89,7 @@ pub(crate) struct ScaffoldDeal {
 }
 
 impl ScaffoldDeal {
-    pub(crate) fn total_buckets(&self) -> usize {
+    fn total_buckets(&self) -> usize {
         self.rounds * self.buckets_per_round
     }
 }
@@ -110,7 +97,7 @@ impl ScaffoldDeal {
 /// Per-row cached state: the row's bucket-tournament winners and its duel
 /// outcome cache, both valid for as long as the contestants live.
 #[derive(Debug)]
-pub(crate) struct RowState {
+struct RowState {
     /// Epoch at the row's last completed sweep (0 = never swept).
     synced_epoch: u64,
     /// Cached tournament winner per flat bucket index, or [`ABSENT`].
@@ -121,7 +108,7 @@ pub(crate) struct RowState {
 }
 
 impl RowState {
-    pub(crate) fn new(total_buckets: usize) -> Self {
+    fn new(total_buckets: usize) -> Self {
         Self {
             synced_epoch: 0,
             winners: vec![ABSENT; total_buckets],
@@ -136,8 +123,7 @@ fn pack(lo: u32, hi: u32) -> u64 {
 }
 
 /// Reusable working memory for a [`RowScaffold`]'s sweeps — callers own
-/// it (each worker of a fanned initial pass owns its own) so repeated
-/// sweeps allocate nothing.
+/// it so repeated sweeps allocate nothing.
 #[derive(Debug)]
 pub struct SweepBuffers {
     /// Flat arena of bracket level lists ([`BYE`]/[`PENDING`] sentinels).
@@ -182,7 +168,7 @@ impl SweepBuffers {
 /// cached outcome exists (the cache is still *written*, with the
 /// identical bits a persistent oracle must return) — the from-scratch
 /// reference behaviour.
-pub(crate) fn sweep_row<C: Comparator<usize>>(
+fn sweep_row<C: Comparator<usize>>(
     deal: &ScaffoldDeal,
     row: usize,
     state: &mut RowState,
@@ -390,9 +376,9 @@ pub(crate) fn sweep_row<C: Comparator<usize>>(
 /// reuse exact, not approximate.
 #[derive(Debug)]
 pub struct RowScaffold {
-    pub(crate) deal: ScaffoldDeal,
+    deal: ScaffoldDeal,
     /// Per-row cached state, indexed by candidate id (lazily created).
-    pub(crate) rows: Vec<Option<RowState>>,
+    rows: Vec<Option<RowState>>,
     stats: ScaffoldStats,
     /// Reusable per-merge provenance table (`0` unknown, `1` from the
     /// first parent, `2` from the second).
@@ -471,12 +457,6 @@ impl RowScaffold {
     /// Cumulative cost counters.
     pub fn stats(&self) -> ScaffoldStats {
         self.stats
-    }
-
-    /// Folds externally accumulated counters (per-worker tallies of a
-    /// fanned initial pass) into the plane's own.
-    pub fn absorb_stats(&mut self, other: &ScaffoldStats) {
-        self.stats.absorb(other);
     }
 
     /// One row sweep (see `sweep_row`); lazily creates the row's state,

@@ -100,75 +100,6 @@ pub fn tournament<I: Copy, C: Comparator<I>, R: Rng + ?Sized>(
     Some(round[0])
 }
 
-/// Parallel twin of [`tournament`]: every level's matches fan across
-/// `threads` chunks of groups under `std::thread::scope`.
-///
-/// Bit-identical to the serial run (see [`crate::parallel`]): the shuffle
-/// is drawn serially from the same rng stream, levels keep the same group
-/// boundaries, each worker plays exactly the matches the serial loop
-/// would play for its groups, and winners are reassembled in group order.
-#[cfg(feature = "parallel")]
-pub fn tournament_par<I, C, R>(
-    items: &[I],
-    lambda: usize,
-    cmp: &C,
-    rng: &mut R,
-    threads: usize,
-) -> Option<I>
-where
-    I: Copy + Send + Sync,
-    C: crate::parallel::SyncComparator<I>,
-    R: Rng + ?Sized,
-{
-    use crate::parallel::AsSerial;
-    if threads <= 1 {
-        // One worker: skip the fan-out; the serial engine is bit-identical.
-        return tournament(items, lambda, &mut AsSerial(cmp), rng);
-    }
-    assert!(lambda >= 2, "tournament arity must be at least 2");
-    if items.is_empty() {
-        return None;
-    }
-    let mut round: Vec<I> = items.to_vec();
-    round.shuffle(rng);
-    let mut len = round.len();
-    while len > 1 {
-        let groups = len.div_ceil(lambda);
-        let per_thread = groups.div_ceil(threads);
-        let mut winners: Vec<I> = Vec::with_capacity(groups);
-        std::thread::scope(|scope| {
-            let live = &round[..len];
-            let mut handles = Vec::with_capacity(threads);
-            let mut g0 = 0;
-            while g0 < groups {
-                let g1 = (g0 + per_thread).min(groups);
-                handles.push(scope.spawn(move || {
-                    let mut serial = AsSerial(cmp);
-                    let mut local = Vec::with_capacity(g1 - g0);
-                    for g in g0..g1 {
-                        let start = g * lambda;
-                        let group = &live[start..(start + lambda).min(len)];
-                        let winner = match group.len() {
-                            1 => group[0],
-                            2 => duel(group[0], group[1], &mut serial),
-                            _ => count_max(group, &mut serial).expect("non-empty group"),
-                        };
-                        local.push(winner);
-                    }
-                    local
-                }));
-                g0 = g1;
-            }
-            for h in handles {
-                winners.extend(h.join().expect("tournament worker panicked"));
-            }
-        });
-        round[..winners.len()].copy_from_slice(&winners);
-        len = winners.len();
-    }
-    Some(round[0])
-}
-
 /// Algorithm 3: randomly partition `items` into `l` (nearly) equal parts and
 /// return each part's binary-tournament winner.
 ///

@@ -17,10 +17,10 @@
 //!
 //! Slots are `AtomicU64` distance bit patterns (sentinel [`u64::MAX`], a
 //! NaN no validated metric can produce), so a cache shared through `&self`
-//! across the `parallel` feature's worker threads needs no locks: racing
-//! writers compute identical bits, a compare-exchange lets exactly one of
-//! them claim the slot, and relaxed ordering suffices because the value is
-//! determined by the key alone. The claiming writer also bumps an exact
+//! across threads (sessions and serving workers over one engine) needs no
+//! locks: racing writers compute identical bits, a compare-exchange lets
+//! exactly one of them claim the slot, and relaxed ordering suffices
+//! because the value is determined by the key alone. The claiming writer also bumps an exact
 //! fill counter, so [`DistCache::filled`] is one load, cheap enough to
 //! read on every request.
 

@@ -4,13 +4,14 @@
 //! the values are well separated (`x < y/(1+mu)` or `x > (1+mu)·y`), and
 //! **adversarially** when they fall inside the multiplicative band
 //! `1/(1+mu) <= x/y <= 1+mu`. The paper allows the adversary to remember all
-//! previous queries and coordinate its lies; we model that with the
-//! [`Adversary`] strategy trait, whose implementations range from the
+//! previous queries and coordinate its lies; we model its answers with the
+//! [`Adversary`] strategy trait — a pure function of the query, so the
+//! noise is persistent — whose implementations range from the
 //! worst-case liar ([`InvertAdversary`]) that every approximation bound must
 //! survive, to more realistic systematically-biased comparators
 //! ([`ConsistentAdversary`]).
 
-use crate::persistent::{PersistentNoise, SharedComparisonOracle, SharedQuadrupletOracle};
+use crate::persistent::PersistentNoise;
 use crate::{ComparisonOracle, QuadrupletOracle};
 use nco_metric::hashing;
 use nco_metric::Metric;
@@ -39,21 +40,12 @@ pub fn in_band(x: f64, y: f64, mu: f64) -> bool {
 /// so strategies can be persistent or target specific operands. `left` and
 /// `right` are the true quantities being compared. Return `true` to answer
 /// `Yes` ("left <= right").
+///
+/// `decide` takes `&self`: a decision is a pure function of the query, so
+/// the wrapping oracles are persistent (and therefore memoisable).
 pub trait Adversary {
     /// Decides an in-band query.
-    fn decide(&mut self, left_key: &[u64], right_key: &[u64], left: f64, right: f64) -> bool;
-}
-
-/// An [`Adversary`] whose decisions are a pure function of the query — no
-/// mutable strategy state — so it can decide through `&self` and its
-/// oracle is persistent (memoisable, shareable across threads).
-///
-/// Every strategy shipped in this module qualifies; implementations must
-/// keep `decide` and `decide_shared` identical, which the blanket
-/// persistence of the wrapping oracles relies on.
-pub trait SharedAdversary: Adversary + Sync {
-    /// Same decision as [`Adversary::decide`], through a shared reference.
-    fn decide_shared(&self, left_key: &[u64], right_key: &[u64], left: f64, right: f64) -> bool;
+    fn decide(&self, left_key: &[u64], right_key: &[u64], left: f64, right: f64) -> bool;
 }
 
 /// The worst-case liar: always answers in-band queries **incorrectly**.
@@ -65,13 +57,7 @@ pub trait SharedAdversary: Adversary + Sync {
 pub struct InvertAdversary;
 
 impl Adversary for InvertAdversary {
-    fn decide(&mut self, l: &[u64], r: &[u64], left: f64, right: f64) -> bool {
-        self.decide_shared(l, r, left, right)
-    }
-}
-
-impl SharedAdversary for InvertAdversary {
-    fn decide_shared(&self, _l: &[u64], _r: &[u64], left: f64, right: f64) -> bool {
+    fn decide(&self, _l: &[u64], _r: &[u64], left: f64, right: f64) -> bool {
         // Values are validated finite, so this is exactly !(left <= right).
         left > right
     }
@@ -93,13 +79,7 @@ impl PersistentRandomAdversary {
 }
 
 impl Adversary for PersistentRandomAdversary {
-    fn decide(&mut self, l: &[u64], r: &[u64], left: f64, right: f64) -> bool {
-        self.decide_shared(l, r, left, right)
-    }
-}
-
-impl SharedAdversary for PersistentRandomAdversary {
-    fn decide_shared(&self, left_key: &[u64], right_key: &[u64], _l: f64, _r: f64) -> bool {
+    fn decide(&self, left_key: &[u64], right_key: &[u64], _l: f64, _r: f64) -> bool {
         let swapped = left_key > right_key;
         let (a, b) = if swapped {
             (right_key, left_key)
@@ -145,13 +125,7 @@ impl ConsistentAdversary {
 }
 
 impl Adversary for ConsistentAdversary {
-    fn decide(&mut self, l: &[u64], r: &[u64], left: f64, right: f64) -> bool {
-        self.decide_shared(l, r, left, right)
-    }
-}
-
-impl SharedAdversary for ConsistentAdversary {
-    fn decide_shared(&self, left_key: &[u64], right_key: &[u64], left: f64, right: f64) -> bool {
+    fn decide(&self, left_key: &[u64], right_key: &[u64], left: f64, right: f64) -> bool {
         left * self.factor(left_key) <= right * self.factor(right_key)
     }
 }
@@ -184,13 +158,7 @@ impl PromoteTargetAdversary {
 }
 
 impl Adversary for PromoteTargetAdversary {
-    fn decide(&mut self, l: &[u64], r: &[u64], left: f64, right: f64) -> bool {
-        self.decide_shared(l, r, left, right)
-    }
-}
-
-impl SharedAdversary for PromoteTargetAdversary {
-    fn decide_shared(&self, left_key: &[u64], right_key: &[u64], left: f64, right: f64) -> bool {
+    fn decide(&self, left_key: &[u64], right_key: &[u64], left: f64, right: f64) -> bool {
         if left_key == self.target.as_slice() {
             false // target is "larger": left <= right is No
         } else if right_key == self.target.as_slice() {
@@ -260,23 +228,7 @@ impl<A: Adversary> ComparisonOracle for AdversarialValueOracle<A> {
     }
 }
 
-impl<A: SharedAdversary> SharedComparisonOracle for AdversarialValueOracle<A>
-where
-    Self: Sync,
-{
-    #[inline]
-    fn le_shared(&self, i: usize, j: usize) -> bool {
-        let (vi, vj) = (self.values[i], self.values[j]);
-        if !in_band(vi, vj, self.mu) {
-            vi <= vj
-        } else {
-            self.adversary
-                .decide_shared(&[i as u64], &[j as u64], vi, vj)
-        }
-    }
-}
-
-impl<A: SharedAdversary> PersistentNoise for AdversarialValueOracle<A> {}
+impl<A: Adversary> PersistentNoise for AdversarialValueOracle<A> {}
 
 /// Adversarial-noise quadruplet oracle over a hidden metric (Section 2.2).
 #[derive(Debug, Clone)]
@@ -370,27 +322,7 @@ impl<M: Metric, A: Adversary> QuadrupletOracle for AdversarialQuadOracle<M, A> {
     }
 }
 
-impl<M: Metric, A: SharedAdversary> SharedQuadrupletOracle for AdversarialQuadOracle<M, A>
-where
-    Self: Sync,
-{
-    #[inline]
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        let p1 = if a <= b { (a, b) } else { (b, a) };
-        let p2 = if c <= d { (c, d) } else { (d, c) };
-        let d1 = self.metric.dist(p1.0, p1.1);
-        let d2 = self.metric.dist(p2.0, p2.1);
-        if !in_band(d1, d2, self.mu) {
-            d1 <= d2
-        } else {
-            let k1 = [p1.0 as u64, p1.1 as u64];
-            let k2 = [p2.0 as u64, p2.1 as u64];
-            self.adversary.decide_shared(&k1, &k2, d1, d2)
-        }
-    }
-}
-
-impl<M: Metric, A: SharedAdversary> PersistentNoise for AdversarialQuadOracle<M, A> {}
+impl<M: Metric, A: Adversary> PersistentNoise for AdversarialQuadOracle<M, A> {}
 
 #[cfg(test)]
 mod tests {

@@ -11,14 +11,9 @@
 //! (the facade's `Session::run`) check the flag after the algorithm
 //! returns and surface `NcoError::BudgetExceeded` instead of the
 //! (meaningless) answer — no panic, no unwinding through oracle state.
-//!
-//! [`SharedBudgeted`] is the atomic twin for oracles queried through
-//! `&self` from parallel rounds (the counter-stream SLINK engine),
-//! mirroring the [`Counting`](crate::Counting) /
-//! [`SharedCounting`](crate::SharedCounting) split.
 
 use crate::fault::QueryFault;
-use crate::persistent::{PersistentNoise, SharedComparisonOracle, SharedQuadrupletOracle};
+use crate::persistent::PersistentNoise;
 use crate::{ComparisonOracle, QuadrupletOracle};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -311,253 +306,10 @@ impl<O: QuadrupletOracle> QuadrupletOracle for Budgeted<O> {
 /// post-cap bit ever reaches a caller.
 impl<O: PersistentNoise> PersistentNoise for Budgeted<O> {}
 
-/// Atomic twin of [`Budgeted`] for oracles queried through `&self` from
-/// parallel rounds. Billing is additive and order-independent, so a
-/// parallel run over the same query multiset reports exactly the serial
-/// tally; which specific over-budget query first trips the flag may vary
-/// across thread interleavings, but *whether* the cap is crossed — the
-/// only bit `Session::run` acts on — cannot.
-#[derive(Debug)]
-pub struct SharedBudgeted<O> {
-    inner: O,
-    cap: u64,
-    count: AtomicU64,
-    rounds: AtomicU64,
-    exceeded: AtomicBool,
-    deadline: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
-    killed: AtomicBool,
-}
-
-impl<O> SharedBudgeted<O> {
-    /// Wraps an oracle; `cap = None` means unlimited.
-    pub fn new(inner: O, cap: Option<u64>) -> Self {
-        Self {
-            inner,
-            cap: cap.unwrap_or(u64::MAX),
-            count: AtomicU64::new(0),
-            rounds: AtomicU64::new(0),
-            exceeded: AtomicBool::new(false),
-            deadline: None,
-            cancel: None,
-            killed: AtomicBool::new(false),
-        }
-    }
-
-    /// See [`Budgeted::with_deadline`].
-    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// See [`Budgeted::with_cancel`].
-    pub fn with_cancel(mut self, cancel: Option<Arc<AtomicBool>>) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// `true` once the run was killed by its deadline or cancel token.
-    pub fn killed(&self) -> bool {
-        self.killed.load(Ordering::Relaxed)
-    }
-
-    /// Atomic twin of [`Budgeted`]'s kill check. Which thread's query
-    /// first observes the kill may vary across interleavings, but —
-    /// exactly as with the `exceeded` flag — only *whether* the run was
-    /// killed reaches the caller.
-    #[inline]
-    fn check_kill(&self) -> bool {
-        if self.killed.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(cancel) = &self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                self.killed.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.killed.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Queries actually issued to the inner oracle (serial and shared
-    /// paths combined), capped at the budget.
-    pub fn queries(&self) -> u64 {
-        self.count.load(Ordering::Relaxed).min(self.cap)
-    }
-
-    /// Batched rounds issued so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Relaxed)
-    }
-
-    /// `true` once any query has been refused for lack of budget.
-    pub fn exceeded(&self) -> bool {
-        self.exceeded.load(Ordering::Relaxed)
-    }
-
-    /// Immutable access to the wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwraps the oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
-    /// Bills `k` queries; returns how many of them are within budget.
-    #[inline]
-    fn admit(&self, k: u64) -> u64 {
-        let prior = self.count.fetch_add(k, Ordering::Relaxed);
-        let within = self.cap.saturating_sub(prior.min(self.cap)).min(k);
-        if within < k {
-            self.exceeded.store(true, Ordering::Relaxed);
-        }
-        within
-    }
-}
-
-impl<O: ComparisonOracle> ComparisonOracle for SharedBudgeted<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    #[inline]
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        if self.check_kill() {
-            return OVER_BUDGET_ANSWER;
-        }
-        if self.admit(1) == 1 {
-            self.inner.le(i, j)
-        } else {
-            OVER_BUDGET_ANSWER
-        }
-    }
-
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
-        if self.check_kill() {
-            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
-            return;
-        }
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        let within = self.admit(queries.len() as u64) as usize;
-        self.inner.le_batch(&queries[..within], out);
-        out.extend(std::iter::repeat_n(
-            OVER_BUDGET_ANSWER,
-            queries.len() - within,
-        ));
-    }
-
-    // Observational; see [`Budgeted`]'s note. Under parallel drivers the
-    // flag may be observed one interleaving earlier or later, which only
-    // makes a clean-progress watermark conservative.
-    fn doomed(&self) -> bool {
-        self.exceeded() || self.killed() || self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
-    }
-}
-
-impl<O: QuadrupletOracle> QuadrupletOracle for SharedBudgeted<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    #[inline]
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        if self.check_kill() {
-            return OVER_BUDGET_ANSWER;
-        }
-        if self.admit(1) == 1 {
-            self.inner.le(a, b, c, d)
-        } else {
-            OVER_BUDGET_ANSWER
-        }
-    }
-
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        if self.check_kill() {
-            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
-            return;
-        }
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        let within = self.admit(queries.len() as u64) as usize;
-        self.inner.le_batch(&queries[..within], out);
-        out.extend(std::iter::repeat_n(
-            OVER_BUDGET_ANSWER,
-            queries.len() - within,
-        ));
-    }
-
-    // See the comparison-side note.
-    fn doomed(&self) -> bool {
-        self.exceeded() || self.killed() || self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
-    }
-}
-
-/// See the [`Budgeted`] persistence note: transparent within budget,
-/// doomed-run-only divergence past it.
-impl<O: PersistentNoise> PersistentNoise for SharedBudgeted<O> {}
-
-impl<O: SharedComparisonOracle> SharedComparisonOracle for SharedBudgeted<O> {
-    #[inline]
-    fn le_shared(&self, i: usize, j: usize) -> bool {
-        if self.check_kill() {
-            return OVER_BUDGET_ANSWER;
-        }
-        if self.admit(1) == 1 {
-            self.inner.le_shared(i, j)
-        } else {
-            OVER_BUDGET_ANSWER
-        }
-    }
-
-    /// Bills the round a fan-out driver just completed through the
-    /// per-query shared path — the shared-path twin of the `+1` that
-    /// [`ComparisonOracle::le_batch`] applies, so fanned rounds and
-    /// batched rounds meter identically.
-    fn note_round(&self) {
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        self.inner.note_round();
-    }
-}
-
-impl<O: SharedQuadrupletOracle> SharedQuadrupletOracle for SharedBudgeted<O> {
-    #[inline]
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        if self.check_kill() {
-            return OVER_BUDGET_ANSWER;
-        }
-        if self.admit(1) == 1 {
-            self.inner.le_shared(a, b, c, d)
-        } else {
-            OVER_BUDGET_ANSWER
-        }
-    }
-
-    /// See the comparison-side `note_round`.
-    fn note_round(&self) {
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        self.inner.note_round();
-    }
-}
-
 /// A shared, all-or-nothing query-budget pool for concurrent admission
 /// control.
 ///
-/// Unlike [`SharedBudgeted`]'s internal `admit` — which bills first and splits a
+/// Unlike [`Budgeted`] — which bills first and splits a
 /// partially-affordable batch at the cap (correct for a single doomed run
 /// that will be discarded wholesale) — a serving plane admitting rounds
 /// from *many* independent requests must never let one request's refusal
@@ -669,20 +421,45 @@ mod tests {
 
     #[test]
     fn batch_is_split_at_the_cap() {
-        let m = line(4);
-        let mut o = Budgeted::new(TrueQuadOracle::new(m.clone()), Some(2));
-        let mut truth = TrueQuadOracle::new(m);
-        let queries = [[0, 1, 0, 2], [0, 2, 0, 3], [0, 3, 0, 1], [1, 2, 1, 3]];
-        let mut out = Vec::new();
-        o.le_batch(&queries, &mut out);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0], truth.le(0, 1, 0, 2));
-        assert_eq!(out[1], truth.le(0, 2, 0, 3));
-        assert_eq!(out[2], OVER_BUDGET_ANSWER);
-        assert_eq!(out[3], OVER_BUDGET_ANSWER);
-        assert!(o.exceeded());
-        assert_eq!(o.queries(), 2);
-        assert_eq!(o.rounds(), 1);
+        type Quads = &'static [[usize; 4]];
+        let m = line(5);
+        let mut truth = TrueQuadOracle::new(m.clone());
+        // (cap, scalar queries asked before the batch, batch): the batch's
+        // leading lanes answer truthfully up to the cap, the rest get the
+        // constant refusal bit.
+        let cases: [(u64, Quads, Quads); 2] = [
+            (
+                2,
+                &[],
+                &[[0, 1, 0, 2], [0, 2, 0, 3], [0, 3, 0, 1], [1, 2, 1, 3]],
+            ),
+            (
+                3,
+                &[[0, 1, 0, 2], [0, 2, 0, 3]],
+                &[[0, 3, 0, 4], [0, 4, 0, 1]],
+            ),
+        ];
+        for (cap, before, batch) in cases {
+            let mut o = Budgeted::new(TrueQuadOracle::new(m.clone()), Some(cap));
+            for &[a, b, c, d] in before {
+                assert_eq!(o.le(a, b, c, d), truth.le(a, b, c, d));
+            }
+            let mut out = Vec::new();
+            o.le_batch(batch, &mut out);
+            assert_eq!(out.len(), batch.len());
+            let truthful = cap as usize - before.len();
+            for (k, (&ans, &[a, b, c, d])) in out.iter().zip(batch).enumerate() {
+                let expected = if k < truthful {
+                    truth.le(a, b, c, d)
+                } else {
+                    OVER_BUDGET_ANSWER
+                };
+                assert_eq!(ans, expected, "cap {cap}, lane {k}");
+            }
+            assert!(o.exceeded());
+            assert_eq!(o.queries(), cap);
+            assert_eq!(o.rounds(), 1);
+        }
     }
 
     #[test]
@@ -696,22 +473,6 @@ mod tests {
         assert_eq!(o.cap(), u64::MAX);
         assert_eq!(o.inner().n(), 2);
         assert_eq!(o.into_inner().n(), 2);
-    }
-
-    #[test]
-    fn note_round_bills_like_a_batch() {
-        use crate::persistent::SharedQuadrupletOracle;
-        let m = line(4);
-        let o = SharedBudgeted::new(TrueQuadOracle::new(m), None);
-        // A fanned round: three shared queries, then the round note.
-        let _ = o.le_shared(0, 1, 0, 2);
-        let _ = o.le_shared(0, 2, 0, 3);
-        let _ = o.le_shared(0, 3, 0, 1);
-        o.note_round();
-        assert_eq!(o.queries(), 3);
-        assert_eq!(o.rounds(), 1, "a fanned round bills exactly one round");
-        o.note_round();
-        assert_eq!(o.rounds(), 2);
     }
 
     #[test]
@@ -771,16 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_budgeted_kill_covers_the_shared_path() {
-        use crate::persistent::SharedQuadrupletOracle;
-        let cancel = Arc::new(AtomicBool::new(true));
-        let o = SharedBudgeted::new(TrueQuadOracle::new(line(4)), None).with_cancel(Some(cancel));
-        assert_eq!(o.le_shared(0, 1, 0, 2), OVER_BUDGET_ANSWER);
-        assert!(o.killed());
-        assert_eq!(o.queries(), 0);
-    }
-
-    #[test]
     fn fallible_path_meters_exactly_like_infallible() {
         let m = line(6);
         let mut plain = Budgeted::new(TrueQuadOracle::new(m.clone()), Some(5));
@@ -804,23 +555,5 @@ mod tests {
         assert_eq!(plain.queries(), fallible.queries());
         assert_eq!(plain.rounds(), fallible.rounds());
         assert_eq!(plain.exceeded(), fallible.exceeded());
-    }
-
-    #[test]
-    fn shared_budgeted_mirrors_serial_semantics() {
-        let m = line(5);
-        let mut o = SharedBudgeted::new(TrueQuadOracle::new(m.clone()), Some(3));
-        let mut truth = TrueQuadOracle::new(m);
-        assert_eq!(o.le(0, 1, 0, 2), truth.le(0, 1, 0, 2));
-        assert_eq!(o.le_shared(0, 2, 0, 3), truth.le(0, 2, 0, 3));
-        let mut out = Vec::new();
-        o.le_batch(&[[0, 3, 0, 4], [0, 4, 0, 1]], &mut out);
-        assert_eq!(out[0], truth.le(0, 3, 0, 4));
-        assert_eq!(out[1], OVER_BUDGET_ANSWER);
-        assert!(o.exceeded());
-        assert_eq!(o.queries(), 3);
-        assert_eq!(o.rounds(), 1);
-        assert_eq!(o.inner().n(), 5);
-        assert_eq!(o.into_inner().n(), 5);
     }
 }

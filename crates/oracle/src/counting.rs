@@ -1,14 +1,10 @@
 //! Query metering — every reported query complexity flows through here.
 //!
-//! [`Counting`] is the single-threaded meter; [`SharedCounting`] is its
-//! atomic twin for oracles queried through `&self` from parallel rounds
-//! (query counts are additive and order-independent, so a parallel run
-//! over the same query multiset reports exactly the serial total).
+//! [`Counting`] wraps any oracle and bills every query issued through it.
 
 use crate::fault::QueryFault;
-use crate::persistent::{PersistentNoise, SharedComparisonOracle, SharedQuadrupletOracle};
+use crate::persistent::PersistentNoise;
 use crate::{ComparisonOracle, QuadrupletOracle};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Wraps any oracle and counts the queries issued through it.
 ///
@@ -134,151 +130,6 @@ impl<O: QuadrupletOracle> QuadrupletOracle for Counting<O> {
     }
 }
 
-/// Atomic twin of [`Counting`]: meters queries issued through the shared
-/// (`&self`) interfaces as well, so parallel fan-outs can be billed.
-#[derive(Debug)]
-pub struct SharedCounting<O> {
-    inner: O,
-    count: AtomicU64,
-}
-
-impl<O> SharedCounting<O> {
-    /// Wraps an oracle with a zeroed atomic counter.
-    pub fn new(inner: O) -> Self {
-        Self {
-            inner,
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Queries issued so far (serial and shared paths combined).
-    pub fn queries(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Immutable access to the wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwraps the oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: Clone> Clone for SharedCounting<O> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            count: AtomicU64::new(self.count.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl<O: PersistentNoise> PersistentNoise for SharedCounting<O> {}
-
-impl<O: ComparisonOracle> ComparisonOracle for SharedCounting<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    #[inline]
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.le(i, j)
-    }
-
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
-        self.count
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.inner.le_batch(queries, out);
-    }
-
-    fn try_le(&mut self, i: usize, j: usize) -> Result<bool, QueryFault> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.try_le(i, j)
-    }
-
-    fn try_le_batch(
-        &mut self,
-        queries: &[(usize, usize)],
-        out: &mut Vec<Result<bool, QueryFault>>,
-    ) {
-        self.count
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.inner.try_le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
-    }
-}
-
-impl<O: QuadrupletOracle> QuadrupletOracle for SharedCounting<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.le(a, b, c, d)
-    }
-
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        self.count
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.inner.le_batch(queries, out);
-    }
-
-    fn try_le(&mut self, a: usize, b: usize, c: usize, d: usize) -> Result<bool, QueryFault> {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.try_le(a, b, c, d)
-    }
-
-    fn try_le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<Result<bool, QueryFault>>) {
-        self.count
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.inner.try_le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
-    }
-}
-
-impl<O: SharedComparisonOracle> SharedComparisonOracle for SharedCounting<O> {
-    #[inline]
-    fn le_shared(&self, i: usize, j: usize) -> bool {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.le_shared(i, j)
-    }
-
-    fn note_round(&self) {
-        self.inner.note_round()
-    }
-}
-
-impl<O: SharedQuadrupletOracle> SharedQuadrupletOracle for SharedCounting<O> {
-    #[inline]
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.le_shared(a, b, c, d)
-    }
-
-    fn note_round(&self) {
-        self.inner.note_round()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,20 +167,5 @@ mod tests {
         o.le_batch(&[[0, 1, 0, 2], [0, 2, 1, 2], [1, 2, 0, 1]], &mut out);
         assert_eq!(o.queries(), 3);
         assert_eq!(out, vec![true, false, true]);
-    }
-
-    #[test]
-    fn shared_counting_meters_both_paths() {
-        use crate::persistent::SharedQuadrupletOracle;
-        let m = EuclideanMetric::from_points(&[vec![0.0], vec![1.0], vec![2.0]]);
-        let mut o = SharedCounting::new(TrueQuadOracle::new(m));
-        let _ = o.le(0, 1, 0, 2);
-        let _ = o.le_shared(0, 1, 0, 2);
-        let mut out = Vec::new();
-        o.le_batch(&[[0, 1, 0, 2], [0, 2, 1, 2]], &mut out);
-        assert_eq!(o.queries(), 4);
-        assert_eq!(o.inner().n(), 3);
-        assert_eq!(o.clone().queries(), 4);
-        assert_eq!(o.into_inner().n(), 3);
     }
 }

@@ -14,7 +14,7 @@
 //! classifier inherits the crowd's confusion behaviour, only noisier —
 //! see [`AccuracyProfile::degraded`]).
 
-use crate::persistent::{PersistentNoise, SharedComparisonOracle, SharedQuadrupletOracle};
+use crate::persistent::PersistentNoise;
 use crate::{ComparisonOracle, QuadrupletOracle};
 use nco_metric::hashing;
 use nco_metric::Metric;
@@ -212,12 +212,6 @@ impl<M: Metric> QuadrupletOracle for CrowdQuadOracle<M> {
             let ans = decide(&self.profile, self.workers, self.seed, q1, q2, d1, d2);
             out.push(ans ^ swapped);
         }
-    }
-}
-
-impl<M: Metric + Sync> SharedQuadrupletOracle for CrowdQuadOracle<M> {
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.answer(a, b, c, d)
     }
 }
 
@@ -419,12 +413,6 @@ impl ComparisonOracle for CrowdValueOracle {
     }
 }
 
-impl SharedComparisonOracle for CrowdValueOracle {
-    fn le_shared(&self, i: usize, j: usize) -> bool {
-        self.answer(i, j)
-    }
-}
-
 /// Workers are seeded hashes of the canonical query — a pure function —
 /// so the majority answer is persistent.
 impl PersistentNoise for CrowdValueOracle {}
@@ -548,7 +536,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(o.le(3, 17), a);
             assert_eq!(o.le(17, 3), !a);
-            assert_eq!(o.le_shared(3, 17), a);
         }
         assert!(o.le(5, 5), "self-comparison is a truthful tie");
         // Past the accuracy cliff (ratio 1.45), caltech workers are near

@@ -48,11 +48,11 @@ pub mod probe;
 pub mod quadruplet;
 pub mod value;
 
-pub use budget::{BudgetPool, Budgeted, SharedBudgeted, OVER_BUDGET_ANSWER};
-pub use counting::{Counting, SharedCounting};
+pub use budget::{BudgetPool, Budgeted, OVER_BUDGET_ANSWER};
+pub use counting::Counting;
 pub use fault::{FaultPlan, FaultStats, FaultyOracle, QueryFault, RetryPolicy, Retrying};
 pub use memo::MemoOracle;
-pub use persistent::{PersistentNoise, SharedComparisonOracle, SharedQuadrupletOracle};
+pub use persistent::PersistentNoise;
 pub use probe::{NoiseEstimate, ProbeOracle, ProbePlan, ProbeStats};
 pub use quadruplet::TrueQuadOracle;
 pub use value::TrueValueOracle;

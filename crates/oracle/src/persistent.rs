@@ -1,23 +1,14 @@
-//! Persistence markers and shared (`&self`) query access.
+//! The persistence marker.
 //!
 //! Section 2.2's noise models are **persistent**: the answer to a query is
 //! a pure function of the (canonicalised) query, so repeating it returns
 //! the same bit. Two pieces of infrastructure build on that property and
-//! need a way to require it in the type system:
+//! require it in the type system through [`PersistentNoise`]:
 //!
 //! * [`crate::memo::MemoOracle`] caches answers — exact only when the
 //!   wrapped oracle would have answered the repeat identically;
-//! * the `parallel` feature of `nco-core` fans query rounds across
-//!   threads — sound only when answers don't depend on a mutable cursor,
-//!   so the oracle can be queried through `&self` from many threads.
-//!
-//! [`PersistentNoise`] is the marker for the first property;
-//! [`SharedComparisonOracle`] / [`SharedQuadrupletOracle`] witness the
-//! second by exposing the same answer function through a shared
-//! reference. Every implementation in this crate routes its `&mut self`
-//! trait method through the `&self` path, so the two can never diverge.
-
-use crate::{ComparisonOracle, QuadrupletOracle};
+//! * `nco-core`'s incremental hierarchy planes reuse cached contest
+//!   outcomes instead of re-asking them.
 
 /// Marker: the oracle's answers are a pure function of the canonical
 /// query (the persistent-noise property of Section 2.2).
@@ -27,52 +18,7 @@ use crate::{ComparisonOracle, QuadrupletOracle};
 /// change its behaviour.
 pub trait PersistentNoise {}
 
-/// A comparison oracle whose queries can be answered through `&self`
-/// (persistent answers, no mutable cursor) — the substrate for the
-/// `parallel` feature's multi-threaded query rounds.
-pub trait SharedComparisonOracle: ComparisonOracle + Sync {
-    /// Same answer as [`ComparisonOracle::le`], through a shared reference.
-    fn le_shared(&self, i: usize, j: usize) -> bool;
-
-    /// Declares that the `le_shared` calls issued since the previous
-    /// `note_round` formed one adaptive round. Fan-out drivers that
-    /// answer a round query-by-query through the shared path call this
-    /// once per round so round meters (e.g. `SharedBudgeted`) bill the
-    /// same rounds a [`ComparisonOracle::le_batch`] call would have.
-    /// Default: no-op — plain oracles keep no round state.
-    fn note_round(&self) {}
-}
-
-/// Quadruplet twin of [`SharedComparisonOracle`].
-pub trait SharedQuadrupletOracle: QuadrupletOracle + Sync {
-    /// Same answer as [`QuadrupletOracle::le`], through a shared reference.
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool;
-
-    /// See [`SharedComparisonOracle::note_round`].
-    fn note_round(&self) {}
-}
-
 impl<O: PersistentNoise + ?Sized> PersistentNoise for &mut O {}
-
-impl<O: SharedComparisonOracle + ?Sized> SharedComparisonOracle for &mut O {
-    fn le_shared(&self, i: usize, j: usize) -> bool {
-        (**self).le_shared(i, j)
-    }
-
-    fn note_round(&self) {
-        (**self).note_round()
-    }
-}
-
-impl<O: SharedQuadrupletOracle + ?Sized> SharedQuadrupletOracle for &mut O {
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        (**self).le_shared(a, b, c, d)
-    }
-
-    fn note_round(&self) {
-        (**self).note_round()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -83,62 +29,61 @@ mod tests {
     };
     use crate::crowd::{AccuracyProfile, CrowdQuadOracle};
     use crate::probabilistic::{ProbQuadOracle, ProbValueOracle};
-    use crate::{TrueQuadOracle, TrueValueOracle};
+    use crate::{ComparisonOracle, QuadrupletOracle, TrueQuadOracle, TrueValueOracle};
     use nco_metric::EuclideanMetric;
 
-    fn assert_shared_matches_mut<O: SharedComparisonOracle>(mut o: O) {
+    fn assert_repeats_agree<O: ComparisonOracle + PersistentNoise>(mut o: O) {
         let n = o.n();
         for i in 0..n {
             for j in 0..n {
-                let shared = o.le_shared(i, j);
-                assert_eq!(o.le(i, j), shared, "({i},{j})");
+                let first = o.le(i, j);
+                assert_eq!(o.le(i, j), first, "({i},{j})");
             }
         }
     }
 
-    fn assert_quad_shared_matches_mut<O: SharedQuadrupletOracle>(mut o: O) {
+    fn assert_quad_repeats_agree<O: QuadrupletOracle + PersistentNoise>(mut o: O) {
         let n = o.n();
         for a in 0..n {
             for c in 0..n {
                 let (b, d) = ((a + 1) % n, (c + 2) % n);
-                let shared = o.le_shared(a, b, c, d);
-                assert_eq!(o.le(a, b, c, d), shared, "({a},{b},{c},{d})");
+                let first = o.le(a, b, c, d);
+                assert_eq!(o.le(a, b, c, d), first, "({a},{b},{c},{d})");
                 // Mirror and within-pair swaps too.
-                assert_eq!(o.le(b, a, d, c), o.le_shared(b, a, d, c));
+                let mirrored = o.le(b, a, d, c);
+                assert_eq!(o.le(b, a, d, c), mirrored);
             }
         }
     }
 
     #[test]
-    fn shared_access_agrees_with_mut_access() {
-        assert_shared_matches_mut(TrueValueOracle::new(vec![3.0, 1.0, 2.0]));
-        assert_shared_matches_mut(ProbValueOracle::new(
+    fn repeated_comparisons_return_the_same_bit() {
+        assert_repeats_agree(TrueValueOracle::new(vec![3.0, 1.0, 2.0]));
+        assert_repeats_agree(ProbValueOracle::new(
             (0..40).map(f64::from).collect(),
             0.3,
             99,
         ));
     }
 
-    /// The adversarial oracles duplicate their decision logic between
-    /// `le` and `le_shared` (the `&mut` path must also serve stateful
-    /// adversaries), so agreement is pinned here for every shipped
-    /// in-band strategy — a divergence would make parallel runs silently
-    /// differ from serial ones.
+    /// Every shipped in-band strategy decides as a pure function of the
+    /// query, which is what the `PersistentNoise` impl of the adversarial
+    /// oracles claims.
     #[test]
-    fn adversarial_shared_access_agrees_with_mut_access() {
+    fn adversarial_repeats_return_the_same_bit() {
         // Values inside one (1 + mu) band so the adversary decides often.
         let values: Vec<f64> = (0..30).map(|i| 10.0 + 0.1 * i as f64).collect();
-        assert_shared_matches_mut(AdversarialValueOracle::new(
+        assert_repeats_agree(AdversarialValueOracle::new(
             values.clone(),
             0.5,
             InvertAdversary,
         ));
-        assert_shared_matches_mut(AdversarialValueOracle::new(
+        assert_repeats_agree(AdversarialValueOracle::new(
             values.clone(),
             0.5,
             PersistentRandomAdversary::new(7),
         ));
-        assert_shared_matches_mut(AdversarialValueOracle::new(
+        assert_repeats_agree(AdversarialValueOracle::new(
             values,
             0.5,
             ConsistentAdversary::new(3, 0.5),
@@ -146,21 +91,21 @@ mod tests {
     }
 
     #[test]
-    fn quadruplet_shared_access_agrees_with_mut_access() {
+    fn repeated_quadruplets_return_the_same_bit() {
         let m = EuclideanMetric::from_points(
             &(0..20)
                 .map(|i| vec![(i * 7 % 13) as f64, i as f64 * 0.6])
                 .collect::<Vec<_>>(),
         );
-        assert_quad_shared_matches_mut(TrueQuadOracle::new(m.clone()));
-        assert_quad_shared_matches_mut(ProbQuadOracle::new(m.clone(), 0.25, 11));
-        assert_quad_shared_matches_mut(AdversarialQuadOracle::new(m.clone(), 0.4, InvertAdversary));
-        assert_quad_shared_matches_mut(AdversarialQuadOracle::new(
+        assert_quad_repeats_agree(TrueQuadOracle::new(m.clone()));
+        assert_quad_repeats_agree(ProbQuadOracle::new(m.clone(), 0.25, 11));
+        assert_quad_repeats_agree(AdversarialQuadOracle::new(m.clone(), 0.4, InvertAdversary));
+        assert_quad_repeats_agree(AdversarialQuadOracle::new(
             m.clone(),
             0.4,
             PersistentRandomAdversary::new(5),
         ));
-        assert_quad_shared_matches_mut(CrowdQuadOracle::new(
+        assert_quad_repeats_agree(CrowdQuadOracle::new(
             m,
             AccuracyProfile::caltech_like(),
             3,

@@ -14,7 +14,7 @@
 //!   the complementary answer — the oracle holds one consistent (possibly
 //!   wrong) belief about each unordered comparison.
 
-use crate::persistent::{PersistentNoise, SharedComparisonOracle, SharedQuadrupletOracle};
+use crate::persistent::PersistentNoise;
 use crate::{ComparisonOracle, QuadrupletOracle};
 use nco_metric::hashing;
 use nco_metric::Metric;
@@ -69,13 +69,6 @@ impl ComparisonOracle for ProbValueOracle {
 
     #[inline]
     fn le(&mut self, i: usize, j: usize) -> bool {
-        self.le_shared(i, j)
-    }
-}
-
-impl SharedComparisonOracle for ProbValueOracle {
-    #[inline]
-    fn le_shared(&self, i: usize, j: usize) -> bool {
         if i == j {
             return true; // degenerate self-comparison: trivially Yes
         }
@@ -153,16 +146,9 @@ impl<M: Metric> QuadrupletOracle for ProbQuadOracle<M> {
     }
 }
 
-impl<M: Metric + Sync> SharedQuadrupletOracle for ProbQuadOracle<M> {
-    #[inline]
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.answer(a, b, c, d)
-    }
-}
-
 impl<M: Metric> ProbQuadOracle<M> {
     /// Canonicalise each unordered pair, order the two pairs, and answer —
-    /// the pure-function core shared by `le` and `le_shared`.
+    /// the pure-function core shared by `le` and `le_batch`.
     #[inline]
     fn answer(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
         let p1 = if a <= b { (a, b) } else { (b, a) };

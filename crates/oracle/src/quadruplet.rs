@@ -1,6 +1,6 @@
 //! The exact quadruplet oracle over a hidden metric space.
 
-use crate::persistent::{PersistentNoise, SharedQuadrupletOracle};
+use crate::persistent::PersistentNoise;
 use crate::QuadrupletOracle;
 use nco_metric::Metric;
 
@@ -46,13 +46,6 @@ impl<M: Metric> QuadrupletOracle for TrueQuadOracle<M> {
             let ans = self.metric.dist(a, b) <= self.metric.dist(c, d);
             out.push(ans);
         }
-    }
-}
-
-impl<M: Metric + Sync> SharedQuadrupletOracle for TrueQuadOracle<M> {
-    #[inline]
-    fn le_shared(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.metric.dist(a, b) <= self.metric.dist(c, d)
     }
 }
 

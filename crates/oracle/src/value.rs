@@ -1,6 +1,6 @@
 //! The exact comparison oracle over hidden scalar values.
 
-use crate::persistent::{PersistentNoise, SharedComparisonOracle};
+use crate::persistent::PersistentNoise;
 use crate::ComparisonOracle;
 
 /// A perfect comparison oracle: answers every query truthfully.
@@ -44,13 +44,6 @@ impl ComparisonOracle for TrueValueOracle {
 
     #[inline]
     fn le(&mut self, i: usize, j: usize) -> bool {
-        self.le_shared(i, j)
-    }
-}
-
-impl SharedComparisonOracle for TrueValueOracle {
-    #[inline]
-    fn le_shared(&self, i: usize, j: usize) -> bool {
         self.values[i] <= self.values[j]
     }
 }

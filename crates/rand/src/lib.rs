@@ -249,15 +249,10 @@ pub mod rngs {
     /// A **counter-mode** generator: output `i` is a pure function of
     /// `(seed, stream, i)`, with no sequential state dependency.
     ///
-    /// This is the substrate for deterministic parallelism: a fan-out of
-    /// `k` workers gives worker `w` the stream [`CounterRng::stream`]`(w)`
-    /// and every worker draws an identical sequence regardless of
-    /// scheduling, core count, or whether the fan-out runs serially.
-    /// Today the workspace's `parallel` feature keeps its fan-out regions
-    /// RNG-free (all randomness is drawn serially before spawning), so
-    /// this type is the *reserved* mechanism for any future in-worker
-    /// randomness — not what currently keeps serial and parallel runs
-    /// bit-identical. The perf suite uses it to derive per-rep seeds.
+    /// Keyed substreams ([`CounterRng::stream`]) give independent,
+    /// reproducible sequences addressed by an index rather than by draw
+    /// order: the hierarchy engine keys its per-merge randomness by merge
+    /// index, and the perf suite derives per-rep seeds the same way.
     ///
     /// Each output is one splitmix64 finalisation of the 64-bit counter
     /// XOR-folded with the (seed, stream) key — the same BigCrush-passing
@@ -283,8 +278,7 @@ pub mod rngs {
             Self { key, ctr: 0 }
         }
 
-        /// A derived generator for substream `w` of the same seed: the
-        /// per-worker stream of a parallel fan-out.
+        /// A derived generator for substream `w` of the same seed.
         pub fn stream(&self, w: u64) -> Self {
             Self {
                 key: mix1(self.key ^ w.wrapping_mul(0x94d0_49bb_1331_11eb)),

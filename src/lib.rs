@@ -7,8 +7,8 @@
 //! ## The `Session` front door
 //!
 //! [`Session`] is the typed, budgeted entry point: a [`SessionBuilder`]
-//! captures the data source, noise model, confidence, caching, parallelism,
-//! seed and query budget once; [`Session::run`] executes any [`Task`]
+//! captures the data source, noise model, confidence, caching, seed and
+//! query budget once; [`Session::run`] executes any [`Task`]
 //! through the matching theorem-backed engine and returns an [`Outcome`]
 //! (answer + [`RunReport`] cost accounting) or a typed [`NcoError`].
 //!

@@ -20,13 +20,11 @@ pub struct RunReport {
     /// would report.
     pub queries: u64,
     /// Batched oracle rounds issued by the engine — one per `le_batch`
-    /// call (or per fanned-out round on a threaded hierarchy run); the
-    /// remaining queries went through the scalar path. The count is
-    /// exact under every configuration: the answer memo forwards each
-    /// outer round as one (deduplicated) inner round, and the merge
-    /// plane's fan-out wrapper bills each shared-path round it answers,
-    /// so memoised and threaded runs report the same rounds as their
-    /// plain serial counterparts.
+    /// call; the remaining queries went through the scalar path. The
+    /// count is exact under every configuration: the answer memo
+    /// forwards each outer round as one (deduplicated) inner round, so
+    /// memoised runs report the same rounds as their plain
+    /// counterparts.
     pub rounds: u64,
     /// Answer-cache hits when memoisation was enabled (`None` otherwise):
     /// repeated queries served from the exact memo without touching the

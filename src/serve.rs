@@ -931,12 +931,6 @@ impl ServerBuilder {
                  memoize(true) — per-request accounting mirrors a plain solo run",
             ));
         }
-        if cfg.threads >= 2 {
-            return Err(NcoError::invalid(
-                "served requests run serially per worker; drop threads(>= 2) from the \
-                 template",
-            ));
-        }
         let engine = self.template.engine();
         if engine.n() > (1 << 16) {
             return Err(NcoError::invalid(format!(

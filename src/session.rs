@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nco_core::comparator::ValueCmp;
-use nco_core::hier::{hier_oracle_par_stats, hier_oracle_stats, HierParams, MergePlaneStats};
+use nco_core::hier::{hier_oracle_stats, HierParams, MergePlaneStats};
 use nco_core::kcenter::{
     kcenter_adv_with_progress, kcenter_prob_with_progress, KCenterAdvParams, KCenterProbParams,
 };
@@ -66,10 +66,10 @@ use nco_core::order::{
 use nco_data::{AnyMetric, Dataset};
 use nco_metric::{CachedMetric, EuclideanMetric, Metric};
 use nco_oracle::adversarial::{AdversarialQuadOracle, AdversarialValueOracle, InvertAdversary};
-use nco_oracle::budget::{Budgeted, SharedBudgeted};
+use nco_oracle::budget::Budgeted;
 use nco_oracle::crowd::{AccuracyProfile, CrowdQuadOracle, CrowdValueOracle};
 use nco_oracle::fault::{FaultPlan, FaultyOracle, RetryPolicy, Retrying};
-use nco_oracle::persistent::{PersistentNoise, SharedQuadrupletOracle};
+use nco_oracle::persistent::PersistentNoise;
 use nco_oracle::probabilistic::{ProbQuadOracle, ProbValueOracle};
 use nco_oracle::{
     ComparisonOracle, MemoOracle, NoiseEstimate, ProbeOracle, ProbePlan, QuadrupletOracle,
@@ -345,7 +345,6 @@ impl CancelToken {
 /// | [`confidence`](Self::confidence) | experimental params | theorem-grade failure probability `delta` |
 /// | [`cache_distances`](Self::cache_distances) | `false` | engine-level [`DistCache`](nco_metric::DistCache) |
 /// | [`memoize`](Self::memoize) | `false` | exact answer memo ([`MemoOracle`]) |
-/// | [`threads`](Self::threads) | `1` | worker fan-out (hierarchy tasks) |
 /// | [`seed`](Self::seed) | `0` | rng stream of each run |
 /// | [`budget`](Self::budget) | unlimited | hard cap on oracle queries |
 /// | [`min_cluster_promise`](Self::min_cluster_promise) | `n / 2k` | Algorithm 7's `m` |
@@ -367,7 +366,6 @@ pub struct SessionBuilder {
     noise: Noise,
     delta: Option<f64>,
     memo: bool,
-    threads: usize,
     seed: u64,
     budget: Option<u64>,
     min_cluster_promise: Option<usize>,
@@ -481,18 +479,9 @@ impl SessionBuilder {
     }
 
     /// Memoise oracle *answers* in an exact [`MemoOracle`] (persistent
-    /// noise makes repeats free). Per run, serial tasks only.
+    /// noise makes repeats free). Per run.
     pub fn memoize(mut self, on: bool) -> Self {
         self.memo = on;
-        self
-    }
-
-    /// Worker threads for fan-out-capable engines. With `threads >= 2`,
-    /// [`Task::Hierarchy`] runs the counter-stream SLINK engine
-    /// (`hier_oracle_par`), whose output is bit-identical at any worker
-    /// count; other tasks currently run serially regardless.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -529,9 +518,6 @@ impl SessionBuilder {
     /// a re-asked query re-reads the same noisy belief — while the
     /// retries still show up in [`RunReport::queries`]. A fault that
     /// outlives the policy fails the run with [`NcoError::OracleFailed`].
-    ///
-    /// Serial runs only: combined with [`Self::threads`] `>= 2` the
-    /// build is rejected, like [`Self::memoize`].
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -622,7 +608,7 @@ impl SessionBuilder {
     ///
     /// Probes never change answers: noise is persistent, so the extra
     /// asks cannot move any belief a real query reads. `rate` must lie
-    /// in `[0, 1]`; serial runs only (like [`Self::memoize`]).
+    /// in `[0, 1]`.
     pub fn probe_noise(mut self, rate: f64) -> Self {
         self.probe_rate = Some(rate);
         self
@@ -763,36 +749,19 @@ impl SessionBuilder {
                 "minimum cluster-size promise m must be positive",
             ));
         }
-        if self.memo {
-            if engine.n() > (1 << 16) {
-                return Err(NcoError::invalid(format!(
-                    "answer memoisation is capped at n = 65536 records (n = {}): quadruplet \
-                     keys pack indices into 16 bits and the comparison pair table is \
-                     n(n-1)/4 bytes",
-                    engine.n()
-                )));
-            }
-            if self.threads >= 2 {
-                return Err(NcoError::invalid(
-                    "answer memoisation is serial-only; drop memoize(true) or threads(>= 2)",
-                ));
-            }
-        }
-        if self.fault_plan.is_some_and(|p| p.is_active()) && self.threads >= 2 {
-            return Err(NcoError::invalid(
-                "fault injection is serial-only; drop fault_plan() or threads(>= 2)",
-            ));
+        if self.memo && engine.n() > (1 << 16) {
+            return Err(NcoError::invalid(format!(
+                "answer memoisation is capped at n = 65536 records (n = {}): quadruplet \
+                 keys pack indices into 16 bits and the comparison pair table is \
+                 n(n-1)/4 bytes",
+                engine.n()
+            )));
         }
         if let Some(rate) = self.probe_rate {
             if !(rate.is_finite() && (0.0..=1.0).contains(&rate)) {
                 return Err(NcoError::invalid(format!(
                     "probe rate {rate} must lie in [0, 1]"
                 )));
-            }
-            if rate > 0.0 && self.threads >= 2 {
-                return Err(NcoError::invalid(
-                    "noise probing is serial-only; drop probe_noise() or threads(>= 2)",
-                ));
             }
         }
         if let Some(p) = self.assumed_noise {
@@ -813,7 +782,6 @@ impl SessionBuilder {
                 noise: self.noise,
                 delta: self.delta,
                 memo: self.memo,
-                threads: self.threads.max(1),
                 seed: self.seed,
                 budget: self.budget,
                 min_cluster_promise: self.min_cluster_promise,
@@ -836,7 +804,6 @@ pub(crate) struct Config {
     pub(crate) noise: Noise,
     pub(crate) delta: Option<f64>,
     pub(crate) memo: bool,
-    pub(crate) threads: usize,
     pub(crate) seed: u64,
     pub(crate) budget: Option<u64>,
     pub(crate) min_cluster_promise: Option<usize>,
@@ -1353,53 +1320,12 @@ impl Session {
     }
 
     /// Quadruplet twin of [`Self::drive_value`] — same chain shape and
-    /// the same adaptive re-run, plus the threaded hierarchy branch,
-    /// which runs fault- and probe-free ([`build`] rejects an active
-    /// plan or probing with `threads >= 2`) but still honours deadline
-    /// and cancellation through the shared meter.
-    ///
-    /// [`build`]: SessionBuilder::build
+    /// the same adaptive re-run.
     fn drive_quad<O, F>(&self, task: Task, make_raw: F, ctx: RunCtx) -> Result<Outcome, NcoError>
     where
-        O: SharedQuadrupletOracle + PersistentNoise,
+        O: QuadrupletOracle + PersistentNoise,
         F: Fn() -> O,
     {
-        if self.cfg.threads >= 2 && !self.cfg.memo && matches!(task, Task::Hierarchy { .. }) {
-            // Counter-stream SLINK: bit-identical at any worker count.
-            let Task::Hierarchy { linkage } = task else {
-                unreachable!("matched above");
-            };
-            let deadline = self.cfg.deadline.map(|d| ctx.start + d);
-            let cancel = self.cfg.cancel.as_ref().map(CancelToken::flag);
-            let mut oracle = SharedBudgeted::new(make_raw(), self.cfg.budget)
-                .with_deadline(deadline)
-                .with_cancel(cancel);
-            let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-            let (dend, plane) = hier_oracle_par_stats(
-                &self.hier_params(linkage, self.base_scale()),
-                &mut oracle,
-                &mut rng,
-                self.cfg.threads,
-            );
-            let n = dend.n;
-            let partial = Some(PartialOutcome::DendrogramPrefix {
-                n,
-                merges: dend.merges[..plane.clean_merges as usize].to_vec(),
-                expected: n.saturating_sub(1),
-            });
-            let m = Meters {
-                queries: oracle.queries(),
-                rounds: oracle.rounds(),
-                exceeded: oracle.exceeded(),
-                killed: oracle.killed(),
-                failed: None,
-                memo_hits: None,
-                estimate: None,
-                probes: None,
-                merge_plane: Some(plane),
-            };
-            return self.finish(Answer::Dendrogram(dend), m, ctx, partial, 0, true);
-        }
         let (answer, m, partial) =
             self.quad_attempt(task, make_raw(), self.base_scale(), self.cfg.budget, &ctx)?;
         match self.escalation(&m) {
@@ -1423,7 +1349,7 @@ impl Session {
         ctx: &RunCtx,
     ) -> Result<(Answer, Meters, Option<PartialOutcome>), NcoError>
     where
-        O: SharedQuadrupletOracle + PersistentNoise,
+        O: QuadrupletOracle + PersistentNoise,
     {
         let plan = self.cfg.fault_plan.unwrap_or_else(FaultPlan::none);
         let policy = self.cfg.retry.unwrap_or_default();
@@ -2097,17 +2023,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_and_threads_are_mutually_exclusive() {
-        let err = Session::builder()
-            .points(&square_points(8))
-            .memoize(true)
-            .threads(4)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, NcoError::InvalidParams { .. }));
-    }
-
-    #[test]
     fn budget_exceeded_is_an_error_not_a_panic() {
         let s = Session::builder()
             .points(&square_points(32))
@@ -2176,24 +2091,6 @@ mod tests {
             Err(NcoError::DeadlineExceeded { report, .. }) => assert_eq!(report.queries, 0),
             other => panic!("expected a cancel kill, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn active_fault_plan_is_serial_only() {
-        let err = Session::builder()
-            .points(&square_points(8))
-            .fault_plan(FaultPlan::new(1).transient(0.1))
-            .threads(4)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, NcoError::InvalidParams { .. }));
-        // An inactive plan (or no plan) is fine with threads.
-        assert!(Session::builder()
-            .points(&square_points(8))
-            .fault_plan(FaultPlan::none())
-            .threads(4)
-            .build()
-            .is_ok());
     }
 
     #[test]
@@ -2319,12 +2216,6 @@ mod tests {
             base().adapt_noise(AdaptPolicy::Escalate).build(),
             Err(NcoError::InvalidParams { .. })
         ));
-        let err = Session::builder()
-            .points(&square_points(8))
-            .probe_noise(0.1)
-            .threads(4)
-            .build();
-        assert!(matches!(err, Err(NcoError::InvalidParams { .. })));
         assert!(base()
             .probe_noise(0.1)
             .assume_noise_rate(0.2)

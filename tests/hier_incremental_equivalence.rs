@@ -8,8 +8,7 @@
 
 use nco_testkit::{success_rate, Counting, MetricScenario};
 use noisy_oracle::core::hier::{
-    hier_oracle, hier_oracle_par, hier_oracle_par_scratch, hier_oracle_scratch, hier_oracle_stats,
-    Dendrogram, HierParams, Linkage,
+    hier_oracle, hier_oracle_scratch, hier_oracle_stats, Dendrogram, HierParams, Linkage,
 };
 use noisy_oracle::eval::pair_f_score;
 use noisy_oracle::metric::Metric;
@@ -80,22 +79,6 @@ fn incremental_matches_from_scratch_for_every_noise_model() {
                 hier_oracle(&params, &mut a, &mut rng(seed)),
                 hier_oracle_scratch(&params, &mut b, &mut rng(seed)),
             );
-        }
-    }
-}
-
-/// The counter-stream entry point honours the same contract.
-#[test]
-fn counter_stream_incremental_matches_from_scratch() {
-    let s = scenario();
-    for linkage in [Linkage::Single, Linkage::Complete] {
-        let params = HierParams::experimental(linkage);
-        for seed in 0..10u64 {
-            let mut inc = s.probabilistic_oracle(0.1, 40 + seed);
-            let a = hier_oracle_par(&params, &mut inc, &mut rng(seed), 1);
-            let mut scr = s.probabilistic_oracle(0.1, 40 + seed);
-            let b = hier_oracle_par_scratch(&params, &mut scr, &mut rng(seed), 1);
-            assert_eq!(a, b, "{linkage:?}, seed {seed}");
         }
     }
 }

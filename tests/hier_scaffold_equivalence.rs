@@ -9,14 +9,11 @@
 //! with a fixed bit, and a cached outcome's canonical query
 //! `le(rep(row, u), rep(row, v))` is unchanged while clusters `u` and `v`
 //! live. Pinned here across both linkages, four noise models and 20
-//! seeds, plus worker-count bit-identity (queries *and* rounds) for the
-//! scaffolded counter-stream engine, plus Theorem 5.2 re-assertions on
-//! the scaffold plane's output.
+//! seeds, plus Theorem 5.2 re-assertions on the scaffold plane's output.
 
 use nco_testkit::{Counting, MetricScenario};
 use noisy_oracle::core::hier::{
-    hier_oracle, hier_oracle_par, hier_oracle_par_scratch, hier_oracle_par_stats,
-    hier_oracle_scratch, hier_oracle_stats, Dendrogram, HierParams, Linkage,
+    hier_oracle, hier_oracle_scratch, hier_oracle_stats, Dendrogram, HierParams, Linkage,
 };
 use noisy_oracle::metric::Metric;
 use noisy_oracle::oracle::crowd::AccuracyProfile;
@@ -83,50 +80,6 @@ fn scaffold_matches_from_scratch_for_every_noise_model() {
     }
 }
 
-/// The scaffolded counter-stream entry point honours the same contract.
-#[test]
-fn counter_stream_scaffold_matches_from_scratch() {
-    let s = scenario();
-    for linkage in [Linkage::Single, Linkage::Complete] {
-        let params = HierParams::experimental(linkage).scaffolded();
-        for seed in 0..10u64 {
-            let mut shared = s.probabilistic_oracle(0.1, 40 + seed);
-            let a = hier_oracle_par(&params, &mut shared, &mut rng(seed), 1);
-            let mut reference = s.probabilistic_oracle(0.1, 40 + seed);
-            let b = hier_oracle_par_scratch(&params, &mut reference, &mut rng(seed), 1);
-            assert_eq!(a, b, "{linkage:?}, seed {seed}");
-        }
-    }
-}
-
-/// The scaffolded initial pass fans out bit-identically: the shared deal
-/// is drawn before any worker exists and row sweeps consume no
-/// randomness, so 1-worker and 4-worker runs must agree on the
-/// dendrogram, the query count **and the round count** (rows issue the
-/// same `le_round`s no matter which worker runs them).
-#[cfg(feature = "parallel")]
-#[test]
-fn scaffolded_fan_out_is_bit_identical_and_rounds_equal() {
-    use nco_oracle::SharedBudgeted;
-    let s = MetricScenario::separated_blobs(4, 16, 40.0, 0x1AC6);
-    for linkage in [Linkage::Single, Linkage::Complete] {
-        let params = HierParams::experimental(linkage).scaffolded();
-        for seed in 0..5u64 {
-            let mut serial = SharedBudgeted::new(s.probabilistic_oracle(0.1, 70 + seed), None);
-            let a = hier_oracle_par(&params, &mut serial, &mut rng(seed), 1);
-            let mut fanned = SharedBudgeted::new(s.probabilistic_oracle(0.1, 70 + seed), None);
-            let b = hier_oracle_par(&params, &mut fanned, &mut rng(seed), 4);
-            assert_eq!(a, b, "{linkage:?}, seed {seed}");
-            assert_eq!(
-                serial.queries(),
-                fanned.queries(),
-                "{linkage:?}, seed {seed}"
-            );
-            assert_eq!(serial.rounds(), fanned.rounds(), "{linkage:?}, seed {seed}");
-        }
-    }
-}
-
 /// The savings are real and the new counters tell the story: under
 /// complete linkage (repair-dominated) the scaffold plane issues fewer
 /// queries than its from-scratch reference, serves repairs incrementally,
@@ -156,27 +109,6 @@ fn scaffold_plane_is_cheaper_than_scratch_and_reports_stats() {
             );
         }
     }
-}
-
-/// The scaffolded counter-stream engine beats its reference too, and the
-/// scaffold counters flow through `hier_oracle_par_stats`.
-#[test]
-fn counter_stream_scaffold_is_cheaper_than_scratch() {
-    use nco_oracle::SharedCounting;
-    let s = MetricScenario::separated_blobs(4, 16, 40.0, 0x1AC6);
-    let params = HierParams::experimental(Linkage::Complete).scaffolded();
-    let mut shared = SharedCounting::new(s.probabilistic_oracle(0.1, 11));
-    let (da, stats) = hier_oracle_par_stats(&params, &mut shared, &mut rng(2), 1);
-    let mut reference = SharedCounting::new(s.probabilistic_oracle(0.1, 11));
-    let db = hier_oracle_par_scratch(&params, &mut reference, &mut rng(2), 1);
-    assert_eq!(da, db);
-    assert!(
-        shared.queries() < reference.queries(),
-        "shared {} vs reference {}",
-        shared.queries(),
-        reference.queries()
-    );
-    assert!(stats.scaffold_hits > 0 && stats.repair_contests + stats.repair_fallbacks > 0);
 }
 
 /// Theorem 5.2 re-pinned on the scaffold plane (adversarial noise): every
@@ -216,11 +148,10 @@ fn theorem_5_2_per_merge_bound_holds_on_the_scaffold_plane() {
 
 /// The facade knob routes through: a `scaffold_search(true)` hierarchy
 /// session is bit-identical to a hand-wired scaffolded
-/// `hier_oracle_par_stats` call, bills the same queries, and surfaces the
+/// `hier_oracle_stats` call, bills the same queries, and surfaces the
 /// scaffold counters in `RunReport::merge_plane`.
 #[test]
 fn session_scaffold_knob_matches_direct_call_and_reports_counters() {
-    use nco_oracle::SharedCounting;
     use noisy_oracle::metric::EuclideanMetric;
     use noisy_oracle::oracle::probabilistic::ProbQuadOracle;
     use noisy_oracle::{Noise, Session, Task};
@@ -238,13 +169,11 @@ fn session_scaffold_knob_matches_direct_call_and_reports_counters() {
             .build()
             .unwrap();
         let outcome = session.run(Task::Hierarchy { linkage }).unwrap();
-        let mut oracle =
-            SharedCounting::new(ProbQuadOracle::new(metric.clone(), 0.05, 4000 + seed));
-        let (dend, stats) = hier_oracle_par_stats(
+        let mut oracle = Counting::new(ProbQuadOracle::new(metric.clone(), 0.05, 4000 + seed));
+        let (dend, stats) = hier_oracle_stats(
             &HierParams::experimental(linkage).scaffolded(),
             &mut oracle,
             &mut rng(seed),
-            1,
         );
         assert_eq!(outcome.answer.dendrogram(), Some(&dend), "{linkage:?}");
         assert_eq!(outcome.report.queries, oracle.queries(), "{linkage:?}");

@@ -1,6 +1,6 @@
 //! Equivalence guarantees behind the PR-2..PR-5 performance work.
 //!
-//! Four families of checks:
+//! Three families of checks:
 //!
 //! 1. **Memoisation is invisible.** Under every persistent noise model,
 //!    an algorithm run over `MemoOracle<O>` must make bit-identical
@@ -16,10 +16,6 @@
 //! 3. **Distance caching is invisible.** Algorithms over
 //!    `CachedMetric<M>`-backed oracles make bit-identical decisions with
 //!    identical query totals to the same oracles over the raw `M`.
-//! 4. **Parallel == serial.** With the `parallel` feature, the fan-out
-//!    variants (including `hier_oracle_par`'s counter-stream SLINK
-//!    initialisation) must return bit-identical outputs *and* identical
-//!    query totals across 20 seeds.
 
 use nco_core::comparator::ValueCmp;
 use nco_core::hier::{hier_oracle, HierParams, Linkage};
@@ -536,166 +532,6 @@ mod round_accounting {
                     );
                 }
             }
-        }
-    }
-}
-
-#[cfg(feature = "parallel")]
-mod parallel_equivalence {
-    use super::*;
-    use nco_core::maxfind::{count_max, count_max_par, max_prob_par, tournament, tournament_par};
-    use nco_core::parallel::{AtomicCountingCmp, SharedValueCmp};
-    use nco_testkit::CountingCmp;
-
-    /// Count-Max-Prob: serial vs 4-thread fan-out across 20 seeds —
-    /// bit-identical winners and identical comparator call totals.
-    #[test]
-    fn max_prob_parallel_matches_serial_across_20_seeds() {
-        let scenario = ValueScenario::shuffled_linear(600, 5);
-        let params = ProbParams::experimental();
-        for seed in 0..20u64 {
-            let mut serial_oracle = scenario.probabilistic_oracle(0.2, 2000 + seed);
-            let mut serial_cmp = CountingCmp::new(ValueCmp::new(&mut serial_oracle));
-            let serial = max_prob(&scenario.items, &params, &mut serial_cmp, &mut rng(seed));
-            let serial_calls = serial_cmp.calls();
-
-            let par_oracle = scenario.probabilistic_oracle(0.2, 2000 + seed);
-            let par_cmp = AtomicCountingCmp::new(SharedValueCmp::new(&par_oracle));
-            let par = max_prob_par(&scenario.items, &params, &par_cmp, &mut rng(seed), 4);
-
-            assert_eq!(serial, par, "winner differs at seed {seed}");
-            assert_eq!(
-                serial_calls,
-                par_cmp.calls(),
-                "query totals differ at seed {seed}"
-            );
-        }
-    }
-
-    /// λ-ary tournament: serial vs fan-out for λ in {2, 3, 8}.
-    #[test]
-    fn tournament_parallel_matches_serial_across_20_seeds() {
-        let scenario = ValueScenario::shuffled_linear(257, 9);
-        for seed in 0..20u64 {
-            for lambda in [2usize, 3, 8] {
-                let mut serial_oracle = scenario.probabilistic_oracle(0.25, 4000 + seed);
-                let mut serial_cmp = CountingCmp::new(ValueCmp::new(&mut serial_oracle));
-                let serial = tournament(&scenario.items, lambda, &mut serial_cmp, &mut rng(seed));
-                let serial_calls = serial_cmp.calls();
-
-                let par_oracle = scenario.probabilistic_oracle(0.25, 4000 + seed);
-                let par_cmp = AtomicCountingCmp::new(SharedValueCmp::new(&par_oracle));
-                let par = tournament_par(&scenario.items, lambda, &par_cmp, &mut rng(seed), 4);
-
-                assert_eq!(
-                    serial, par,
-                    "winner differs at seed {seed}, lambda {lambda}"
-                );
-                assert_eq!(
-                    serial_calls,
-                    par_cmp.calls(),
-                    "query totals differ at seed {seed}, lambda {lambda}"
-                );
-            }
-        }
-    }
-
-    /// Counter-stream SLINK: the initial nearest-neighbour pass fanned
-    /// across 4 workers returns the identical dendrogram and query total
-    /// as the single-worker run, across 20 seeds — per-row `CounterRng`
-    /// streams make the rows rng-independent, so scheduling cannot leak
-    /// into the output.
-    #[test]
-    fn hier_oracle_par_fan_out_matches_single_worker_across_20_seeds() {
-        use nco_core::hier::hier_oracle_par;
-        use nco_oracle::SharedCounting;
-        let scenario = MetricScenario::separated_blobs(4, 16, 35.0, 13);
-        let params = HierParams::experimental(Linkage::Single);
-        for seed in 0..20u64 {
-            let mut serial = SharedCounting::new(scenario.probabilistic_oracle(0.1, 3000 + seed));
-            let a = hier_oracle_par(&params, &mut serial, &mut rng(seed), 1);
-            let mut par = SharedCounting::new(scenario.probabilistic_oracle(0.1, 3000 + seed));
-            let b = hier_oracle_par(&params, &mut par, &mut rng(seed), 4);
-            assert_eq!(a, b, "dendrogram differs at seed {seed}");
-            assert_eq!(
-                serial.queries(),
-                par.queries(),
-                "query totals differ at seed {seed}"
-            );
-        }
-    }
-
-    /// Counter-stream SLINK over a `CachedMetric` fanned across workers —
-    /// the perfsuite `slink_n1024` optimized configuration exactly —
-    /// equals the lazy single-worker run.
-    #[test]
-    fn hier_oracle_par_with_dist_cache_matches_lazy_serial() {
-        use nco_core::hier::hier_oracle_par;
-        use nco_metric::CachedMetric;
-        use nco_oracle::probabilistic::ProbQuadOracle;
-        use nco_oracle::SharedCounting;
-        let scenario = MetricScenario::separated_blobs(4, 20, 35.0, 17);
-        let params = HierParams::experimental(Linkage::Single);
-        for seed in 0..5u64 {
-            let mut lazy = SharedCounting::new(scenario.probabilistic_oracle(0.05, 4000 + seed));
-            let a = hier_oracle_par(&params, &mut lazy, &mut rng(seed), 1);
-            let cached = CachedMetric::new(scenario.metric.clone());
-            let mut opt = SharedCounting::new(ProbQuadOracle::new(&cached, 0.05, 4000 + seed));
-            let b = hier_oracle_par(&params, &mut opt, &mut rng(seed), 4);
-            assert_eq!(a, b, "dendrogram differs at seed {seed}");
-            assert_eq!(lazy.queries(), opt.queries(), "query totals at seed {seed}");
-        }
-    }
-
-    /// Round accounting through the fan-out merge plane: the
-    /// counter-stream SLINK engine over a `SharedBudgeted` meter bills
-    /// the identical (nonzero) round count at 1 and 4 workers across 20
-    /// seeds — the fanned path's `note_round` is the per-round twin of
-    /// `le_batch`'s `+1`.
-    #[test]
-    fn hier_oracle_par_round_accounting_matches_single_worker_across_20_seeds() {
-        use nco_core::hier::hier_oracle_par;
-        use nco_oracle::SharedBudgeted;
-        let scenario = MetricScenario::separated_blobs(4, 16, 35.0, 13);
-        let params = HierParams::experimental(Linkage::Single);
-        for seed in 0..20u64 {
-            let mut serial =
-                SharedBudgeted::new(scenario.probabilistic_oracle(0.1, 7000 + seed), None);
-            let a = hier_oracle_par(&params, &mut serial, &mut rng(seed), 1);
-            let mut par =
-                SharedBudgeted::new(scenario.probabilistic_oracle(0.1, 7000 + seed), None);
-            let b = hier_oracle_par(&params, &mut par, &mut rng(seed), 4);
-            assert_eq!(a, b, "dendrogram differs at seed {seed}");
-            assert_eq!(serial.queries(), par.queries(), "queries at seed {seed}");
-            assert!(serial.rounds() > 0, "no rounds metered at seed {seed}");
-            assert_eq!(
-                serial.rounds(),
-                par.rounds(),
-                "round totals differ at seed {seed}"
-            );
-        }
-    }
-
-    /// Count-Max itself: the scoring triangle fanned across threads.
-    #[test]
-    fn count_max_parallel_matches_serial() {
-        let scenario = ValueScenario::shuffled_linear(120, 2);
-        for seed in 0..20u64 {
-            let mut serial_oracle = scenario.probabilistic_oracle(0.3, 6000 + seed);
-            let mut serial_cmp = CountingCmp::new(ValueCmp::new(&mut serial_oracle));
-            let serial = count_max(&scenario.items, &mut serial_cmp);
-            let serial_calls = serial_cmp.calls();
-
-            let par_oracle = scenario.probabilistic_oracle(0.3, 6000 + seed);
-            let par_cmp = AtomicCountingCmp::new(SharedValueCmp::new(&par_oracle));
-            let par = count_max_par(&scenario.items, &par_cmp, 4);
-
-            assert_eq!(serial, par, "winner differs at seed {seed}");
-            assert_eq!(
-                serial_calls,
-                par_cmp.calls(),
-                "totals differ at seed {seed}"
-            );
         }
     }
 }

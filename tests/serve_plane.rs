@@ -5,9 +5,9 @@
 //!    `Session::run` of the identical task — the shared backend memo and
 //!    cross-request coalescing change *cost distribution*, never
 //!    semantics.
-//! 2. **Pooled admission never over-admits.** `SharedBudgeted` under
-//!    thread contention bills at most its cap; `BudgetPool` reservations
-//!    are all-or-nothing and their sum never exceeds the cap.
+//! 2. **Pooled admission never over-admits.** `BudgetPool` reservations
+//!    under thread contention are all-or-nothing and their sum never
+//!    exceeds the cap.
 //! 3. **Shedding, not collapse.** Pool exhaustion fails requests typed
 //!    (`BudgetExceeded`) without deadlocking the round coalescer; a full
 //!    queue rejects with `Overloaded`; shutdown drains what was queued.
@@ -230,57 +230,6 @@ fn served_order_requests_match_solo_sessions() {
         );
     }
     assert_eq!(stats.completed, 3);
-}
-
-#[test]
-fn shared_budgeted_never_over_admits_under_contention() {
-    use nco_oracle::persistent::SharedQuadrupletOracle;
-    use nco_oracle::{SharedBudgeted, TrueQuadOracle};
-    let metric = nco_metric::EuclideanMetric::from_points(
-        &(0..16).map(|i| vec![i as f64]).collect::<Vec<_>>(),
-    );
-    let cap = 5_000u64;
-    let oracle = SharedBudgeted::new(TrueQuadOracle::new(metric), Some(cap));
-    let threads = 8;
-    let per_thread = 1_000u64;
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let oracle = &oracle;
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let a = (t as usize + i as usize) % 16;
-                    let _ = oracle.le_shared(a, (a + 1) % 16, (a + 2) % 16, (a + 3) % 16);
-                }
-                oracle.note_round();
-            });
-        }
-    });
-    // 8000 admissions raced for 5000 slots: billed exactly the cap, the
-    // excess was refused, and every refusal tripped the flag.
-    assert_eq!(oracle.queries(), cap);
-    assert!(oracle.exceeded());
-    assert_eq!(oracle.rounds(), threads as u64);
-
-    // Under the cap: exact total, flag untouched.
-    let roomy = SharedBudgeted::new(
-        TrueQuadOracle::new(nco_metric::EuclideanMetric::from_points(
-            &(0..16).map(|i| vec![i as f64]).collect::<Vec<_>>(),
-        )),
-        Some(1_000_000),
-    );
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let roomy = &roomy;
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let a = (t as usize + i as usize) % 16;
-                    let _ = roomy.le_shared(a, (a + 1) % 16, (a + 2) % 16, (a + 3) % 16);
-                }
-            });
-        }
-    });
-    assert_eq!(roomy.queries(), threads as u64 * per_thread);
-    assert!(!roomy.exceeded());
 }
 
 #[test]

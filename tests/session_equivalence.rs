@@ -9,7 +9,7 @@
 //! configured cap, and `RunReport.queries == Counting`'s tally.
 
 use noisy_oracle::core::comparator::ValueCmp;
-use noisy_oracle::core::hier::{hier_oracle, hier_oracle_par, Dendrogram, HierParams, Linkage};
+use noisy_oracle::core::hier::{hier_oracle, Dendrogram, HierParams, Linkage};
 use noisy_oracle::core::kcenter::{
     kcenter_adv, kcenter_prob, Clustering, KCenterAdvParams, KCenterProbParams,
 };
@@ -28,7 +28,7 @@ use noisy_oracle::oracle::adversarial::{
 use noisy_oracle::oracle::crowd::{AccuracyProfile, CrowdQuadOracle, CrowdValueOracle};
 use noisy_oracle::oracle::probabilistic::{ProbQuadOracle, ProbValueOracle};
 use noisy_oracle::oracle::{
-    ComparisonOracle, Counting, QuadrupletOracle, SharedCounting, TrueQuadOracle, TrueValueOracle,
+    ComparisonOracle, Counting, QuadrupletOracle, TrueQuadOracle, TrueValueOracle,
 };
 use noisy_oracle::{NcoError, Noise, Session, Task};
 use rand::rngs::StdRng;
@@ -502,41 +502,6 @@ fn confidence_sessions_match_with_confidence_params() {
         );
         assert_eq!(got.answer.item(), best);
         assert_eq!(got.report.queries, oracle.queries());
-    }
-}
-
-/// Multi-threaded hierarchy sessions route to the counter-stream SLINK
-/// engine; they must match a hand-wired `hier_oracle_par` call (which is
-/// itself bit-identical at any worker count).
-#[test]
-fn threaded_hierarchy_matches_counter_stream_engine() {
-    let metric = EuclideanMetric::from_points(&points(40));
-    for seed in 0..5u64 {
-        let session = Session::builder()
-            .metric(noisy_oracle::data::AnyMetric::Euclidean(metric.clone()))
-            .noise(Noise::Probabilistic {
-                p: 0.05,
-                seed: 4000 + seed,
-            })
-            .threads(4)
-            .seed(seed)
-            .build()
-            .unwrap();
-        let outcome = session
-            .run(Task::Hierarchy {
-                linkage: Linkage::Single,
-            })
-            .unwrap();
-        let mut oracle =
-            SharedCounting::new(ProbQuadOracle::new(metric.clone(), 0.05, 4000 + seed));
-        let dend = hier_oracle_par(
-            &HierParams::experimental(Linkage::Single),
-            &mut oracle,
-            &mut StdRng::seed_from_u64(seed),
-            4,
-        );
-        assert_eq!(outcome.answer.dendrogram(), Some(&dend));
-        assert_eq!(outcome.report.queries, oracle.queries());
     }
 }
 
