@@ -421,45 +421,40 @@ mod tests {
 
     #[test]
     fn batch_is_split_at_the_cap() {
-        type Quads = &'static [[usize; 4]];
+        let m = line(4);
+        let mut o = Budgeted::new(TrueQuadOracle::new(m.clone()), Some(2));
+        let mut truth = TrueQuadOracle::new(m);
+        let queries = [[0, 1, 0, 2], [0, 2, 0, 3], [0, 3, 0, 1], [1, 2, 1, 3]];
+        let mut out = Vec::new();
+        o.le_batch(&queries, &mut out);
+        assert_eq!(out.len(), 4);
+        assert_eq!(out[0], truth.le(0, 1, 0, 2));
+        assert_eq!(out[1], truth.le(0, 2, 0, 3));
+        assert_eq!(out[2], OVER_BUDGET_ANSWER);
+        assert_eq!(out[3], OVER_BUDGET_ANSWER);
+        assert!(o.exceeded());
+        assert_eq!(o.queries(), 2);
+        assert_eq!(o.rounds(), 1);
+    }
+
+    #[test]
+    fn batch_after_scalar_queries_is_split_at_the_remaining_cap() {
         let m = line(5);
-        let mut truth = TrueQuadOracle::new(m.clone());
-        // (cap, scalar queries asked before the batch, batch): the batch's
-        // leading lanes answer truthfully up to the cap, the rest get the
-        // constant refusal bit.
-        let cases: [(u64, Quads, Quads); 2] = [
-            (
-                2,
-                &[],
-                &[[0, 1, 0, 2], [0, 2, 0, 3], [0, 3, 0, 1], [1, 2, 1, 3]],
-            ),
-            (
-                3,
-                &[[0, 1, 0, 2], [0, 2, 0, 3]],
-                &[[0, 3, 0, 4], [0, 4, 0, 1]],
-            ),
-        ];
-        for (cap, before, batch) in cases {
-            let mut o = Budgeted::new(TrueQuadOracle::new(m.clone()), Some(cap));
-            for &[a, b, c, d] in before {
-                assert_eq!(o.le(a, b, c, d), truth.le(a, b, c, d));
-            }
-            let mut out = Vec::new();
-            o.le_batch(batch, &mut out);
-            assert_eq!(out.len(), batch.len());
-            let truthful = cap as usize - before.len();
-            for (k, (&ans, &[a, b, c, d])) in out.iter().zip(batch).enumerate() {
-                let expected = if k < truthful {
-                    truth.le(a, b, c, d)
-                } else {
-                    OVER_BUDGET_ANSWER
-                };
-                assert_eq!(ans, expected, "cap {cap}, lane {k}");
-            }
-            assert!(o.exceeded());
-            assert_eq!(o.queries(), cap);
-            assert_eq!(o.rounds(), 1);
-        }
+        let mut o = Budgeted::new(TrueQuadOracle::new(m.clone()), Some(3));
+        let mut truth = TrueQuadOracle::new(m);
+        assert_eq!(o.le(0, 1, 0, 2), truth.le(0, 1, 0, 2));
+        assert_eq!(o.le(0, 2, 0, 3), truth.le(0, 2, 0, 3));
+        // One query of the cap is left: the batch's first lane answers
+        // truthfully, the second gets the constant refusal bit.
+        let mut out = Vec::new();
+        o.le_batch(&[[0, 3, 0, 4], [0, 4, 0, 1]], &mut out);
+        assert_eq!(out[0], truth.le(0, 3, 0, 4));
+        assert_eq!(out[1], OVER_BUDGET_ANSWER);
+        assert!(o.exceeded());
+        assert_eq!(o.queries(), 3);
+        assert_eq!(o.rounds(), 1);
+        assert_eq!(o.inner().n(), 5);
+        assert_eq!(o.into_inner().n(), 5);
     }
 
     #[test]
