@@ -41,7 +41,7 @@
 //! ```
 //!
 //! `--smoke` shrinks every workload (~16x fewer queries) for CI;
-//! `--out` defaults to `BENCH_PR13.json` in the current directory;
+//! `--out` defaults to `BENCH_PR14.json` in the current directory;
 //! `--check-baseline` compares this run's query counts against a
 //! committed baseline JSON and exits non-zero on any regression
 //! (count > baseline) — the CI guard for the pinned workloads.
@@ -692,7 +692,9 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
     // Worker pool scaled to the host (like every fan-out workload): on a
     // single-core host one worker drains the stream and the win is the
     // shared backend memo alone; with real cores the pool overlaps
-    // requests and the coalescer merges their concurrent rounds.
+    // requests. The coalescer can merge concurrent rounds only with 3 or
+    // more workers, so on hosts with fewer than 3 cores
+    // `coalesced_rounds` stays 0.
     let workers = host_logical_cores().min(4);
     let start = Instant::now();
     let template = Session::builder()
@@ -1126,7 +1128,7 @@ fn write_json(path: &str, mode: &str, reports: &[WorkloadReport]) -> std::io::Re
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"nco-perfsuite/v4\",\n");
-    s.push_str("  \"pr\": \"PR13\",\n");
+    s.push_str("  \"pr\": \"PR14\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!(
         "  \"host_logical_cores\": {},\n",
@@ -1245,7 +1247,7 @@ fn check_baseline(path: &str, reports: &[WorkloadReport]) -> Result<(), String> 
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_PR13.json");
+    let mut out_path = String::from("BENCH_PR14.json");
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

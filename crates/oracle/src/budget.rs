@@ -12,9 +12,8 @@
 //! returns and surface `NcoError::BudgetExceeded` instead of the
 //! (meaningless) answer — no panic, no unwinding through oracle state.
 
-use crate::fault::QueryFault;
 use crate::persistent::PersistentNoise;
-use crate::{ComparisonOracle, QuadrupletOracle};
+use crate::{Layer, Oracle, Reply};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,8 +111,8 @@ impl<O> Budgeted<O> {
         self.count.min(self.cap)
     }
 
-    /// Batched rounds ([`ComparisonOracle::le_batch`] /
-    /// [`QuadrupletOracle::le_batch`] calls) issued so far.
+    /// Batched rounds ([`crate::ComparisonOracle::le_batch`] /
+    /// [`crate::QuadrupletOracle::le_batch`] calls) issued so far.
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
@@ -150,68 +149,40 @@ impl<O> Budgeted<O> {
     }
 }
 
-impl<O: ComparisonOracle> ComparisonOracle for Budgeted<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
+// The fallible path meters exactly like the infallible one — same kill
+// check, same round tick, same cap split — so a no-fault run through a
+// recovery layer bills bit-identically to the plain stack. Kill and
+// over-budget refusals answer the constant bit (`Ok` on the fallible
+// path, never `Err`): the run is already doomed for its own typed reason
+// and a retry layer must not burn attempts fighting them.
+impl<Q: Copy, O: Oracle<Q>> Layer<Q> for Budgeted<O> {
+    type Below = O;
+
+    fn below(&self) -> &O {
+        &self.inner
     }
 
     #[inline]
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        if self.check_kill() {
-            return OVER_BUDGET_ANSWER;
+    fn one<R: Reply>(&mut self, q: Q) -> R {
+        if self.check_kill() || self.admit(1) == 0 {
+            return R::bit(OVER_BUDGET_ANSWER);
         }
-        if self.admit(1) == 1 {
-            self.inner.le(i, j)
-        } else {
-            OVER_BUDGET_ANSWER
-        }
+        R::one(&mut self.inner, q)
     }
 
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
+    fn round<R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>) {
         if self.check_kill() {
-            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
+            out.extend(std::iter::repeat_n(
+                R::bit(OVER_BUDGET_ANSWER),
+                queries.len(),
+            ));
             return;
         }
         self.rounds += 1;
         let within = self.admit(queries.len() as u64) as usize;
-        self.inner.le_batch(&queries[..within], out);
+        R::round(&mut self.inner, &queries[..within], out);
         out.extend(std::iter::repeat_n(
-            OVER_BUDGET_ANSWER,
-            queries.len() - within,
-        ));
-    }
-
-    // The fallible path must meter exactly like the infallible one —
-    // same kill check, same round tick, same cap split — so a no-fault
-    // run through a recovery layer bills bit-identically to the legacy
-    // stack. Kill and over-budget refusals answer `Ok(constant)` (never
-    // `Err`): the run is already doomed for its own typed reason and a
-    // retry layer must not burn attempts fighting them.
-    fn try_le(&mut self, i: usize, j: usize) -> Result<bool, QueryFault> {
-        if self.check_kill() {
-            return Ok(OVER_BUDGET_ANSWER);
-        }
-        if self.admit(1) == 1 {
-            self.inner.try_le(i, j)
-        } else {
-            Ok(OVER_BUDGET_ANSWER)
-        }
-    }
-
-    fn try_le_batch(
-        &mut self,
-        queries: &[(usize, usize)],
-        out: &mut Vec<Result<bool, QueryFault>>,
-    ) {
-        if self.check_kill() {
-            out.extend(std::iter::repeat_n(Ok(OVER_BUDGET_ANSWER), queries.len()));
-            return;
-        }
-        self.rounds += 1;
-        let within = self.admit(queries.len() as u64) as usize;
-        self.inner.try_le_batch(&queries[..within], out);
-        out.extend(std::iter::repeat_n(
-            Ok(OVER_BUDGET_ANSWER),
+            R::bit(OVER_BUDGET_ANSWER),
             queries.len() - within,
         ));
     }
@@ -220,82 +191,11 @@ impl<O: ComparisonOracle> ComparisonOracle for Budgeted<O> {
     // `killed` at the next query boundary (`check_kill`), so an answer
     // observed while `doomed()` was still false really was a real answer.
     fn doomed(&self) -> bool {
-        self.exceeded || self.killed || self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
+        self.exceeded || self.killed || self.inner.is_doomed()
     }
 }
 
-impl<O: QuadrupletOracle> QuadrupletOracle for Budgeted<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    #[inline]
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        if self.check_kill() {
-            return OVER_BUDGET_ANSWER;
-        }
-        if self.admit(1) == 1 {
-            self.inner.le(a, b, c, d)
-        } else {
-            OVER_BUDGET_ANSWER
-        }
-    }
-
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        if self.check_kill() {
-            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
-            return;
-        }
-        self.rounds += 1;
-        let within = self.admit(queries.len() as u64) as usize;
-        self.inner.le_batch(&queries[..within], out);
-        out.extend(std::iter::repeat_n(
-            OVER_BUDGET_ANSWER,
-            queries.len() - within,
-        ));
-    }
-
-    // See the comparison-side note: fallible metering mirrors infallible
-    // metering bit-for-bit; kills and refusals are `Ok(constant)`.
-    fn try_le(&mut self, a: usize, b: usize, c: usize, d: usize) -> Result<bool, QueryFault> {
-        if self.check_kill() {
-            return Ok(OVER_BUDGET_ANSWER);
-        }
-        if self.admit(1) == 1 {
-            self.inner.try_le(a, b, c, d)
-        } else {
-            Ok(OVER_BUDGET_ANSWER)
-        }
-    }
-
-    fn try_le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<Result<bool, QueryFault>>) {
-        if self.check_kill() {
-            out.extend(std::iter::repeat_n(Ok(OVER_BUDGET_ANSWER), queries.len()));
-            return;
-        }
-        self.rounds += 1;
-        let within = self.admit(queries.len() as u64) as usize;
-        self.inner.try_le_batch(&queries[..within], out);
-        out.extend(std::iter::repeat_n(
-            Ok(OVER_BUDGET_ANSWER),
-            queries.len() - within,
-        ));
-    }
-
-    // See the comparison-side note: observational, latches at query
-    // boundaries only.
-    fn doomed(&self) -> bool {
-        self.exceeded || self.killed || self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
-    }
-}
+shape_traits!(impl[O] Budgeted<O>);
 
 /// Within budget, `Budgeted` is transparent, so it preserves the wrapped
 /// oracle's persistence — which is what lets a [`crate::MemoOracle`] sit
@@ -381,7 +281,7 @@ impl BudgetPool {
 mod tests {
     use super::*;
     use crate::counting::Counting;
-    use crate::{TrueQuadOracle, TrueValueOracle};
+    use crate::{ComparisonOracle, QuadrupletOracle, TrueQuadOracle, TrueValueOracle};
     use nco_metric::EuclideanMetric;
 
     fn line(n: usize) -> EuclideanMetric {

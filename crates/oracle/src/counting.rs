@@ -2,9 +2,8 @@
 //!
 //! [`Counting`] wraps any oracle and bills every query issued through it.
 
-use crate::fault::QueryFault;
 use crate::persistent::PersistentNoise;
-use crate::{ComparisonOracle, QuadrupletOracle};
+use crate::{Layer, Oracle, Reply};
 
 /// Wraps any oracle and counts the queries issued through it.
 ///
@@ -53,87 +52,36 @@ impl<O> Counting<O> {
 /// preserves the wrapped oracle's persistence.
 impl<O: PersistentNoise> PersistentNoise for Counting<O> {}
 
-impl<O: ComparisonOracle> ComparisonOracle for Counting<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
+// A faulted ask still bills: the worker was asked, whether or not a
+// usable answer came back — which is what makes retry accounting honest
+// (every re-ask shows up in the meter).
+impl<Q: Copy, O: Oracle<Q>> Layer<Q> for Counting<O> {
+    type Below = O;
+
+    fn below(&self) -> &O {
+        &self.inner
     }
 
     #[inline]
-    fn le(&mut self, i: usize, j: usize) -> bool {
+    fn one<R: Reply>(&mut self, q: Q) -> R {
         self.count += 1;
-        self.inner.le(i, j)
+        R::one(&mut self.inner, q)
     }
 
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
+    #[inline]
+    fn round<R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>) {
         // A batch of k queries is k queries — same bill as the scalar loop.
         self.count += queries.len() as u64;
-        self.inner.le_batch(queries, out);
-    }
-
-    // A faulted ask still bills: the worker was asked, whether or not a
-    // usable answer came back — which is what makes retry accounting
-    // honest (every re-ask shows up in the meter).
-    fn try_le(&mut self, i: usize, j: usize) -> Result<bool, QueryFault> {
-        self.count += 1;
-        self.inner.try_le(i, j)
-    }
-
-    fn try_le_batch(
-        &mut self,
-        queries: &[(usize, usize)],
-        out: &mut Vec<Result<bool, QueryFault>>,
-    ) {
-        self.count += queries.len() as u64;
-        self.inner.try_le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
+        R::round(&mut self.inner, queries, out);
     }
 }
 
-impl<O: QuadrupletOracle> QuadrupletOracle for Counting<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.count += 1;
-        self.inner.le(a, b, c, d)
-    }
-
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        self.count += queries.len() as u64;
-        self.inner.le_batch(queries, out);
-    }
-
-    fn try_le(&mut self, a: usize, b: usize, c: usize, d: usize) -> Result<bool, QueryFault> {
-        self.count += 1;
-        self.inner.try_le(a, b, c, d)
-    }
-
-    fn try_le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<Result<bool, QueryFault>>) {
-        self.count += queries.len() as u64;
-        self.inner.try_le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
-    }
-}
+shape_traits!(impl[O] Counting<O>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TrueQuadOracle, TrueValueOracle};
+    use crate::{ComparisonOracle, QuadrupletOracle, TrueQuadOracle, TrueValueOracle};
     use nco_metric::EuclideanMetric;
 
     #[test]

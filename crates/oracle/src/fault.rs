@@ -11,8 +11,8 @@
 //!   so a retry of a faulted query lands on a fresh attempt index and
 //!   can succeed);
 //! * [`FaultyOracle`] — wraps any oracle and surfaces the plan's faults
-//!   through the fallible [`ComparisonOracle::try_le`] /
-//!   [`QuadrupletOracle::try_le_batch`] interface, while the infallible
+//!   through the fallible [`crate::ComparisonOracle::try_le`] /
+//!   [`crate::QuadrupletOracle::try_le_batch`] interface, while the infallible
 //!   `le`/`le_batch` methods keep answering fault-free (recovery layers
 //!   opt in to fallibility; legacy call sites compile and behave
 //!   untouched);
@@ -56,11 +56,11 @@
 
 use crate::budget::OVER_BUDGET_ANSWER;
 use crate::persistent::PersistentNoise;
-use crate::{ComparisonOracle, QuadrupletOracle};
+use crate::{Layer, Oracle, Reply};
 use nco_metric::hashing::splitmix64;
 
 /// Why a single oracle ask came back unusable. Carried by
-/// [`ComparisonOracle::try_le`] / [`QuadrupletOracle::try_le`]; a
+/// [`crate::ComparisonOracle::try_le`] / [`crate::QuadrupletOracle::try_le`]; a
 /// recovery layer ([`Retrying`]) decides whether to re-ask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -77,6 +77,19 @@ pub enum QueryFault {
     /// platform's attention checks — detected and discarded, never
     /// returned as a real bit.
     DeadWorker,
+}
+
+/// The seeded hash behind [`FaultPlan`] and [`crate::ProbePlan`]: a pure
+/// function of `(seed, counter, salt)`.
+#[inline]
+pub(crate) fn plan_hash(seed: u64, counter: u64, salt: u64) -> u64 {
+    splitmix64(seed ^ counter.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt)
+}
+
+/// [`plan_hash`] as a uniform draw in `[0, 1)`.
+#[inline]
+pub(crate) fn plan_u01(seed: u64, counter: u64, salt: u64) -> f64 {
+    (plan_hash(seed, counter, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A seeded, deterministic fault schedule.
@@ -192,12 +205,6 @@ impl FaultPlan {
             || self.panic_at.is_some()
     }
 
-    #[inline]
-    fn u01(&self, attempt: u64, salt: u64) -> f64 {
-        let h = splitmix64(self.seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt);
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// The fate of attempt `attempt` — a pure function of the plan.
     fn decide(&self, attempt: u64) -> Option<QueryFault> {
         if self.panic_at == Some(attempt) {
@@ -207,16 +214,15 @@ impl FaultPlan {
             return Some(QueryFault::Outage);
         }
         if self.dead_workers > 0 {
-            let lane = splitmix64(self.seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDEAD)
-                % u64::from(self.workers);
+            let lane = plan_hash(self.seed, attempt, 0xDEAD) % u64::from(self.workers);
             if lane < u64::from(self.dead_workers) {
                 return Some(QueryFault::DeadWorker);
             }
         }
-        if self.transient_p > 0.0 && self.u01(attempt, 0x7A17) < self.transient_p {
+        if self.transient_p > 0.0 && plan_u01(self.seed, attempt, 0x7A17) < self.transient_p {
             return Some(QueryFault::Transient);
         }
-        if self.stall_p > 0.0 && self.u01(attempt, 0x57A1) < self.stall_p {
+        if self.stall_p > 0.0 && plan_u01(self.seed, attempt, 0x57A1) < self.stall_p {
             return Some(QueryFault::Stalled);
         }
         None
@@ -313,122 +319,74 @@ impl<O> FaultyOracle<O> {
 
 impl<O: PersistentNoise> PersistentNoise for FaultyOracle<O> {}
 
-impl<O: ComparisonOracle> ComparisonOracle for FaultyOracle<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        self.inner.le(i, j)
-    }
-
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
-        self.inner.le_batch(queries, out);
-    }
-
-    fn try_le(&mut self, i: usize, j: usize) -> Result<bool, QueryFault> {
-        match self.inject() {
-            Some(fault) => Err(fault),
-            None => Ok(self.inner.le(i, j)),
+impl<O> FaultyOracle<O> {
+    /// Forwards queries the plan left clean. They take the inner fallible
+    /// path only when something below can fault; otherwise the infallible
+    /// path answers and bills the same.
+    fn forward<Q: Copy, R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>)
+    where
+        O: Oracle<Q>,
+    {
+        if R::FALLIBLE && !self.inner.is_fallible() {
+            R::from_bits(out, queries.len(), |bits| {
+                self.inner.ask_round(queries, bits)
+            });
+        } else {
+            R::round(&mut self.inner, queries, out);
         }
     }
+}
 
-    fn try_le_batch(
-        &mut self,
-        queries: &[(usize, usize)],
-        out: &mut Vec<Result<bool, QueryFault>>,
-    ) {
-        if !self.plan.is_active() {
-            let mut answers = Vec::with_capacity(queries.len());
-            self.inner.le_batch(queries, &mut answers);
-            out.extend(answers.into_iter().map(Ok));
+impl<Q: Copy, O: Oracle<Q>> Layer<Q> for FaultyOracle<O> {
+    type Below = O;
+
+    fn below(&self) -> &O {
+        &self.inner
+    }
+
+    fn one<R: Reply>(&mut self, q: Q) -> R {
+        if R::FALLIBLE {
+            if let Some(fault) = self.inject() {
+                return R::fault(fault);
+            }
+            if !self.inner.is_fallible() {
+                return R::bit(self.inner.ask(q));
+            }
+        }
+        R::one(&mut self.inner, q)
+    }
+
+    fn round<R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>) {
+        if !R::FALLIBLE || !self.plan.is_active() {
+            self.forward(queries, out);
             return;
         }
         // Decide every lane's fate first, then forward the clean lanes as
         // one inner round (answers are per-query pure under persistence,
         // so the subset sees the same bits the full round would).
         let fates: Vec<Option<QueryFault>> = queries.iter().map(|_| self.inject()).collect();
-        let clean: Vec<(usize, usize)> = queries
+        let clean: Vec<Q> = queries
             .iter()
             .zip(&fates)
             .filter(|(_, f)| f.is_none())
             .map(|(&q, _)| q)
             .collect();
         let mut answers = Vec::with_capacity(clean.len());
-        self.inner.le_batch(&clean, &mut answers);
+        self.forward(&clean, &mut answers);
         let mut next = answers.into_iter();
         out.reserve(queries.len());
-        for fate in fates {
-            match fate {
-                Some(fault) => out.push(Err(fault)),
-                None => out.push(Ok(next.next().expect("one answer per clean lane"))),
-            }
-        }
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
+        out.extend(fates.into_iter().map(|fate| match fate {
+            Some(fault) => R::fault(fault),
+            None => next.next().expect("one answer per clean lane"),
+        }));
     }
 
     fn fallible(&self) -> bool {
-        self.plan.is_active() || self.inner.fallible()
+        self.plan.is_active() || self.inner.is_fallible()
     }
 }
 
-impl<O: QuadrupletOracle> QuadrupletOracle for FaultyOracle<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.inner.le(a, b, c, d)
-    }
-
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        self.inner.le_batch(queries, out);
-    }
-
-    fn try_le(&mut self, a: usize, b: usize, c: usize, d: usize) -> Result<bool, QueryFault> {
-        match self.inject() {
-            Some(fault) => Err(fault),
-            None => Ok(self.inner.le(a, b, c, d)),
-        }
-    }
-
-    fn try_le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<Result<bool, QueryFault>>) {
-        if !self.plan.is_active() {
-            let mut answers = Vec::with_capacity(queries.len());
-            self.inner.le_batch(queries, &mut answers);
-            out.extend(answers.into_iter().map(Ok));
-            return;
-        }
-        let fates: Vec<Option<QueryFault>> = queries.iter().map(|_| self.inject()).collect();
-        let clean: Vec<[usize; 4]> = queries
-            .iter()
-            .zip(&fates)
-            .filter(|(_, f)| f.is_none())
-            .map(|(&q, _)| q)
-            .collect();
-        let mut answers = Vec::with_capacity(clean.len());
-        self.inner.le_batch(&clean, &mut answers);
-        let mut next = answers.into_iter();
-        out.reserve(queries.len());
-        for fate in fates {
-            match fate {
-                Some(fault) => out.push(Err(fault)),
-                None => out.push(Ok(next.next().expect("one answer per clean lane"))),
-            }
-        }
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.plan.is_active() || self.inner.fallible()
-    }
-}
+shape_traits!(impl[O] FaultyOracle<O>);
 
 /// How hard [`Retrying`] fights a fault before giving up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -480,7 +438,7 @@ impl Default for RetryPolicy {
 ///
 /// `Retrying` drives its inner chain through the fallible `try_le` /
 /// `try_le_batch` interface — unless the chain reports it cannot fault
-/// ([`ComparisonOracle::fallible`] is `false`), in which case every ask
+/// ([`crate::ComparisonOracle::fallible`] is `false`), in which case every ask
 /// goes straight to the infallible `le` / `le_batch`, which answers and
 /// bills identically. A faulted ask is re-asked up to
 /// [`RetryPolicy::max_attempts`] times total; batched rounds retry only
@@ -562,61 +520,63 @@ impl<O> Retrying<O> {
 /// [`crate::Budgeted`]'s impl.
 impl<O: PersistentNoise> PersistentNoise for Retrying<O> {}
 
-macro_rules! retry_scalar {
-    ($self:ident, $($q:ident),+) => {{
-        if $self.failed.is_some() {
+impl<O> Retrying<O> {
+    /// One query under the policy.
+    fn retry_one<Q: Copy>(&mut self, q: Q) -> bool
+    where
+        O: Oracle<Q>,
+    {
+        if self.failed.is_some() {
             return OVER_BUDGET_ANSWER;
         }
-        if !$self.inner.fallible() {
+        if !self.inner.is_fallible() {
             // Nothing below can fault: the infallible ask answers and
             // bills exactly like a first try that succeeds.
-            return $self.inner.le($($q),+);
+            return self.inner.ask(q);
         }
-        let max = $self.policy.attempts();
+        let max = self.policy.attempts();
         for attempt in 1..=max {
             if attempt > 1 {
-                $self.retries += 1;
-                $self.backoff_debt_us = $self
+                self.retries += 1;
+                self.backoff_debt_us = self
                     .backoff_debt_us
-                    .saturating_add($self.policy.backoff_for(attempt - 1));
+                    .saturating_add(self.policy.backoff_for(attempt - 1));
             }
-            match $self.inner.try_le($($q),+) {
-                Ok(ans) => {
-                    if attempt > 1 {
-                        $self.masked += 1;
-                    }
-                    return ans;
+            if let Ok(ans) = self.inner.try_ask(q) {
+                if attempt > 1 {
+                    self.masked += 1;
                 }
-                Err(_) => continue,
+                return ans;
             }
         }
-        $self.failed = Some(max);
+        self.failed = Some(max);
         OVER_BUDGET_ANSWER
-    }};
-}
+    }
 
-macro_rules! retry_batch {
-    ($self:ident, $queries:ident, $out:ident, $qty:ty) => {{
-        if $self.failed.is_none() && !$self.inner.fallible() {
+    /// One round under the policy; only faulted lanes re-ask.
+    fn retry_round<Q: Copy>(&mut self, queries: &[Q], out: &mut Vec<bool>)
+    where
+        O: Oracle<Q>,
+    {
+        if self.failed.is_none() && !self.inner.is_fallible() {
             // Nothing below can fault: forward the round as is (an empty
             // one included, so round meters inside still tick).
-            $self.inner.le_batch($queries, $out);
+            self.inner.ask_round(queries, out);
             return;
         }
-        if $queries.is_empty() {
+        if queries.is_empty() {
             // Forward the empty round so round meters inside still tick.
-            let mut results = Vec::new();
-            $self.inner.try_le_batch($queries, &mut results);
+            self.inner.try_ask_round(queries, &mut Vec::new());
             return;
         }
-        if $self.failed.is_some() {
-            $out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, $queries.len()));
+        if self.failed.is_some() {
+            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
             return;
         }
-        let max = $self.policy.attempts();
-        let mut results: Vec<Result<bool, QueryFault>> = Vec::with_capacity($queries.len());
-        $self.inner.try_le_batch($queries, &mut results);
-        let mut answers: Vec<bool> = Vec::with_capacity($queries.len());
+        let max = self.policy.attempts();
+        let mut results: Vec<Result<bool, QueryFault>> = Vec::with_capacity(queries.len());
+        self.inner.try_ask_round(queries, &mut results);
+        let mut answers: Vec<bool> = Vec::with_capacity(queries.len());
         let mut pending: Vec<usize> = Vec::new();
         for (slot, r) in results.iter().enumerate() {
             match r {
@@ -632,19 +592,19 @@ macro_rules! retry_batch {
             round += 1;
             // Partial-batch retry: only the faulted lanes re-ask, as one
             // fresh inner round. Lanes share the round's backoff wait.
-            $self.retries += pending.len() as u64;
-            $self.backoff_debt_us = $self
+            self.retries += pending.len() as u64;
+            self.backoff_debt_us = self
                 .backoff_debt_us
-                .saturating_add($self.policy.backoff_for(round - 1));
-            let sub: Vec<$qty> = pending.iter().map(|&slot| $queries[slot]).collect();
+                .saturating_add(self.policy.backoff_for(round - 1));
+            let sub: Vec<Q> = pending.iter().map(|&slot| queries[slot]).collect();
             let mut sub_results: Vec<Result<bool, QueryFault>> = Vec::with_capacity(sub.len());
-            $self.inner.try_le_batch(&sub, &mut sub_results);
+            self.inner.try_ask_round(&sub, &mut sub_results);
             let mut still = Vec::new();
             for (&slot, r) in pending.iter().zip(&sub_results) {
                 match r {
                     Ok(ans) => {
                         answers[slot] = *ans;
-                        $self.masked += 1;
+                        self.masked += 1;
                     }
                     Err(_) => still.push(slot),
                 }
@@ -653,47 +613,41 @@ macro_rules! retry_batch {
         }
         if !pending.is_empty() {
             // Doomed: the constant placeholder already sits in `answers`.
-            $self.failed = Some(max);
+            self.failed = Some(max);
         }
-        $out.extend(answers);
-    }};
+        out.extend(answers);
+    }
 }
 
-impl<O: ComparisonOracle> ComparisonOracle for Retrying<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
+// Faults inside a recovery layer stay inside it: `Retrying` answers both
+// paths from its infallible bodies and is never fallible itself.
+impl<Q: Copy, O: Oracle<Q>> Layer<Q> for Retrying<O> {
+    type Below = O;
+
+    fn below(&self) -> &O {
+        &self.inner
     }
 
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        retry_scalar!(self, i, j)
+    #[inline]
+    fn one<R: Reply>(&mut self, q: Q) -> R {
+        R::bit(self.retry_one(q))
     }
 
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
-        retry_batch!(self, queries, out, (usize, usize))
+    #[inline]
+    fn round<R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>) {
+        R::from_bits(out, queries.len(), |bits| self.retry_round(queries, bits));
     }
 
     fn doomed(&self) -> bool {
-        self.failed.is_some() || self.inner.doomed()
+        self.failed.is_some() || self.inner.is_doomed()
+    }
+
+    fn fallible(&self) -> bool {
+        false
     }
 }
 
-impl<O: QuadrupletOracle> QuadrupletOracle for Retrying<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        retry_scalar!(self, a, b, c, d)
-    }
-
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        retry_batch!(self, queries, out, [usize; 4])
-    }
-
-    fn doomed(&self) -> bool {
-        self.failed.is_some() || self.inner.doomed()
-    }
-}
+shape_traits!(impl[O] Retrying<O>);
 
 #[cfg(test)]
 mod tests {
@@ -701,7 +655,10 @@ mod tests {
     use crate::budget::Budgeted;
     use crate::counting::Counting;
     use crate::probabilistic::{ProbQuadOracle, ProbValueOracle};
-    use crate::{MemoOracle, ProbeOracle, ProbePlan, TrueQuadOracle, TrueValueOracle};
+    use crate::{
+        ComparisonOracle, MemoOracle, ProbeOracle, ProbePlan, QuadrupletOracle, TrueQuadOracle,
+        TrueValueOracle,
+    };
     use nco_metric::EuclideanMetric;
 
     fn values(n: usize) -> Vec<f64> {
@@ -959,26 +916,113 @@ mod tests {
         assert!(QuadrupletOracle::fallible(&&mut inner));
     }
 
+    /// Asks `queries` twice through `Retrying<MemoOracle<FaultyOracle<raw>>>`
+    /// under a transient storm, once as scalar asks and once as rounds,
+    /// and checks every answer against the fault-free `raw`.
+    fn assert_retry_masks_memo_misses<Q, O>(raw: O, queries: &[Q])
+    where
+        Q: Copy + std::fmt::Debug,
+        O: Oracle<Q> + PersistentNoise + Clone,
+        Retrying<MemoOracle<FaultyOracle<O>>>: Oracle<Q>,
+    {
+        let plan = FaultPlan::new(5).transient(0.4);
+        let mut clean = raw.clone();
+        let mut expect = Vec::new();
+        clean.ask_round(queries, &mut expect);
+        let chain = || {
+            let faulty = FaultyOracle::new(raw.clone(), plan);
+            Retrying::new(MemoOracle::new(faulty), RetryPolicy::new(16))
+        };
+        let mut scalar = chain();
+        let mut batched = chain();
+        let tally =
+            |o: &Retrying<MemoOracle<FaultyOracle<O>>>| (o.inner().hits(), o.inner().lookups());
+        let mut first_pass = [(0, 0); 2];
+        for pass in 0..2 {
+            for (&q, &want) in queries.iter().zip(&expect) {
+                assert_eq!(scalar.ask(q), want, "pass {pass}, {q:?}");
+            }
+            let mut got = Vec::new();
+            batched.ask_round(queries, &mut got);
+            assert_eq!(got, expect, "pass {pass}");
+            if pass == 0 {
+                first_pass = [tally(&scalar), tally(&batched)];
+            }
+        }
+        for (oracle, (hits, lookups)) in [&scalar, &batched].into_iter().zip(first_pass) {
+            assert!(oracle.failed().is_none());
+            assert!(oracle.retries() > 0);
+            // The second pass was all memo hits: only real bits were cached.
+            let n = queries.len() as u64;
+            assert_eq!(tally(oracle), (hits + n, lookups + n));
+        }
+    }
+
     #[test]
     fn memo_inside_retry_does_not_cache_faulted_lanes() {
         // Retrying<MemoOracle<FaultyOracle<...>>>: a faulted miss must not
         // poison the memo — the retry re-asks and caches the real bit.
-        let vals = values(20);
-        let plan = FaultPlan::new(5).transient(0.4);
-        let faulty = FaultyOracle::new(ProbValueOracle::new(vals.clone(), 0.25, 8), plan);
-        let mut oracle = Retrying::new(MemoOracle::new(faulty), RetryPolicy::new(16));
-        let mut clean = ProbValueOracle::new(vals, 0.25, 8);
-        for _ in 0..2 {
-            for i in 0..20 {
-                for j in 0..20 {
-                    if i != j {
-                        assert_eq!(oracle.le(i, j), clean.le(i, j), "({i},{j})");
-                    }
-                }
-            }
-        }
-        assert!(oracle.failed().is_none());
-        assert!(oracle.retries() > 0);
+        // Both shapes, through scalar asks and through rounds.
+        let pairs: Vec<(usize, usize)> = (0..20)
+            .flat_map(|i| (0..20).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        assert_retry_masks_memo_misses(ProbValueOracle::new(values(20), 0.25, 8), &pairs);
+
+        let m = EuclideanMetric::from_points(
+            &(0..16)
+                .map(|i| vec![(i * i % 17) as f64, i as f64])
+                .collect::<Vec<_>>(),
+        );
+        let quads: Vec<[usize; 4]> = (0..16)
+            .flat_map(|a| (0..16).map(move |c| [a, (a + 3) % 16, c, (c + 7) % 16]))
+            .collect();
+        assert_retry_masks_memo_misses(ProbQuadOracle::new(m, 0.25, 8), &quads);
+    }
+
+    /// A fault layer over a fallible oracle, with no plan of its own, must
+    /// hand back the inner layer's faults on both fallible paths; with a
+    /// plan of its own, its faults and the inner ones interleave by lane.
+    /// The infallible path stays untouched either way.
+    fn assert_inner_faults_surface<Q, O>(raw: O, q: [Q; 2])
+    where
+        Q: Copy,
+        O: Oracle<Q> + Clone,
+        FaultyOracle<FaultyOracle<O>>: Oracle<Q>,
+    {
+        let storm = FaultPlan::new(1).transient(1.0);
+        let mut nested =
+            FaultyOracle::new(FaultyOracle::new(raw.clone(), storm), FaultPlan::none());
+        assert!(nested.is_fallible());
+        assert_eq!(nested.try_ask(q[0]), Err(QueryFault::Transient));
+        let mut round = Vec::new();
+        nested.try_ask_round(&q, &mut round);
+        assert_eq!(round, vec![Err(QueryFault::Transient); 2]);
+        assert_eq!(nested.inner().stats().attempts, 3);
+        assert_eq!(nested.ask(q[0]), raw.clone().ask(q[0]));
+        assert_eq!(
+            nested.inner().stats().attempts,
+            3,
+            "le() never consults a plan"
+        );
+
+        // The outer plan faults attempt 0 only; lane 1 reaches the inner
+        // storm.
+        let outer = FaultPlan::new(2).outages(2, 1);
+        let mut nested = FaultyOracle::new(FaultyOracle::new(raw, storm), outer);
+        let mut round = Vec::new();
+        nested.try_ask_round(&q, &mut round);
+        assert_eq!(
+            round,
+            vec![Err(QueryFault::Outage), Err(QueryFault::Transient)]
+        );
+        assert_eq!(nested.inner().stats().attempts, 1);
+    }
+
+    #[test]
+    fn faults_from_a_fallible_inner_oracle_come_back_as_err() {
+        assert_inner_faults_surface(TrueValueOracle::new(values(8)), [(0, 1), (1, 2)]);
+        let m = EuclideanMetric::from_points(&(0..8).map(|i| vec![i as f64]).collect::<Vec<_>>());
+        assert_inner_faults_surface(TrueQuadOracle::new(m), [[0, 1, 0, 2], [1, 3, 2, 5]]);
     }
 
     #[test]

@@ -23,16 +23,14 @@
 //!   (16 bits each). Only the *within-pair* order is canonicalised
 //!   (`d` is symmetric for every metric), never the pair-of-pairs order.
 
-use crate::fault::QueryFault;
 use crate::persistent::PersistentNoise;
-use crate::{ComparisonOracle, QuadrupletOracle};
+use crate::{Layer, Oracle, Reply};
 
 /// Condensed triangular nibble table: per unordered pair `i < j`, bits
 /// `known`/`answer` for the forward query `(i, j)` and the reverse query
 /// `(j, i)`.
 #[derive(Debug, Clone)]
 struct PairMemo {
-    n: usize,
     nibbles: Vec<u8>,
 }
 
@@ -45,16 +43,8 @@ impl PairMemo {
     fn new(n: usize) -> Self {
         let pairs = n * n.saturating_sub(1) / 2;
         Self {
-            n,
             nibbles: vec![0u8; pairs.div_ceil(2)],
         }
-    }
-
-    /// Condensed index of the unordered pair `i < j`.
-    #[inline]
-    fn tri(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < j && j < self.n);
-        i * self.n - i * (i + 1) / 2 + (j - i - 1)
     }
 
     #[inline]
@@ -215,6 +205,94 @@ impl<O: PersistentNoise> MemoOracle<O> {
     }
 }
 
+/// The shape-specific half of [`MemoOracle`]: the cache key of a query
+/// and the table it lives in.
+pub(crate) trait MemoShape: Copy {
+    /// A table cell.
+    type Key: Copy + Eq + std::hash::Hash;
+
+    /// The cell of this query over `n` records, or `None` for a
+    /// degenerate query, which is forwarded uncached.
+    fn key(self, n: usize) -> Option<Self::Key>;
+
+    /// Reads a cell, allocating this shape's table on first use.
+    fn get<O>(memo: &mut MemoOracle<O>, n: usize, key: Self::Key) -> Option<bool>;
+
+    /// Fills a cell of the table [`MemoShape::get`] allocated.
+    fn set<O>(memo: &mut MemoOracle<O>, key: Self::Key, answer: bool);
+}
+
+/// Comparison queries: the nibble triangle, keyed by the condensed index
+/// of the unordered pair plus the query direction.
+impl MemoShape for (usize, usize) {
+    type Key = (usize, bool);
+
+    #[inline]
+    fn key(self, n: usize) -> Option<(usize, bool)> {
+        let (i, j) = self;
+        if i == j {
+            return None;
+        }
+        let forward = i < j;
+        let (lo, hi) = if forward { (i, j) } else { (j, i) };
+        debug_assert!(hi < n);
+        Some((lo * n - lo * (lo + 1) / 2 + (hi - lo - 1), forward))
+    }
+
+    #[inline]
+    fn get<O>(memo: &mut MemoOracle<O>, n: usize, (t, forward): (usize, bool)) -> Option<bool> {
+        memo.pairs
+            .get_or_insert_with(|| PairMemo::new(n))
+            .get(t, forward)
+    }
+
+    #[inline]
+    fn set<O>(memo: &mut MemoOracle<O>, (t, forward): (usize, bool), answer: bool) {
+        memo.pairs
+            .as_mut()
+            .expect("allocated by get")
+            .set(t, forward, answer);
+    }
+}
+
+/// Quadruplet queries: the open-addressed table, keyed by the two
+/// within-pair-canonical record pairs packed 16 bits per index.
+impl MemoShape for [usize; 4] {
+    type Key = u64;
+
+    #[inline]
+    fn key(self, n: usize) -> Option<u64> {
+        // Release-mode guard: an index above 16 bits would shift out of
+        // the packed key and silently alias two distinct queries — the
+        // exact corruption this type exists to rule out. One predictable
+        // branch per query, negligible next to the table probe.
+        assert!(
+            n <= 1 << 16,
+            "quadruplet memoisation packs indices into 16 bits (n = {n})"
+        );
+        let [a, b, c, d] = self;
+        let p1 = if a <= b { (a, b) } else { (b, a) };
+        let p2 = if c <= d { (c, d) } else { (d, c) };
+        if p1 == p2 {
+            return None;
+        }
+        Some(((p1.0 as u64) << 48) | ((p1.1 as u64) << 32) | ((p2.0 as u64) << 16) | p2.1 as u64)
+    }
+
+    #[inline]
+    fn get<O>(memo: &mut MemoOracle<O>, _: usize, key: u64) -> Option<bool> {
+        memo.quads.get_or_insert_with(QuadMemo::new).get(key)
+    }
+
+    #[inline]
+    fn set<O>(memo: &mut MemoOracle<O>, key: u64, answer: bool) {
+        memo.quads
+            .as_mut()
+            .expect("allocated by get")
+            .insert(key, answer);
+    }
+}
+
 /// A query's fate within one batched round: answered from the memo, or
 /// waiting on slot `k` of the deduplicated miss round.
 enum Slot {
@@ -222,277 +300,67 @@ enum Slot {
     Pending(usize),
 }
 
-impl<O: ComparisonOracle + PersistentNoise> ComparisonOracle for MemoOracle<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
+impl<Q: MemoShape, O: Oracle<Q> + PersistentNoise> Layer<Q> for MemoOracle<O> {
+    type Below = O;
+
+    fn below(&self) -> &O {
+        &self.inner
     }
 
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        if i == j {
-            return self.inner.le(i, j);
-        }
-        let n = self.inner.n();
-        let memo = self.pairs.get_or_insert_with(|| PairMemo::new(n));
-        let forward = i < j;
-        let t = if forward {
-            memo.tri(i, j)
-        } else {
-            memo.tri(j, i)
+    /// A hit answers for free; a miss forwards and caches the answer. A
+    /// faulted miss is **never cached**, so a retry layer outside the
+    /// memo re-asks and caches the real bit instead of poisoning the
+    /// table.
+    fn one<R: Reply>(&mut self, q: Q) -> R {
+        let n = self.inner.records();
+        let Some(key) = q.key(n) else {
+            return R::one(&mut self.inner, q);
         };
         self.lookups += 1;
-        if let Some(ans) = memo.get(t, forward) {
+        if let Some(ans) = Q::get(self, n, key) {
             self.hits += 1;
-            return ans;
+            return R::bit(ans);
         }
-        let ans = self.inner.le(i, j);
-        self.pairs
-            .as_mut()
-            .expect("just inserted")
-            .set(t, forward, ans);
+        let ans = R::one(&mut self.inner, q);
+        if let Some(bit) = ans.answered() {
+            Q::set(self, key, bit);
+        }
         ans
     }
 
     /// One memoised round: cached queries answer from the table, the
     /// remaining **first occurrences** (plus uncached degenerates) forward
     /// as a single deduplicated inner round, in query order. Exactly one
-    /// inner `le_batch` per outer call — even when every query hits — so a
+    /// inner round per outer call — even when every query hits — so a
     /// round-billing layer *inside* the memo (the facade's `Budgeted`)
     /// counts the same rounds it would without memoisation. Answers, hit
     /// and lookup tallies, and the cached table state are bit-identical to
     /// the scalar decomposition: a duplicate later in the batch counts as
     /// the hit it would have been against the freshly cached first answer.
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
+    /// On the fallible path only `Ok` miss lanes are cached, and every
+    /// duplicate of a faulted miss reports that lane's fault.
+    fn round<R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>) {
         if queries.is_empty() {
-            self.inner.le_batch(queries, out);
+            R::round(&mut self.inner, queries, out);
             return;
         }
-        if self.pairs.is_none() {
-            self.pairs = Some(PairMemo::new(self.inner.n()));
-        }
-        let memo = self.pairs.as_ref().expect("inserted above");
+        let n = self.inner.records();
         let mut slots: Vec<Slot> = Vec::with_capacity(queries.len());
-        let mut misses: Vec<(usize, usize)> = Vec::new();
+        let mut misses: Vec<Q> = Vec::new();
         // Miss slot -> table cell it fills afterwards (None: degenerate,
         // forwarded uncached), plus a batch-local index for dedup.
-        let mut cache_into: Vec<Option<(usize, bool)>> = Vec::new();
-        let mut open: std::collections::HashMap<(usize, bool), usize> =
-            std::collections::HashMap::new();
+        let mut cache_into: Vec<Option<Q::Key>> = Vec::new();
+        let mut open: std::collections::HashMap<Q::Key, usize> = std::collections::HashMap::new();
         let (mut lookups, mut hits) = (0u64, 0u64);
-        for &(i, j) in queries {
-            if i == j {
+        for &q in queries {
+            let Some(key) = q.key(n) else {
                 cache_into.push(None);
                 slots.push(Slot::Pending(misses.len()));
-                misses.push((i, j));
+                misses.push(q);
                 continue;
-            }
-            let forward = i < j;
-            let t = if forward {
-                memo.tri(i, j)
-            } else {
-                memo.tri(j, i)
             };
             lookups += 1;
-            if let Some(ans) = memo.get(t, forward) {
-                hits += 1;
-                slots.push(Slot::Done(ans));
-            } else if let Some(&k) = open.get(&(t, forward)) {
-                hits += 1;
-                slots.push(Slot::Pending(k));
-            } else {
-                open.insert((t, forward), misses.len());
-                cache_into.push(Some((t, forward)));
-                slots.push(Slot::Pending(misses.len()));
-                misses.push((i, j));
-            }
-        }
-        self.lookups += lookups;
-        self.hits += hits;
-        let mut answers = Vec::with_capacity(misses.len());
-        self.inner.le_batch(&misses, &mut answers);
-        let memo = self.pairs.as_mut().expect("inserted above");
-        for (k, target) in cache_into.iter().enumerate() {
-            if let Some((t, forward)) = *target {
-                memo.set(t, forward, answers[k]);
-            }
-        }
-        out.reserve(queries.len());
-        out.extend(slots.iter().map(|s| match *s {
-            Slot::Done(ans) => ans,
-            Slot::Pending(k) => answers[k],
-        }));
-    }
-
-    /// Fallible twin of the scalar path: a hit answers for free, a miss
-    /// forwards the fallible ask, and — crucially — a faulted miss is
-    /// **never cached**, so a retry layer outside the memo re-asks and
-    /// caches the real bit instead of poisoning the table.
-    fn try_le(&mut self, i: usize, j: usize) -> Result<bool, QueryFault> {
-        if i == j {
-            return self.inner.try_le(i, j);
-        }
-        let n = self.inner.n();
-        let memo = self.pairs.get_or_insert_with(|| PairMemo::new(n));
-        let forward = i < j;
-        let t = if forward {
-            memo.tri(i, j)
-        } else {
-            memo.tri(j, i)
-        };
-        self.lookups += 1;
-        if let Some(ans) = memo.get(t, forward) {
-            self.hits += 1;
-            return Ok(ans);
-        }
-        let ans = self.inner.try_le(i, j)?;
-        self.pairs
-            .as_mut()
-            .expect("just inserted")
-            .set(t, forward, ans);
-        Ok(ans)
-    }
-
-    /// Fallible twin of the batched round: same single deduplicated inner
-    /// round and identical tallies on the all-`Ok` path, but only `Ok`
-    /// miss lanes are cached, and every duplicate of a faulted miss
-    /// reports that lane's fault.
-    fn try_le_batch(
-        &mut self,
-        queries: &[(usize, usize)],
-        out: &mut Vec<Result<bool, QueryFault>>,
-    ) {
-        if queries.is_empty() {
-            self.inner.try_le_batch(queries, out);
-            return;
-        }
-        if self.pairs.is_none() {
-            self.pairs = Some(PairMemo::new(self.inner.n()));
-        }
-        let memo = self.pairs.as_ref().expect("inserted above");
-        let mut slots: Vec<Slot> = Vec::with_capacity(queries.len());
-        let mut misses: Vec<(usize, usize)> = Vec::new();
-        let mut cache_into: Vec<Option<(usize, bool)>> = Vec::new();
-        let mut open: std::collections::HashMap<(usize, bool), usize> =
-            std::collections::HashMap::new();
-        let (mut lookups, mut hits) = (0u64, 0u64);
-        for &(i, j) in queries {
-            if i == j {
-                cache_into.push(None);
-                slots.push(Slot::Pending(misses.len()));
-                misses.push((i, j));
-                continue;
-            }
-            let forward = i < j;
-            let t = if forward {
-                memo.tri(i, j)
-            } else {
-                memo.tri(j, i)
-            };
-            lookups += 1;
-            if let Some(ans) = memo.get(t, forward) {
-                hits += 1;
-                slots.push(Slot::Done(ans));
-            } else if let Some(&k) = open.get(&(t, forward)) {
-                hits += 1;
-                slots.push(Slot::Pending(k));
-            } else {
-                open.insert((t, forward), misses.len());
-                cache_into.push(Some((t, forward)));
-                slots.push(Slot::Pending(misses.len()));
-                misses.push((i, j));
-            }
-        }
-        self.lookups += lookups;
-        self.hits += hits;
-        let mut answers: Vec<Result<bool, QueryFault>> = Vec::with_capacity(misses.len());
-        self.inner.try_le_batch(&misses, &mut answers);
-        let memo = self.pairs.as_mut().expect("inserted above");
-        for (k, target) in cache_into.iter().enumerate() {
-            if let (Some((t, forward)), Ok(ans)) = (*target, answers[k]) {
-                memo.set(t, forward, ans);
-            }
-        }
-        out.reserve(queries.len());
-        out.extend(slots.iter().map(|s| match *s {
-            Slot::Done(ans) => Ok(ans),
-            Slot::Pending(k) => answers[k],
-        }));
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
-    }
-}
-
-impl<O: QuadrupletOracle + PersistentNoise> QuadrupletOracle for MemoOracle<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        // Release-mode guard: an index above 16 bits would shift out of
-        // the packed key and silently alias two distinct queries — the
-        // exact corruption this type exists to rule out. One predictable
-        // branch per query, negligible next to the table probe.
-        assert!(
-            self.inner.n() <= 1 << 16,
-            "quadruplet memoisation packs indices into 16 bits (n = {})",
-            self.inner.n()
-        );
-        let p1 = if a <= b { (a, b) } else { (b, a) };
-        let p2 = if c <= d { (c, d) } else { (d, c) };
-        if p1 == p2 {
-            return self.inner.le(a, b, c, d);
-        }
-        let key =
-            ((p1.0 as u64) << 48) | ((p1.1 as u64) << 32) | ((p2.0 as u64) << 16) | p2.1 as u64;
-        let memo = self.quads.get_or_insert_with(QuadMemo::new);
-        self.lookups += 1;
-        if let Some(ans) = memo.get(key) {
-            self.hits += 1;
-            return ans;
-        }
-        let ans = self.inner.le(a, b, c, d);
-        self.quads.as_mut().expect("just inserted").insert(key, ans);
-        ans
-    }
-
-    /// Quadruplet twin of the comparison-round override: see
-    /// [`ComparisonOracle::le_batch`] on `MemoOracle` for the contract
-    /// (one deduplicated inner round per outer round, scalar-identical
-    /// answers and tallies, table inserts in miss order).
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        if queries.is_empty() {
-            self.inner.le_batch(queries, out);
-            return;
-        }
-        assert!(
-            self.inner.n() <= 1 << 16,
-            "quadruplet memoisation packs indices into 16 bits (n = {})",
-            self.inner.n()
-        );
-        let memo = self.quads.get_or_insert_with(QuadMemo::new);
-        let mut slots: Vec<Slot> = Vec::with_capacity(queries.len());
-        let mut misses: Vec<[usize; 4]> = Vec::new();
-        let mut cache_into: Vec<Option<u64>> = Vec::new();
-        let mut open: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        let (mut lookups, mut hits) = (0u64, 0u64);
-        for &[a, b, c, d] in queries {
-            let p1 = if a <= b { (a, b) } else { (b, a) };
-            let p2 = if c <= d { (c, d) } else { (d, c) };
-            if p1 == p2 {
-                cache_into.push(None);
-                slots.push(Slot::Pending(misses.len()));
-                misses.push([a, b, c, d]);
-                continue;
-            }
-            let key =
-                ((p1.0 as u64) << 48) | ((p1.1 as u64) << 32) | ((p2.0 as u64) << 16) | p2.1 as u64;
-            lookups += 1;
-            if let Some(ans) = memo.get(key) {
+            if let Some(ans) = Q::get(self, n, key) {
                 hits += 1;
                 slots.push(Slot::Done(ans));
             } else if let Some(&k) = open.get(&key) {
@@ -502,121 +370,27 @@ impl<O: QuadrupletOracle + PersistentNoise> QuadrupletOracle for MemoOracle<O> {
                 open.insert(key, misses.len());
                 cache_into.push(Some(key));
                 slots.push(Slot::Pending(misses.len()));
-                misses.push([a, b, c, d]);
+                misses.push(q);
             }
         }
         self.lookups += lookups;
         self.hits += hits;
-        let mut answers = Vec::with_capacity(misses.len());
-        self.inner.le_batch(&misses, &mut answers);
-        let memo = self.quads.as_mut().expect("inserted above");
+        let mut answers: Vec<R> = Vec::with_capacity(misses.len());
+        R::round(&mut self.inner, &misses, &mut answers);
         for (k, target) in cache_into.iter().enumerate() {
-            if let Some(key) = *target {
-                memo.insert(key, answers[k]);
+            if let (Some(key), Some(bit)) = (*target, answers[k].answered()) {
+                Q::set(self, key, bit);
             }
         }
         out.reserve(queries.len());
         out.extend(slots.iter().map(|s| match *s {
-            Slot::Done(ans) => ans,
+            Slot::Done(ans) => R::bit(ans),
             Slot::Pending(k) => answers[k],
         }));
-    }
-
-    /// See the comparison-side [`ComparisonOracle::try_le`] on
-    /// `MemoOracle`: hits are free, faulted misses are never cached.
-    fn try_le(&mut self, a: usize, b: usize, c: usize, d: usize) -> Result<bool, QueryFault> {
-        assert!(
-            self.inner.n() <= 1 << 16,
-            "quadruplet memoisation packs indices into 16 bits (n = {})",
-            self.inner.n()
-        );
-        let p1 = if a <= b { (a, b) } else { (b, a) };
-        let p2 = if c <= d { (c, d) } else { (d, c) };
-        if p1 == p2 {
-            return self.inner.try_le(a, b, c, d);
-        }
-        let key =
-            ((p1.0 as u64) << 48) | ((p1.1 as u64) << 32) | ((p2.0 as u64) << 16) | p2.1 as u64;
-        let memo = self.quads.get_or_insert_with(QuadMemo::new);
-        self.lookups += 1;
-        if let Some(ans) = memo.get(key) {
-            self.hits += 1;
-            return Ok(ans);
-        }
-        let ans = self.inner.try_le(a, b, c, d)?;
-        self.quads.as_mut().expect("just inserted").insert(key, ans);
-        Ok(ans)
-    }
-
-    /// See the comparison-side [`ComparisonOracle::try_le_batch`] on
-    /// `MemoOracle`: one deduplicated fallible inner round, only `Ok`
-    /// lanes cached.
-    fn try_le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<Result<bool, QueryFault>>) {
-        if queries.is_empty() {
-            self.inner.try_le_batch(queries, out);
-            return;
-        }
-        assert!(
-            self.inner.n() <= 1 << 16,
-            "quadruplet memoisation packs indices into 16 bits (n = {})",
-            self.inner.n()
-        );
-        let memo = self.quads.get_or_insert_with(QuadMemo::new);
-        let mut slots: Vec<Slot> = Vec::with_capacity(queries.len());
-        let mut misses: Vec<[usize; 4]> = Vec::new();
-        let mut cache_into: Vec<Option<u64>> = Vec::new();
-        let mut open: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        let (mut lookups, mut hits) = (0u64, 0u64);
-        for &[a, b, c, d] in queries {
-            let p1 = if a <= b { (a, b) } else { (b, a) };
-            let p2 = if c <= d { (c, d) } else { (d, c) };
-            if p1 == p2 {
-                cache_into.push(None);
-                slots.push(Slot::Pending(misses.len()));
-                misses.push([a, b, c, d]);
-                continue;
-            }
-            let key =
-                ((p1.0 as u64) << 48) | ((p1.1 as u64) << 32) | ((p2.0 as u64) << 16) | p2.1 as u64;
-            lookups += 1;
-            if let Some(ans) = memo.get(key) {
-                hits += 1;
-                slots.push(Slot::Done(ans));
-            } else if let Some(&k) = open.get(&key) {
-                hits += 1;
-                slots.push(Slot::Pending(k));
-            } else {
-                open.insert(key, misses.len());
-                cache_into.push(Some(key));
-                slots.push(Slot::Pending(misses.len()));
-                misses.push([a, b, c, d]);
-            }
-        }
-        self.lookups += lookups;
-        self.hits += hits;
-        let mut answers: Vec<Result<bool, QueryFault>> = Vec::with_capacity(misses.len());
-        self.inner.try_le_batch(&misses, &mut answers);
-        let memo = self.quads.as_mut().expect("inserted above");
-        for (k, target) in cache_into.iter().enumerate() {
-            if let (Some(key), Ok(ans)) = (*target, answers[k]) {
-                memo.insert(key, ans);
-            }
-        }
-        out.reserve(queries.len());
-        out.extend(slots.iter().map(|s| match *s {
-            Slot::Done(ans) => Ok(ans),
-            Slot::Pending(k) => answers[k],
-        }));
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
     }
 }
+
+shape_traits!(impl[O: PersistentNoise] MemoOracle<O>);
 
 impl<O: PersistentNoise> PersistentNoise for MemoOracle<O> {}
 
@@ -626,6 +400,7 @@ mod tests {
     use crate::adversarial::{AdversarialValueOracle, InvertAdversary};
     use crate::counting::Counting;
     use crate::probabilistic::{ProbQuadOracle, ProbValueOracle};
+    use crate::{ComparisonOracle, QuadrupletOracle};
     use nco_metric::EuclideanMetric;
 
     #[test]
@@ -782,6 +557,33 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// Runs `queries` through two fresh memos over `mk()`, one on the
+    /// infallible path and one on the fallible path — first as one round,
+    /// then as scalar asks — and checks answers, inner bills and memo
+    /// tallies agree on the all-`Ok` path.
+    fn assert_ok_paths_agree<Q, O>(mk: impl Fn() -> O, queries: &[Q])
+    where
+        Q: Copy,
+        O: PersistentNoise,
+        MemoOracle<Counting<O>>: Oracle<Q>,
+    {
+        let mut plain = MemoOracle::new(Counting::new(mk()));
+        let mut fallible = MemoOracle::new(Counting::new(mk()));
+        let mut expect = Vec::new();
+        plain.ask_round(queries, &mut expect);
+        let mut got = Vec::new();
+        fallible.try_ask_round(queries, &mut got);
+        for &q in queries {
+            expect.push(plain.ask(q));
+            got.push(fallible.try_ask(q));
+        }
+        let got: Vec<bool> = got.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(got, expect);
+        assert_eq!(fallible.inner().queries(), plain.inner().queries());
+        assert_eq!(fallible.hits(), plain.hits());
+        assert_eq!(fallible.lookups(), plain.lookups());
+    }
+
     #[test]
     fn fallible_memo_round_matches_infallible_on_the_ok_path() {
         let values: Vec<f64> = (0..30).map(|i| ((i * 11) % 31) as f64).collect();
@@ -792,18 +594,21 @@ mod tests {
             batch.push((i, (i + 4) % 30));
             batch.push((i, i));
         }
-        let mut plain =
-            MemoOracle::new(Counting::new(ProbValueOracle::new(values.clone(), 0.3, 9)));
-        let mut expect = Vec::new();
-        plain.le_batch(&batch, &mut expect);
-        let mut fallible = MemoOracle::new(Counting::new(ProbValueOracle::new(values, 0.3, 9)));
-        let mut got = Vec::new();
-        fallible.try_le_batch(&batch, &mut got);
-        let got: Vec<bool> = got.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(got, expect);
-        assert_eq!(fallible.inner().queries(), plain.inner().queries());
-        assert_eq!(fallible.hits(), plain.hits());
-        assert_eq!(fallible.lookups(), plain.lookups());
+        assert_ok_paths_agree(|| ProbValueOracle::new(values.clone(), 0.3, 9), &batch);
+
+        let m = EuclideanMetric::from_points(
+            &(0..20)
+                .map(|i| vec![(i * 13 % 23) as f64, i as f64])
+                .collect::<Vec<_>>(),
+        );
+        let mut quads = Vec::new();
+        for a in 0..20usize {
+            let (b, c, d) = ((a + 3) % 20, (a + 1) % 20, (a + 9) % 20);
+            quads.push([a, b, c, d]);
+            quads.push([b, a, d, c]);
+            quads.push([a, b, a, b]);
+        }
+        assert_ok_paths_agree(|| ProbQuadOracle::new(m.clone(), 0.25, 5), &quads);
     }
 
     #[test]

@@ -53,12 +53,12 @@
 //! wrapped oracle like any other ask, so they are **billed** by the
 //! meters below this layer and masked by any retry layer below it.
 //! Injection pauses while the inner stack reports
-//! [`ComparisonOracle::doomed`] — a killed run stops spending on probes,
+//! [`crate::ComparisonOracle::doomed`] — a killed run stops spending on probes,
 //! and the estimate is never polluted by refusal constants.
 
+use crate::fault::{plan_hash, plan_u01};
 use crate::persistent::PersistentNoise;
-use crate::{ComparisonOracle, QuadrupletOracle, QueryFault};
-use nco_metric::hashing::splitmix64;
+use crate::{Layer, Oracle, Reply};
 
 /// Width multiplier for the estimate's confidence interval: the normal
 /// z-score for two-sided 95% coverage, used by the Wilson interval on
@@ -101,27 +101,17 @@ impl ProbePlan {
         self.rate
     }
 
-    #[inline]
-    fn hash(&self, counter: u64, salt: u64) -> u64 {
-        splitmix64(self.seed ^ counter.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt)
-    }
-
-    #[inline]
-    fn u01(&self, counter: u64, salt: u64) -> f64 {
-        (self.hash(counter, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Whether a probe triangle fires after real query `counter`.
     #[inline]
     fn fires(&self, counter: u64) -> bool {
-        self.rate > 0.0 && self.u01(counter, 0x9B0B) < self.rate
+        self.rate > 0.0 && plan_u01(self.seed, counter, 0x9B0B) < self.rate
     }
 
     /// Deterministic index draw in `[0, n)` for triangle `counter`,
     /// `nonce` disambiguating the (re)draws within one triangle.
     #[inline]
     fn draw(&self, counter: u64, nonce: u64, n: usize) -> usize {
-        (self.hash(counter, 0x7B1A ^ nonce) % n as u64) as usize
+        (plan_hash(self.seed, counter, 0x7B1A ^ nonce) % n as u64) as usize
     }
 }
 
@@ -251,31 +241,81 @@ impl<O> ProbeOracle<O> {
     }
 }
 
-impl<O: ComparisonOracle> ProbeOracle<O> {
+/// The shape-specific half of [`ProbeOracle`]: which three queries form
+/// probe triangle `counter`.
+pub(crate) trait ProbeShape: Copy {
+    /// The triangle's queries `x`, `y`, `z`, over `n >= 3` records.
+    fn triangle(plan: &ProbePlan, counter: u64, n: usize) -> [Self; 3];
+}
+
+/// Three distinct records `i, j, k`: `x = (i, j)`, `y = (j, k)`,
+/// `z = (i, k)`.
+impl ProbeShape for (usize, usize) {
+    fn triangle(plan: &ProbePlan, c: u64, n: usize) -> [Self; 3] {
+        let i = plan.draw(c, 0, n);
+        let mut j = plan.draw(c, 1, n);
+        let mut nonce = 2u64;
+        while j == i {
+            j = plan.draw(c, nonce, n);
+            nonce += 1;
+        }
+        let mut k = plan.draw(c, nonce, n);
+        while k == i || k == j {
+            nonce += 1;
+            k = plan.draw(c, nonce, n);
+        }
+        [(i, j), (j, k), (i, k)]
+    }
+}
+
+/// Three distinct unordered record pairs, compared pairwise by distance.
+impl ProbeShape for [usize; 4] {
+    fn triangle(plan: &ProbePlan, c: u64, n: usize) -> [Self; 3] {
+        // Three distinct unordered pairs over a deterministic record
+        // draw; n >= 3 always yields them.
+        let mut pairs: [(usize, usize); 3] = [(0, 0); 3];
+        let mut found = 0;
+        let mut nonce = 0u64;
+        while found < 3 {
+            let a = plan.draw(c, nonce, n);
+            let b = plan.draw(c, nonce + 1, n);
+            nonce += 2;
+            if a == b {
+                continue;
+            }
+            let pair = (a.min(b), a.max(b));
+            if pairs[..found].contains(&pair) {
+                continue;
+            }
+            pairs[found] = pair;
+            found += 1;
+        }
+        let [p1, p2, p3] = pairs;
+        [
+            [p1.0, p1.1, p2.0, p2.1],
+            [p2.0, p2.1, p3.0, p3.1],
+            [p1.0, p1.1, p3.0, p3.1],
+        ]
+    }
+}
+
+impl<O> ProbeOracle<O> {
     /// Runs the probe triangles due after real queries
     /// `[self.asked, self.asked + upcoming)`, then advances the counter.
-    fn probe_cmp(&mut self, upcoming: usize) {
-        let n = self.inner.n();
+    fn probe<Q: ProbeShape>(&mut self, upcoming: usize)
+    where
+        O: Oracle<Q>,
+    {
+        let n = self.inner.records();
         if self.plan.is_active() && n >= 3 {
             for c in self.asked..self.asked + upcoming as u64 {
-                if !self.plan.fires(c) || self.inner.doomed() {
+                if !self.plan.fires(c) || self.inner.is_doomed() {
                     continue;
                 }
-                let i = self.plan.draw(c, 0, n);
-                let mut j = self.plan.draw(c, 1, n);
-                let mut nonce = 2u64;
-                while j == i {
-                    j = self.plan.draw(c, nonce, n);
-                    nonce += 1;
-                }
-                let mut k = self.plan.draw(c, nonce, n);
-                while k == i || k == j {
-                    nonce += 1;
-                    k = self.plan.draw(c, nonce, n);
-                }
-                let x = self.inner.le(i, j);
-                let y = self.inner.le(j, k);
-                let z = self.inner.le(i, k);
+                let [qx, qy, qz] = Q::triangle(&self.plan, c, n);
+                let x = self.inner.ask(qx);
+                let y = self.inner.ask(qy);
+                let z = self.inner.ask(qz);
                 self.stats.probes += 3;
                 self.stats.triangles += 1;
                 if (x && y && !z) || (!x && !y && z) {
@@ -287,125 +327,29 @@ impl<O: ComparisonOracle> ProbeOracle<O> {
     }
 }
 
-impl<O: QuadrupletOracle> ProbeOracle<O> {
-    /// Quadruplet twin of `probe_cmp`: the three triangle "records" are
-    /// distinct unordered record pairs, compared pairwise by distance.
-    fn probe_quad(&mut self, upcoming: usize) {
-        let n = self.inner.n();
-        if self.plan.is_active() && n >= 3 {
-            for c in self.asked..self.asked + upcoming as u64 {
-                if !self.plan.fires(c) || self.inner.doomed() {
-                    continue;
-                }
-                // Three distinct unordered pairs over a deterministic
-                // record draw; n >= 3 always yields them.
-                let mut pairs: [(usize, usize); 3] = [(0, 0); 3];
-                let mut found = 0;
-                let mut nonce = 0u64;
-                while found < 3 {
-                    let a = self.plan.draw(c, nonce, n);
-                    let b = self.plan.draw(c, nonce + 1, n);
-                    nonce += 2;
-                    if a == b {
-                        continue;
-                    }
-                    let pair = (a.min(b), a.max(b));
-                    if pairs[..found].contains(&pair) {
-                        continue;
-                    }
-                    pairs[found] = pair;
-                    found += 1;
-                }
-                let [p1, p2, p3] = pairs;
-                let x = self.inner.le(p1.0, p1.1, p2.0, p2.1);
-                let y = self.inner.le(p2.0, p2.1, p3.0, p3.1);
-                let z = self.inner.le(p1.0, p1.1, p3.0, p3.1);
-                self.stats.probes += 3;
-                self.stats.triangles += 1;
-                if (x && y && !z) || (!x && !y && z) {
-                    self.stats.cyclic += 1;
-                }
-            }
-        }
-        self.asked += upcoming as u64;
-    }
-}
+impl<Q: ProbeShape, O: Oracle<Q>> Layer<Q> for ProbeOracle<O> {
+    type Below = O;
 
-impl<O: ComparisonOracle> ComparisonOracle for ProbeOracle<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
+    fn below(&self) -> &O {
+        &self.inner
     }
 
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        self.probe_cmp(1);
-        self.inner.le(i, j)
+    fn one<R: Reply>(&mut self, q: Q) -> R {
+        self.probe(1);
+        R::one(&mut self.inner, q)
     }
 
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
+    fn round<R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>) {
         // Probes due within the batch's counter range are issued as
         // scalar asks up front, then the round is forwarded unchanged:
         // against persistent inner models the answers are bit-identical
         // to the scalar loop, and round meters below see one round.
-        self.probe_cmp(queries.len());
-        self.inner.le_batch(queries, out);
-    }
-
-    fn try_le(&mut self, i: usize, j: usize) -> Result<bool, QueryFault> {
-        self.probe_cmp(1);
-        self.inner.try_le(i, j)
-    }
-
-    fn try_le_batch(
-        &mut self,
-        queries: &[(usize, usize)],
-        out: &mut Vec<Result<bool, QueryFault>>,
-    ) {
-        self.probe_cmp(queries.len());
-        self.inner.try_le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
+        self.probe(queries.len());
+        R::round(&mut self.inner, queries, out);
     }
 }
 
-impl<O: QuadrupletOracle> QuadrupletOracle for ProbeOracle<O> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.probe_quad(1);
-        self.inner.le(a, b, c, d)
-    }
-
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        self.probe_quad(queries.len());
-        self.inner.le_batch(queries, out);
-    }
-
-    fn try_le(&mut self, a: usize, b: usize, c: usize, d: usize) -> Result<bool, QueryFault> {
-        self.probe_quad(1);
-        self.inner.try_le(a, b, c, d)
-    }
-
-    fn try_le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<Result<bool, QueryFault>>) {
-        self.probe_quad(queries.len());
-        self.inner.try_le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.inner.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
-    }
-}
+shape_traits!(impl[O] ProbeOracle<O>);
 
 // Probing forwards real queries unchanged, so persistence of the inner
 // model is preserved: identical real queries keep identical answers.
@@ -417,6 +361,7 @@ mod tests {
     use crate::counting::Counting;
     use crate::probabilistic::{ProbQuadOracle, ProbValueOracle};
     use crate::value::TrueValueOracle;
+    use crate::{ComparisonOracle, QuadrupletOracle};
     use nco_metric::EuclideanMetric;
 
     fn values(n: usize) -> Vec<f64> {

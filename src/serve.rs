@@ -8,9 +8,10 @@
 //!
 //! * **Cross-request batching** — every worker routes its oracle rounds
 //!   through a group-commit [`Coalescer`]: rounds from *different*
-//!   concurrent requests are combined into one `le_batch` call against a
-//!   single shared backend oracle, instead of each run amortising only
-//!   its own rounds.
+//!   concurrent requests that wait behind a busy round leader are
+//!   combined into one `le_batch` call against the shared backend. A
+//!   merge needs at least three requests with rounds in flight — with
+//!   two workers the coalescer never merges (see [`Coalescer`]).
 //! * **A shared exact answer memo** — the backend is a
 //!   [`MemoOracle`] over the session's (persistent) noise model, so a
 //!   query any request has asked before is answered for free, across
@@ -74,24 +75,21 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use nco_core::hier::MergePlaneStats;
 use nco_oracle::budget::{BudgetPool, Budgeted, OVER_BUDGET_ANSWER};
 use nco_oracle::fault::{FaultPlan, FaultyOracle, QueryFault, Retrying};
 use nco_oracle::persistent::PersistentNoise;
-use nco_oracle::{
-    ComparisonOracle, Counting, MemoOracle, NoiseEstimate, ProbeOracle, QuadrupletOracle,
-};
+use nco_oracle::{Counting, MemoOracle, Oracle, ProbeOracle};
 
 use crate::error::NcoError;
-use crate::report::{Outcome, RunReport};
-use crate::session::{CancelToken, Session};
-use crate::task::{Answer, PartialOutcome, Task};
+use crate::report::Outcome;
+use crate::session::{AttemptResult, CancelToken, Config, Engines, Meters, RunCtx, Session};
+use crate::task::Task;
 
 /// Locks a mutex, recovering from poisoning: a request that panicked
 /// while holding a shared lock must not wedge the rest of the plane. The
@@ -112,85 +110,46 @@ fn panic_reason(payload: &(dyn Any + Send)) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Boxed backend oracles.
-//
-// The shared backend must be `'static` (it outlives any request), so the
-// session's noise oracle is built boxed over an engine handle. The
-// manual `PersistentNoise` impls are sound because the boxes only ever
-// hold the shipped persistent models (`Session::boxed_*_backend`).
+// The boxed backend oracle.
 // ---------------------------------------------------------------------
 
-struct BoxedQuad(Box<dyn QuadrupletOracle + Send>);
+/// The shared backend's raw oracle. It must be `'static` (it outlives any
+/// request), so the session's noise oracle is built boxed over an engine
+/// handle. The `PersistentNoise` impl is sound because the box only ever
+/// holds the shipped persistent models (`Session::boxed_*_backend`).
+struct Boxed<Q>(Box<dyn Oracle<Q> + Send>);
 
-impl QuadrupletOracle for BoxedQuad {
-    fn n(&self) -> usize {
-        self.0.n()
+impl<Q: Copy> Oracle<Q> for Boxed<Q> {
+    fn records(&self) -> usize {
+        self.0.records()
     }
 
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.0.le(a, b, c, d)
+    fn ask(&mut self, q: Q) -> bool {
+        self.0.ask(q)
     }
 
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        self.0.le_batch(queries, out);
+    fn ask_round(&mut self, queries: &[Q], out: &mut Vec<bool>) {
+        self.0.ask_round(queries, out);
     }
 
-    fn try_le(&mut self, a: usize, b: usize, c: usize, d: usize) -> Result<bool, QueryFault> {
-        self.0.try_le(a, b, c, d)
+    fn try_ask(&mut self, q: Q) -> Result<bool, QueryFault> {
+        self.0.try_ask(q)
     }
 
-    fn try_le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<Result<bool, QueryFault>>) {
-        self.0.try_le_batch(queries, out);
+    fn try_ask_round(&mut self, queries: &[Q], out: &mut Vec<Result<bool, QueryFault>>) {
+        self.0.try_ask_round(queries, out);
     }
 
-    fn doomed(&self) -> bool {
-        self.0.doomed()
+    fn is_doomed(&self) -> bool {
+        self.0.is_doomed()
     }
 
-    fn fallible(&self) -> bool {
-        self.0.fallible()
-    }
-}
-
-impl PersistentNoise for BoxedQuad {}
-
-struct BoxedCmp(Box<dyn ComparisonOracle + Send>);
-
-impl ComparisonOracle for BoxedCmp {
-    fn n(&self) -> usize {
-        self.0.n()
-    }
-
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        self.0.le(i, j)
-    }
-
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
-        self.0.le_batch(queries, out);
-    }
-
-    fn try_le(&mut self, i: usize, j: usize) -> Result<bool, QueryFault> {
-        self.0.try_le(i, j)
-    }
-
-    fn try_le_batch(
-        &mut self,
-        queries: &[(usize, usize)],
-        out: &mut Vec<Result<bool, QueryFault>>,
-    ) {
-        self.0.try_le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.0.doomed()
-    }
-
-    fn fallible(&self) -> bool {
-        self.0.fallible()
+    fn is_fallible(&self) -> bool {
+        self.0.is_fallible()
     }
 }
 
-impl PersistentNoise for BoxedCmp {}
+impl<Q> PersistentNoise for Boxed<Q> {}
 
 // ---------------------------------------------------------------------
 // The group-commit round coalescer.
@@ -201,6 +160,13 @@ impl PersistentNoise for BoxedCmp {}
 /// the round leader and drains *every* pending submission — including
 /// those that arrive while it is executing — until the queue is empty;
 /// followers just wait for their slice of the answers.
+///
+/// A leader's first batch is only its own submission, and while it
+/// drains, its own request stays blocked in the drain loop. So with two
+/// submitters every later batch holds at most the other one's single
+/// round, and no round is ever merged: merging needs two followers
+/// pending behind a busy leader, i.e. at least three workers. The unit
+/// tests below pin both facts.
 ///
 /// Correctness does not depend on which submissions share a backend
 /// round: the backend is an exact memo over persistent noise, so answers
@@ -324,7 +290,7 @@ impl<Q: Copy> Coalescer<Q> {
 }
 
 // ---------------------------------------------------------------------
-// Per-request oracle adapters.
+// The per-query-shape plane and its per-request adapter.
 // ---------------------------------------------------------------------
 
 // The shared backend chain, inside out: the template's fault plan wraps
@@ -332,55 +298,79 @@ impl<Q: Copy> Coalescer<Q> {
 // the retry layer masks faults the policy can absorb, and the memo
 // dedups across requests — so a memo hit never spends a retry and a
 // faulted lane is never cached.
-type QuadBackend = MemoOracle<Retrying<Counting<FaultyOracle<BoxedQuad>>>>;
-type CmpBackend = MemoOracle<Retrying<Counting<FaultyOracle<BoxedCmp>>>>;
+type Backend<Q> = MemoOracle<Retrying<Counting<FaultyOracle<Boxed<Q>>>>>;
 
-/// The quadruplet-oracle view one request has of the shared plane:
-/// rounds go pool-admission → coalescer → shared memoised backend.
-/// Wrapped in a per-request [`Budgeted`] by the worker, so the request's
-/// own meters tick exactly as in a solo run.
-struct ServedQuad {
+/// The shared half of the serving plane for query shape `Q`: the
+/// memoised backend, the coalescer in front of it, and the pooled
+/// budget.
+struct Plane<Q> {
+    backend: Mutex<Backend<Q>>,
+    coalescer: Coalescer<Q>,
+    pool: BudgetPool,
+}
+
+impl<Q: Copy> Plane<Q> {
+    /// The plane over `raw`, under the template's fault plan and retry
+    /// policy, with a pooled budget of `pool_budget` queries.
+    fn new(raw: Box<dyn Oracle<Q> + Send>, cfg: &Config, pool_budget: Option<u64>) -> Self {
+        let plan = cfg.fault_plan.unwrap_or_else(FaultPlan::none);
+        let policy = cfg.retry.unwrap_or_default();
+        let chain = Retrying::new(Counting::new(FaultyOracle::new(Boxed(raw), plan)), policy);
+        Self {
+            backend: Mutex::new(MemoOracle::new(chain)),
+            coalescer: Coalescer::new(),
+            pool: BudgetPool::new(pool_budget),
+        }
+    }
+}
+
+/// The view one request has of the shared plane: rounds go
+/// pool-admission → coalescer → shared memoised backend. Wrapped in a
+/// per-request [`Budgeted`] by the worker, so the request's own meters
+/// tick exactly as in a solo run.
+struct Served<'p, Q> {
     n: usize,
-    backend: Arc<Mutex<QuadBackend>>,
-    coalescer: Arc<Coalescer<[usize; 4]>>,
-    pool: Arc<BudgetPool>,
+    plane: &'p Plane<Q>,
     /// Set once the pool refused this request a reservation; from then
     /// on the request is doomed (reported as `BudgetExceeded`) and its
     /// remaining queries get the constant refusal bit.
     starved: bool,
 }
 
-impl QuadrupletOracle for ServedQuad {
-    fn n(&self) -> usize {
+impl<Q: Copy + Send> Oracle<Q> for Served<'_, Q>
+where
+    Backend<Q>: Oracle<Q>,
+{
+    fn records(&self) -> usize {
         self.n
     }
 
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        if self.starved || !self.pool.try_reserve(1) {
+    fn ask(&mut self, q: Q) -> bool {
+        if self.starved || !self.plane.pool.try_reserve(1) {
             self.starved = true;
             return OVER_BUDGET_ANSWER;
         }
         // Scalar queries skip the coalescer: nothing to combine with.
-        relock(&self.backend).le(a, b, c, d)
+        relock(&self.plane.backend).ask(q)
     }
 
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
+    fn ask_round(&mut self, queries: &[Q], out: &mut Vec<bool>) {
         if queries.is_empty() {
             return;
         }
-        if self.starved || !self.pool.try_reserve(queries.len() as u64) {
+        if self.starved || !self.plane.pool.try_reserve(queries.len() as u64) {
             self.starved = true;
             out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
             return;
         }
-        let backend = Arc::clone(&self.backend);
-        let answers = self.coalescer.submit(queries, &move |qs, res| {
-            relock(&backend).le_batch(qs, res);
+        let backend = &self.plane.backend;
+        let answers = self.plane.coalescer.submit(queries, &|qs, res| {
+            relock(backend).ask_round(qs, res);
         });
         out.extend(answers);
     }
 
-    fn doomed(&self) -> bool {
+    fn is_doomed(&self) -> bool {
         // Pool starvation latches at a query boundary like every other
         // kill vector, so the engines' clean-progress watermarks stop
         // advancing and the eventual partial stays a true prefix.
@@ -393,54 +383,106 @@ impl QuadrupletOracle for ServedQuad {
 /// requests already doomed to fail typed — the same doomed-run argument
 /// as [`Budgeted`]'s `PersistentNoise` impl. Masked backend faults keep
 /// the purity: retries re-read the same persistent belief.
-impl PersistentNoise for ServedQuad {}
+impl<Q> PersistentNoise for Served<'_, Q> {}
 
-/// Comparison twin of [`ServedQuad`] for value engines.
-struct ServedCmp {
-    n: usize,
-    backend: Arc<Mutex<CmpBackend>>,
-    coalescer: Arc<Coalescer<(usize, usize)>>,
-    pool: Arc<BudgetPool>,
-    starved: bool,
+/// What the server needs from its plane, whichever query shape the
+/// engine serves.
+trait ServingPlane: Send + Sync {
+    /// Runs one engine attempt for `task` over a fresh per-request oracle
+    /// chain: served backend view (pool admission → coalescer → shared
+    /// memoised backend) → per-request [`Budgeted`] (budget, deadline
+    /// and cancel, measured from `start`) → outermost [`ProbeOracle`]
+    /// injecting the session's per-seed probe plan into the live stream.
+    /// Probes are billed like every other query — through the request's
+    /// budget, the pool, and the shared backend alike.
+    fn attempt(
+        &self,
+        session: &Session,
+        task: Task,
+        scale: f64,
+        budget: Option<u64>,
+        start: Instant,
+    ) -> AttemptResult;
+
+    /// `Some(attempt bound)` once any request drove the shared backend's
+    /// retry layer to exhaustion.
+    fn failed(&self) -> Option<u32>;
+
+    /// `[backend queries, memo hits, retries, faults masked, backend
+    /// rounds, coalesced rounds, pool spent, pool cap]`.
+    fn counters(&self) -> [u64; 8];
 }
 
-impl ComparisonOracle for ServedCmp {
-    fn n(&self) -> usize {
-        self.n
+impl<Q: Copy + Send + 'static> ServingPlane for Plane<Q>
+where
+    Backend<Q>: Oracle<Q>,
+    for<'p> ProbeOracle<Budgeted<Served<'p, Q>>>: Engines<Q>,
+{
+    fn attempt(
+        &self,
+        session: &Session,
+        task: Task,
+        scale: f64,
+        budget: Option<u64>,
+        start: Instant,
+    ) -> AttemptResult {
+        let served = Served {
+            n: session.engine().n(),
+            plane: self,
+            starved: false,
+        };
+        let probe = session.probe_plan();
+        let mut oracle = ProbeOracle::new(
+            Budgeted::new(served, budget)
+                .with_deadline(session.cfg().deadline.map(|d| start + d))
+                .with_cancel(session.cfg().cancel.as_ref().map(CancelToken::flag)),
+            probe,
+        );
+        let (mut plane, mut partial) = (None, None);
+        let answer =
+            Engines::<Q>::run_task(&mut oracle, session, task, scale, &mut plane, &mut partial)?;
+        let budgeted = oracle.inner();
+        let m = Meters {
+            queries: budgeted.queries(),
+            rounds: budgeted.rounds(),
+            exceeded: budgeted.exceeded(),
+            killed: budgeted.killed(),
+            starved: budgeted.inner().starved.then(|| self.pool.cap()),
+            // The backend's retry latch is sticky and server-wide: once
+            // any request exhausted it the backend returns constants, so
+            // every request finishing after it (racing finishers included
+            // — conservative by design) fails typed rather than being
+            // given poisoned answers.
+            failed: self.failed(),
+            // The backend memo is a server-level resource; its hit tally
+            // is aggregate, not per request (the hits live in
+            // `ServeStats`).
+            memo_hits: None,
+            estimate: oracle.estimate(),
+            probes: probe.is_active().then(|| oracle.stats().probes),
+            merge_plane: plane,
+        };
+        Ok((answer, m, partial))
     }
 
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        if self.starved || !self.pool.try_reserve(1) {
-            self.starved = true;
-            return OVER_BUDGET_ANSWER;
-        }
-        relock(&self.backend).le(i, j)
+    fn failed(&self) -> Option<u32> {
+        relock(&self.backend).inner().failed()
     }
 
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
-        if queries.is_empty() {
-            return;
-        }
-        if self.starved || !self.pool.try_reserve(queries.len() as u64) {
-            self.starved = true;
-            out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
-            return;
-        }
-        let backend = Arc::clone(&self.backend);
-        let answers = self.coalescer.submit(queries, &move |qs, res| {
-            relock(&backend).le_batch(qs, res);
-        });
-        out.extend(answers);
-    }
-
-    fn doomed(&self) -> bool {
-        // See [`ServedQuad::doomed`].
-        self.starved
+    fn counters(&self) -> [u64; 8] {
+        let b = relock(&self.backend);
+        [
+            b.inner().inner().queries(),
+            b.hits(),
+            b.inner().retries(),
+            b.inner().faults_masked(),
+            self.coalescer.rounds.load(Ordering::Relaxed),
+            self.coalescer.coalesced.load(Ordering::Relaxed),
+            self.pool.spent(),
+            self.pool.cap(),
+        ]
     }
 }
-
-/// See [`ServedQuad`]'s impl for the argument.
-impl PersistentNoise for ServedCmp {}
 
 // ---------------------------------------------------------------------
 // The server.
@@ -494,11 +536,8 @@ struct ServerShared {
     queue: Mutex<ServerQueue>,
     work_ready: Condvar,
     queue_cap: usize,
-    pool: Arc<BudgetPool>,
-    quad_backend: Option<Arc<Mutex<QuadBackend>>>,
-    quad_coalescer: Arc<Coalescer<[usize; 4]>>,
-    cmp_backend: Option<Arc<Mutex<CmpBackend>>>,
-    cmp_coalescer: Arc<Coalescer<(usize, usize)>>,
+    /// The plane of the query shape the engine serves.
+    plane: Box<dyn ServingPlane>,
     /// Attach best-effort partial answers to killed requests' typed
     /// errors ([`ServerBuilder::degrade_to_partials`]).
     degrade: bool,
@@ -511,39 +550,6 @@ struct ServerShared {
     adaptations: AtomicU64,
     misspecifications: AtomicU64,
     partial_completions: AtomicU64,
-}
-
-/// One engine attempt's per-request meter readings — the serve-plane
-/// analogue of the session layer's internal meters.
-struct AttemptMeters {
-    queries: u64,
-    rounds: u64,
-    exceeded: bool,
-    killed: bool,
-    starved: bool,
-    estimate: Option<NoiseEstimate>,
-    probes: Option<u64>,
-}
-
-impl AttemptMeters {
-    /// Folds an escalated re-run onto the discarded first attempt:
-    /// spend and probes accumulate, the kill flags come from the
-    /// attempt that produced the answer, and the estimate prefers the
-    /// re-run's fresher probes.
-    fn accumulated(first: Self, second: Self) -> Self {
-        Self {
-            queries: first.queries + second.queries,
-            rounds: first.rounds + second.rounds,
-            exceeded: second.exceeded,
-            killed: second.killed,
-            starved: second.starved,
-            estimate: second.estimate.or(first.estimate),
-            probes: match (first.probes, second.probes) {
-                (Some(a), Some(b)) => Some(a + b),
-                (a, b) => a.or(b),
-            },
-        }
-    }
 }
 
 impl ServerShared {
@@ -581,283 +587,66 @@ impl ServerShared {
         }
     }
 
-    /// `Some(attempt bound)` once any request drove the shared backend's
-    /// retry layer to exhaustion. The latch is sticky and server-wide:
-    /// from that point the backend returns constants, so every request
-    /// that finishes after it (racing finishers included — conservative
-    /// by design) is failed typed rather than given poisoned answers.
-    fn backend_failed(&self) -> Option<u32> {
-        if let Some(b) = &self.quad_backend {
-            relock(b).inner().failed()
-        } else if let Some(b) = &self.cmp_backend {
-            relock(b).inner().failed()
-        } else {
-            unreachable!("every engine has exactly one backend plane")
-        }
-    }
-
-    /// Runs one engine attempt for `task` over a fresh per-request
-    /// oracle chain: served backend view (pool admission → coalescer →
-    /// shared memoised backend) → per-request [`Budgeted`]
-    /// (budget/deadline/cancel) → outermost [`ProbeOracle`] injecting
-    /// the session's per-seed probe plan into the live stream. Probes
-    /// are billed like every other query — through the request's
-    /// budget, the pool, and the shared backend alike.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &self,
-        session: &Session,
-        task: Task,
-        n: usize,
-        scale: f64,
-        budget: Option<u64>,
-        deadline: Option<Instant>,
-        cancel: Option<Arc<AtomicBool>>,
-        partial: &mut Option<PartialOutcome>,
-        plane: &mut Option<MergePlaneStats>,
-    ) -> Result<(Answer, AttemptMeters), NcoError> {
-        let probe_plan = session.probe_plan();
-        let probing = probe_plan.is_active();
-        if task.needs_values() {
-            let backend = self
-                .cmp_backend
-                .as_ref()
-                .expect("validate() gated value tasks on a value engine");
-            let served = ServedCmp {
-                n,
-                backend: Arc::clone(backend),
-                coalescer: Arc::clone(&self.cmp_coalescer),
-                pool: Arc::clone(&self.pool),
-                starved: false,
-            };
-            let mut oracle = ProbeOracle::new(
-                Budgeted::new(served, budget)
-                    .with_deadline(deadline)
-                    .with_cancel(cancel),
-                probe_plan,
-            );
-            let answer = session.value_task(task, &mut oracle, scale, partial)?;
-            let estimate = oracle.estimate();
-            let probes = probing.then(|| oracle.stats().probes);
-            let budgeted = oracle.inner();
-            Ok((
-                answer,
-                AttemptMeters {
-                    queries: budgeted.queries(),
-                    rounds: budgeted.rounds(),
-                    exceeded: budgeted.exceeded(),
-                    killed: budgeted.killed(),
-                    starved: budgeted.inner().starved,
-                    estimate,
-                    probes,
-                },
-            ))
-        } else {
-            let backend = self
-                .quad_backend
-                .as_ref()
-                .expect("validate() gated metric tasks on a metric engine");
-            let served = ServedQuad {
-                n,
-                backend: Arc::clone(backend),
-                coalescer: Arc::clone(&self.quad_coalescer),
-                pool: Arc::clone(&self.pool),
-                starved: false,
-            };
-            let mut oracle = ProbeOracle::new(
-                Budgeted::new(served, budget)
-                    .with_deadline(deadline)
-                    .with_cancel(cancel),
-                probe_plan,
-            );
-            let answer = session.quad_task(task, &mut oracle, scale, plane, partial)?;
-            let estimate = oracle.estimate();
-            let probes = probing.then(|| oracle.stats().probes);
-            let budgeted = oracle.inner();
-            Ok((
-                answer,
-                AttemptMeters {
-                    queries: budgeted.queries(),
-                    rounds: budgeted.rounds(),
-                    exceeded: budgeted.exceeded(),
-                    killed: budgeted.killed(),
-                    starved: budgeted.inner().starved,
-                    estimate,
-                    probes,
-                },
-            ))
-        }
-    }
-
+    /// Runs one request exactly like a solo [`Session::run`] — same
+    /// adaptive re-run, same failure precedence — but over the shared
+    /// plane, and tallies the outcome into the server counters.
     fn execute(&self, request: &Request) -> Result<Outcome, NcoError> {
         let session = self.template.with_seed(request.seed);
         session.validate(request.task)?;
-        let engine = Arc::clone(session.engine());
-        let start = Instant::now();
-        let cache_start = engine.cache_entries();
-        let budget = session.cfg().budget;
         // Per-request deadline/cancellation, measured from the moment a
         // worker picks the request up (queue wait is not billed against
         // the deadline — admission control already bounds the queue).
-        let deadline = session.cfg().deadline.map(|d| start + d);
-        let cancel = session.cfg().cancel.as_ref().map(CancelToken::flag);
-
-        let mut partial = None;
-        let mut merge_plane = None;
-        let (mut answer, mut m) = self.attempt(
-            &session,
-            request.task,
-            engine.n(),
-            session.base_scale(),
-            budget,
-            deadline,
-            cancel.clone(),
-            &mut partial,
-            &mut merge_plane,
-        )?;
-        let mut adaptations = 0u32;
-        // Adaptive escalation, exactly as in a solo run: a *clean*
-        // first attempt whose probes flagged the assumed noise rate is
-        // re-run with re-derived parameters on the request's remaining
-        // budget. The shared backend is persistent and memoised, so the
-        // re-run resumes the same noise beliefs a solo escalation would.
-        if !m.exceeded && !m.killed && !m.starved && self.backend_failed().is_none() {
-            if let Some(scale) = session.escalation_scale(&m.estimate) {
-                let remaining = budget.map(|b| b.saturating_sub(m.queries));
-                let mut partial2 = None;
-                let mut plane2 = None;
-                let (answer2, m2) = self.attempt(
-                    &session,
-                    request.task,
-                    engine.n(),
-                    scale,
-                    remaining,
-                    deadline,
-                    cancel,
-                    &mut partial2,
-                    &mut plane2,
-                )?;
-                answer = answer2;
-                partial = partial2;
-                merge_plane = plane2;
-                m = AttemptMeters::accumulated(m, m2);
-                adaptations = 1;
+        let ctx = RunCtx::begin(session.engine());
+        let mut attempts = 0;
+        let result = session.drive(ctx, |scale, budget| {
+            let (answer, m, partial) =
+                self.plane
+                    .attempt(&session, request.task, scale, budget, ctx.start)?;
+            attempts += 1;
+            if attempts > 1 {
                 self.adaptations.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        if let Some(p) = m.probes {
-            self.probes.fetch_add(p, Ordering::Relaxed);
-        }
-
-        // Same failure precedence as a solo `Session::run`: a backend
-        // fault that outlived the retry policy trumps everything, then
-        // the deadline kill, then budget exhaustion (pooled or
-        // per-request), then the misspecification guard.
-        if let Some(attempts) = self.backend_failed() {
-            return Err(NcoError::OracleFailed {
-                queries_spent: m.queries,
-                attempts,
-            });
-        }
-        let cache_entries = engine.cache_entries();
-        let report = RunReport {
-            queries: m.queries,
-            rounds: m.rounds,
-            // The backend memo is a server-level resource; its hit tally
-            // is aggregate, not per request (the hits live in
-            // `ServeStats`).
-            memo_hits: None,
-            cache_entries,
-            cache_added: cache_entries.map(|e| e.saturating_sub(cache_start.unwrap_or(0))),
-            wall: start.elapsed(),
-            budget,
-            merge_plane,
-            observed_flip_rate: m.estimate.map(|e| e.p_hat),
-            probes: m.probes,
-            adaptations,
-        };
-        // Killed requests carry their best-effort partials only when
-        // the plane opted into graceful degradation; the default sheds
-        // plain, keeping error payloads lean under load.
-        let partial = if self.degrade { partial } else { None };
-        if (m.killed || m.starved || m.exceeded) && partial.is_some() {
-            self.partial_completions.fetch_add(1, Ordering::Relaxed);
-        }
-        if m.killed {
-            self.deadline_kills.fetch_add(1, Ordering::Relaxed);
-            return Err(NcoError::DeadlineExceeded {
-                report: Box::new(report),
-                partial,
-            });
-        }
-        if m.starved {
-            // The *pooled* budget ran dry mid-request: shed this request
-            // without unwinding the others.
-            return Err(NcoError::BudgetExceeded {
-                budget: self.pool.cap(),
-                report: Box::new(report),
-                partial,
-            });
-        }
-        if m.exceeded {
-            return Err(NcoError::BudgetExceeded {
-                budget: budget.expect("exceeded implies a budget"),
-                report: Box::new(report),
-                partial,
-            });
-        }
-        // The misspecification guard fires last, and never on an
-        // adapted request — the escalated re-run already answered the
-        // misspecification, exactly as in a solo session.
-        if adaptations == 0 {
-            if let Some(est) = session.misspecified(&m.estimate) {
-                self.misspecifications.fetch_add(1, Ordering::Relaxed);
-                return Err(NcoError::NoiseMisspecified {
-                    assumed: session
-                        .assumed_rate()
-                        .expect("trigger implies an assumption"),
-                    observed: est.p_hat,
-                    probes: m.probes.unwrap_or(0),
-                    report: Box::new(report),
-                });
+            if let Some(p) = m.probes {
+                self.probes.fetch_add(p, Ordering::Relaxed);
             }
+            // Killed requests carry their best-effort partials only when
+            // the plane opted into graceful degradation; the default
+            // sheds plain, keeping error payloads lean under load.
+            Ok((answer, m, partial.filter(|_| self.degrade)))
+        });
+        match &result {
+            Err(NcoError::DeadlineExceeded { partial, .. }) => {
+                self.deadline_kills.fetch_add(1, Ordering::Relaxed);
+                if partial.is_some() {
+                    self.partial_completions.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Err(NcoError::BudgetExceeded {
+                partial: Some(_), ..
+            }) => {
+                self.partial_completions.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(NcoError::NoiseMisspecified { .. }) => {
+                self.misspecifications.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
         }
-        Ok(Outcome::new(answer, report))
+        result
     }
 
     fn stats(&self) -> ServeStats {
-        let (backend_queries, memo_hits, retries, faults_masked) =
-            if let Some(b) = &self.quad_backend {
-                let b = relock(b);
-                (
-                    b.inner().inner().queries(),
-                    b.hits(),
-                    b.inner().retries(),
-                    b.inner().faults_masked(),
-                )
-            } else if let Some(b) = &self.cmp_backend {
-                let b = relock(b);
-                (
-                    b.inner().inner().queries(),
-                    b.hits(),
-                    b.inner().retries(),
-                    b.inner().faults_masked(),
-                )
-            } else {
-                unreachable!("every engine has exactly one backend plane")
-            };
+        let [backend_queries, memo_hits, retries, faults_masked, backend_rounds, coalesced_rounds, pool_spent, pool_cap] =
+            self.plane.counters();
         ServeStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             backend_queries,
             memo_hits,
-            backend_rounds: self.quad_coalescer.rounds.load(Ordering::Relaxed)
-                + self.cmp_coalescer.rounds.load(Ordering::Relaxed),
-            coalesced_rounds: self.quad_coalescer.coalesced.load(Ordering::Relaxed)
-                + self.cmp_coalescer.coalesced.load(Ordering::Relaxed),
-            pool_spent: self.pool.spent(),
-            pool_cap: self.pool.cap(),
+            backend_rounds,
+            coalesced_rounds,
+            pool_spent,
+            pool_cap,
             retries,
             faults_masked,
             deadline_kills: self.deadline_kills.load(Ordering::Relaxed),
@@ -939,26 +728,13 @@ impl ServerBuilder {
                 engine.n()
             )));
         }
-        let plan = cfg.fault_plan.unwrap_or_else(FaultPlan::none);
-        let policy = cfg.retry.unwrap_or_default();
-        let quad_backend = engine.has_metric().then(|| {
-            Arc::new(Mutex::new(MemoOracle::new(Retrying::new(
-                Counting::new(FaultyOracle::new(
-                    BoxedQuad(self.template.boxed_quad_backend()),
-                    plan,
-                )),
-                policy,
-            ))))
-        });
-        let cmp_backend = engine.has_values().then(|| {
-            Arc::new(Mutex::new(MemoOracle::new(Retrying::new(
-                Counting::new(FaultyOracle::new(
-                    BoxedCmp(self.template.boxed_cmp_backend()),
-                    plan,
-                )),
-                policy,
-            ))))
-        });
+        let plane: Box<dyn ServingPlane> = if engine.has_values() {
+            let raw = self.template.boxed_cmp_backend();
+            Box::new(Plane::new(raw, cfg, self.pool_budget))
+        } else {
+            let raw = self.template.boxed_quad_backend();
+            Box::new(Plane::new(raw, cfg, self.pool_budget))
+        };
         let shared = Arc::new(ServerShared {
             template: self.template,
             queue: Mutex::new(ServerQueue {
@@ -967,11 +743,7 @@ impl ServerBuilder {
             }),
             work_ready: Condvar::new(),
             queue_cap: self.queue_cap,
-            pool: Arc::new(BudgetPool::new(self.pool_budget)),
-            quad_backend,
-            quad_coalescer: Arc::new(Coalescer::new()),
-            cmp_backend,
-            cmp_coalescer: Arc::new(Coalescer::new()),
+            plane,
             degrade: self.degrade,
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -997,7 +769,7 @@ impl ServerBuilder {
 }
 
 /// Aggregate serving-plane counters (see [`Server::stats`]). Per-request
-/// accounting lives in each request's [`RunReport`]; these are the
+/// accounting lives in each request's [`crate::RunReport`]; these are the
 /// server-level totals behind it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -1166,5 +938,94 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.close_and_join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
+    /// Spins until `ready` holds, failing the test after ten seconds
+    /// instead of hanging it.
+    fn wait_until(ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn parity(qs: &[u32], out: &mut Vec<bool>) {
+        out.extend(qs.iter().map(|q| q % 2 == 0));
+    }
+
+    #[test]
+    fn two_submitters_never_coalesce() {
+        // Every round a leader runs for itself waits until the other
+        // submitter is pending behind it (or done), so the other's rounds
+        // always queue behind a busy leader. Still no batch holds two
+        // rounds: the leader's own request stays blocked in its drain
+        // loop. Queries carry their submitter in the thousands digit.
+        let coalescer = Coalescer::<u32>::new();
+        let done = [AtomicBool::new(false), AtomicBool::new(false)];
+        std::thread::scope(|s| {
+            for t in 0..2u32 {
+                let (coalescer, done) = (&coalescer, &done);
+                s.spawn(move || {
+                    let other = &done[1 - t as usize];
+                    let exec = |qs: &[u32], out: &mut Vec<bool>| {
+                        if qs.iter().all(|q| q / 1000 == t) {
+                            wait_until(|| {
+                                relock(&coalescer.state).pending.len() == 1
+                                    || other.load(Ordering::SeqCst)
+                            });
+                        }
+                        parity(qs, out);
+                    };
+                    for r in 0..50u32 {
+                        let qs = [t * 1000 + r, t * 1000 + r + 1];
+                        let mut want = Vec::new();
+                        parity(&qs, &mut want);
+                        assert_eq!(coalescer.submit(&qs, &exec), want);
+                    }
+                    done[t as usize].store(true, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(coalescer.rounds.load(Ordering::Relaxed), 100);
+        assert_eq!(coalescer.coalesced.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn three_submitters_merge_the_two_followers() {
+        // The leader's first round waits until both followers are pending;
+        // it then drains them as one merged round.
+        let coalescer = Coalescer::<u32>::new();
+        let entered = AtomicBool::new(false);
+        let held = |qs: &[u32], out: &mut Vec<bool>| {
+            if !entered.swap(true, Ordering::SeqCst) {
+                wait_until(|| relock(&coalescer.state).pending.len() == 2);
+            }
+            parity(qs, out);
+        };
+        let follower = |qs: &[u32]| {
+            wait_until(|| entered.load(Ordering::SeqCst));
+            coalescer.submit(qs, &|_: &[u32], _: &mut Vec<bool>| {
+                panic!("a follower never executes while the leader drains")
+            })
+        };
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| coalescer.submit(&[1], &held));
+            let first = s.spawn(|| follower(&[2, 3, 4]));
+            wait_until(|| relock(&coalescer.state).pending.len() == 1);
+            let second = s.spawn(|| follower(&[5, 6]));
+            assert_eq!(leader.join().unwrap(), vec![false]);
+            assert_eq!(first.join().unwrap(), vec![true, false, true]);
+            assert_eq!(second.join().unwrap(), vec![false, true]);
+        });
+        assert_eq!(coalescer.rounds.load(Ordering::Relaxed), 2);
+        assert_eq!(coalescer.coalesced.load(Ordering::Relaxed), 1);
     }
 }

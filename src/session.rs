@@ -72,7 +72,7 @@ use nco_oracle::fault::{FaultPlan, FaultyOracle, RetryPolicy, Retrying};
 use nco_oracle::persistent::PersistentNoise;
 use nco_oracle::probabilistic::{ProbQuadOracle, ProbValueOracle};
 use nco_oracle::{
-    ComparisonOracle, MemoOracle, NoiseEstimate, ProbeOracle, ProbePlan, QuadrupletOracle,
+    ComparisonOracle, MemoOracle, NoiseEstimate, Oracle, ProbeOracle, ProbePlan, QuadrupletOracle,
     TrueQuadOracle, TrueValueOracle,
 };
 use rand::rngs::StdRng;
@@ -818,19 +818,19 @@ pub(crate) struct Config {
     pub(crate) scaffold: bool,
 }
 
-/// Per-run bookkeeping captured when `run` starts, threaded through to
+/// Per-run bookkeeping captured when a run starts, threaded through to
 /// [`Session::finish`] so the report can attribute per-run deltas
 /// (wall clock, distance-cache growth) on top of engine-level totals.
 #[derive(Debug, Clone, Copy)]
-struct RunCtx {
-    start: Instant,
+pub(crate) struct RunCtx {
+    pub(crate) start: Instant,
     /// Engine distance-cache fill when the run started (`None` when
     /// caching is off).
     cache_start: Option<u64>,
 }
 
 impl RunCtx {
-    fn begin(engine: &Engine) -> Self {
+    pub(crate) fn begin(engine: &Engine) -> Self {
         Self {
             start: Instant::now(),
             cache_start: engine.cache_entries(),
@@ -872,11 +872,11 @@ impl Session {
     pub fn run(&self, task: Task) -> Result<Outcome, NcoError> {
         let ctx = RunCtx::begin(&self.engine);
         self.validate(task)?;
-        match &self.engine.source {
-            Source::Values(values) => self.run_value(task, values, ctx),
-            Source::Metric(MetricStore::Plain(m)) => self.run_metric(task, m, ctx),
-            Source::Metric(MetricStore::Cached(c)) => self.run_metric(task, c, ctx),
-        }
+        self.drive(ctx, |scale, budget| match &self.engine.source {
+            Source::Values(values) => self.run_value(task, values, scale, budget, &ctx),
+            Source::Metric(MetricStore::Plain(m)) => self.run_metric(task, m, scale, budget, &ctx),
+            Source::Metric(MetricStore::Cached(c)) => self.run_metric(task, c, scale, budget, &ctx),
+        })
     }
 
     /// This session's resolved configuration (for the serving plane).
@@ -991,36 +991,43 @@ impl Session {
     // the point where the copy shows up.)
     // -----------------------------------------------------------------
 
-    fn run_value(&self, task: Task, values: &[f64], ctx: RunCtx) -> Result<Outcome, NcoError> {
-        // Oracle *factories*, not oracles: an adaptive session may run
-        // the engine twice (see `drive_value`), and persistence makes a
-        // rebuilt oracle answer identically to the first.
+    fn run_value(
+        &self,
+        task: Task,
+        values: &[f64],
+        scale: f64,
+        budget: Option<u64>,
+        ctx: &RunCtx,
+    ) -> AttemptResult {
+        type Q = (usize, usize);
+        let values = values.to_vec();
         match self.cfg.noise {
-            Noise::Exact => self.drive_value(task, || TrueValueOracle::new(values.to_vec()), ctx),
-            Noise::Adversarial { mu } => self.drive_value(
-                task,
-                || AdversarialValueOracle::new(values.to_vec(), mu, InvertAdversary),
-                ctx,
-            ),
+            Noise::Exact => {
+                self.attempt::<Q, _>(task, TrueValueOracle::new(values), scale, budget, ctx)
+            }
+            Noise::Adversarial { mu } => {
+                let raw = AdversarialValueOracle::new(values, mu, InvertAdversary);
+                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
+            }
             Noise::Probabilistic { p, seed } => {
-                self.drive_value(task, || ProbValueOracle::new(values.to_vec(), p, seed), ctx)
+                let raw = ProbValueOracle::new(values, p, seed);
+                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
             }
             Noise::Crowd {
                 profile,
                 workers,
                 seed,
-            } => self.drive_value(
-                task,
-                || CrowdValueOracle::new(values.to_vec(), profile, workers, seed),
-                ctx,
-            ),
+            } => {
+                let raw = CrowdValueOracle::new(values, profile, workers, seed);
+                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
+            }
         }
     }
 
     /// The same noise-model dispatch as [`Self::run_value`], but boxed
     /// and owning its data — the `'static` backend oracle the serving
     /// plane shares (behind its own memo/meter chain) across requests.
-    pub(crate) fn boxed_cmp_backend(&self) -> Box<dyn ComparisonOracle + Send> {
+    pub(crate) fn boxed_cmp_backend(&self) -> Box<dyn Oracle<(usize, usize)> + Send> {
         let values = self
             .engine
             .values()
@@ -1042,7 +1049,7 @@ impl Session {
 
     /// Quadruplet twin of [`Self::boxed_cmp_backend`], built over an
     /// [`EngineMetric`] handle so it hits the engine's `DistCache`.
-    pub(crate) fn boxed_quad_backend(&self) -> Box<dyn QuadrupletOracle + Send> {
+    pub(crate) fn boxed_quad_backend(&self) -> Box<dyn Oracle<[usize; 4]> + Send> {
         let metric = EngineMetric::new(self.engine.clone());
         match self.cfg.noise {
             Noise::Exact => Box::new(TrueQuadOracle::new(metric)),
@@ -1058,436 +1065,129 @@ impl Session {
         }
     }
 
-    /// The per-run oracle chain, inside out: faults are injected right
-    /// on the raw oracle, the budget/deadline meter bills every ask
-    /// (faulted or not), the optional answer memo serves repeats for
-    /// free, retry re-enters the meter on every re-ask of a faulted
-    /// lane, and the probe plane sits outermost so its probe triangles
-    /// are billed, budgeted and fault-masked like real queries. With no
-    /// fault plan and no probing the chain is fully transparent —
-    /// bit-identical answers and meters to wiring the budget alone.
+    /// Runs `attempt` — one engine pass at a repetition scale on a budget
+    /// — and folds its meters into the outcome. Shared with the serving
+    /// plane, whose attempts run over the shared backend instead.
     ///
     /// With [`AdaptPolicy::Escalate`], a clean first attempt whose probe
     /// estimate trips the misspecification guard is discarded and the
-    /// engine re-runs (fresh chain from `make_raw`, same rng seed) with
-    /// parameters re-derived for the observed rate, on whatever budget
-    /// the first attempt left. Meters accumulate across both attempts.
-    fn drive_value<O, F>(&self, task: Task, make_raw: F, ctx: RunCtx) -> Result<Outcome, NcoError>
-    where
-        O: ComparisonOracle + PersistentNoise,
-        F: Fn() -> O,
-    {
-        let (answer, m, partial) =
-            self.value_attempt(task, make_raw(), self.base_scale(), self.cfg.budget, &ctx)?;
+    /// engine re-runs (fresh chain, same rng seed) with parameters
+    /// re-derived for the observed rate, on whatever budget the first
+    /// attempt left. Persistence makes the rebuilt chain answer
+    /// identically to the first. Meters accumulate across both attempts.
+    pub(crate) fn drive(
+        &self,
+        ctx: RunCtx,
+        mut attempt: impl FnMut(f64, Option<u64>) -> AttemptResult,
+    ) -> Result<Outcome, NcoError> {
+        let (answer, m, partial) = attempt(self.base_scale(), self.cfg.budget)?;
         match self.escalation(&m) {
-            None => self.finish(answer, m, ctx, partial, 0, true),
+            None => self.finish(answer, m, ctx, partial, 0),
             Some((scale, remaining)) => {
-                let (answer, m2, partial) =
-                    self.value_attempt(task, make_raw(), scale, remaining, &ctx)?;
-                self.finish(answer, Meters::accumulated(m, m2), ctx, partial, 1, false)
+                let (answer, m2, partial) = attempt(scale, remaining)?;
+                self.finish(answer, Meters::accumulated(m, m2), ctx, partial, 1)
             }
         }
     }
 
-    /// One engine pass over a fresh oracle chain; returns the answer
-    /// plus the chain's meter readings and the clean-progress partial.
-    fn value_attempt<O>(
+    /// One engine pass over a fresh oracle chain, inside out: faults are
+    /// injected right on the raw oracle, the budget/deadline meter bills
+    /// every ask (faulted or not), the optional answer memo serves
+    /// repeats for free, retry re-enters the meter on every re-ask of a
+    /// faulted lane, and the probe plane sits outermost so its probe
+    /// triangles are billed, budgeted and fault-masked like real queries.
+    /// With no fault plan and no probing the chain is fully transparent —
+    /// bit-identical answers and meters to wiring the budget alone.
+    fn attempt<Q, O>(
         &self,
         task: Task,
         raw: O,
         scale: f64,
         budget: Option<u64>,
         ctx: &RunCtx,
-    ) -> Result<(Answer, Meters, Option<PartialOutcome>), NcoError>
+    ) -> AttemptResult
     where
-        O: ComparisonOracle + PersistentNoise,
+        O: PersistentNoise,
+        Chain<Metered<O>>: Engines<Q>,
+        Chain<MemoOracle<Metered<O>>>: Engines<Q>,
     {
         let plan = self.cfg.fault_plan.unwrap_or_else(FaultPlan::none);
-        let policy = self.cfg.retry.unwrap_or_default();
-        let probe = self.probe_plan();
-        let budgeted = Budgeted::new(FaultyOracle::new(raw, plan), budget)
+        let metered = Budgeted::new(FaultyOracle::new(raw, plan), budget)
             .with_deadline(self.cfg.deadline.map(|d| ctx.start + d))
             .with_cancel(self.cfg.cancel.as_ref().map(CancelToken::flag));
-        let mut partial = None;
         if self.cfg.memo {
             // Memo outside the budget: hits are free, only queries that
             // reach the real oracle bill. (A probe colliding with an
-            // earlier query is served by the memo, hence unbilled —
-            // the probe plane still counts it toward its estimate.)
-            let mut oracle =
-                ProbeOracle::new(Retrying::new(MemoOracle::new(budgeted), policy), probe);
-            let answer = self.value_task(task, &mut oracle, scale, &mut partial)?;
-            let estimate = oracle.estimate();
-            let probes = probe.is_active().then(|| oracle.stats().probes);
-            let retrying = oracle.inner();
-            let failed = retrying.failed();
-            let memo = retrying.inner();
-            let inner = memo.inner();
-            let m = Meters {
-                queries: inner.queries(),
-                rounds: inner.rounds(),
-                exceeded: inner.exceeded(),
-                killed: inner.killed(),
-                failed,
-                memo_hits: Some(memo.hits()),
-                estimate,
-                probes,
-                merge_plane: None,
-            };
-            Ok((answer, m, partial))
+            // earlier query is served by the memo, hence unbilled — the
+            // probe plane still counts it toward its estimate.)
+            self.run_chain(task, MemoOracle::new(metered), scale)
         } else {
-            let mut oracle = ProbeOracle::new(Retrying::new(budgeted, policy), probe);
-            let answer = self.value_task(task, &mut oracle, scale, &mut partial)?;
-            let estimate = oracle.estimate();
-            let probes = probe.is_active().then(|| oracle.stats().probes);
-            let retrying = oracle.inner();
-            let failed = retrying.failed();
-            let inner = retrying.inner();
-            let m = Meters {
-                queries: inner.queries(),
-                rounds: inner.rounds(),
-                exceeded: inner.exceeded(),
-                killed: inner.killed(),
-                failed,
-                memo_hits: None,
-                estimate,
-                probes,
-                merge_plane: None,
-            };
-            Ok((answer, m, partial))
+            self.run_chain(task, metered, scale)
         }
     }
 
-    pub(crate) fn value_task<O: ComparisonOracle>(
-        &self,
-        task: Task,
-        oracle: &mut O,
-        scale: f64,
-        partial: &mut Option<PartialOutcome>,
-    ) -> Result<Answer, NcoError> {
-        let items: Vec<usize> = (0..oracle.n()).collect();
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut cmp = ValueCmp::new(oracle);
-        match task {
-            Task::Max => {
-                let mut leader = None;
-                let best = if self.cfg.noise.is_statistical() {
-                    max_prob_with_progress(
-                        &items,
-                        &self.prob_params(scale),
-                        &mut cmp,
-                        &mut rng,
-                        &mut leader,
-                    )
-                } else {
-                    max_adv_with_progress(
-                        &items,
-                        &self.adv_params(scale),
-                        &mut cmp,
-                        &mut rng,
-                        &mut leader,
-                    )
-                };
-                *partial = Some(PartialOutcome::Leader { candidate: leader });
-                best.map(Answer::Item)
-                    .ok_or_else(|| NcoError::empty("no values"))
-            }
-            Task::TopK { k } => {
-                let mut clean = 0;
-                let top = if self.cfg.noise.is_statistical() {
-                    top_k_prob_with_progress(
-                        &items,
-                        k,
-                        &self.prob_params(scale),
-                        &mut cmp,
-                        &mut rng,
-                        &mut clean,
-                    )
-                } else {
-                    top_k_adv_with_progress(
-                        &items,
-                        k,
-                        &self.adv_params(scale),
-                        &mut cmp,
-                        &mut rng,
-                        &mut clean,
-                    )
-                };
-                *partial = Some(PartialOutcome::TopPrefix {
-                    items: top[..clean].to_vec(),
-                    requested: k,
-                });
-                Ok(Answer::Items(top))
-            }
-            Task::Sort => {
-                let mut clean = 0;
-                let order = if self.cfg.noise.is_statistical() {
-                    sort_prob_with_progress(
-                        &items,
-                        &self.order_prob_params(scale),
-                        &mut cmp,
-                        &mut clean,
-                    )
-                } else {
-                    sort_adv_with_progress(
-                        &items,
-                        &self.order_adv_params(scale),
-                        &mut cmp,
-                        &mut clean,
-                    )
-                };
-                *partial = Some(PartialOutcome::SortedPrefix {
-                    items: order[..clean].to_vec(),
-                    n: order.len(),
-                });
-                Ok(Answer::Ranking(order))
-            }
-            // Select and Partition share the narrowing engine: a select
-            // is a partition whose boundary item is the answer, so both
-            // run the same queries and carry the same partial.
-            Task::Select { k } | Task::Partition { k } => {
-                let mut clean = 0;
-                let mut candidate = None;
-                let split = if self.cfg.noise.is_statistical() {
-                    partition_prob_with_progress(
-                        &items,
-                        k,
-                        &self.order_prob_params(scale),
-                        &mut cmp,
-                        &mut rng,
-                        &mut clean,
-                        &mut candidate,
-                    )
-                } else {
-                    partition_adv_with_progress(
-                        &items,
-                        k,
-                        &self.order_adv_params(scale),
-                        &mut cmp,
-                        &mut rng,
-                        &mut clean,
-                        &mut candidate,
-                    )
-                };
-                *partial = Some(PartialOutcome::PivotCandidate {
-                    candidate,
-                    confirmed: split.top[..clean].to_vec(),
-                    requested: k,
-                });
-                match task {
-                    Task::Select { .. } => Ok(Answer::Item(split.top[k - 1])),
-                    _ => Ok(Answer::Partition {
-                        top: split.top,
-                        rest: split.rest,
-                    }),
-                }
-            }
-            // validate() routed metric tasks away from value sessions.
-            _ => Err(NcoError::invalid("not a value task")),
-        }
+    /// Wraps the metered oracle `inner` in retry and the probe plane,
+    /// runs the engine, and reads the chain's meters.
+    fn run_chain<Q, I: BelowRetry>(&self, task: Task, inner: I, scale: f64) -> AttemptResult
+    where
+        Chain<I>: Engines<Q>,
+    {
+        let probe = self.probe_plan();
+        let policy = self.cfg.retry.unwrap_or_default();
+        let mut oracle = ProbeOracle::new(Retrying::new(inner, policy), probe);
+        let (mut plane, mut partial) = (None, None);
+        let answer =
+            Engines::<Q>::run_task(&mut oracle, self, task, scale, &mut plane, &mut partial)?;
+        let retrying = oracle.inner();
+        let (budgeted, memo_hits) = retrying.inner().meters();
+        let m = Meters {
+            queries: budgeted.queries(),
+            rounds: budgeted.rounds(),
+            exceeded: budgeted.exceeded(),
+            killed: budgeted.killed(),
+            starved: None,
+            failed: retrying.failed(),
+            memo_hits,
+            estimate: oracle.estimate(),
+            probes: probe.is_active().then(|| oracle.stats().probes),
+            merge_plane: plane,
+        };
+        Ok((answer, m, partial))
     }
 
     // -----------------------------------------------------------------
     // Metric tasks (quadruplet oracles).
     // -----------------------------------------------------------------
 
-    fn run_metric<M>(&self, task: Task, metric: M, ctx: RunCtx) -> Result<Outcome, NcoError>
-    where
-        M: Metric + Sync + Copy,
-    {
-        // Factories for the same reason as `run_value`: adaptive
-        // sessions may rebuild the (persistent, hence identical) chain.
+    fn run_metric<M: Metric>(
+        &self,
+        task: Task,
+        metric: M,
+        scale: f64,
+        budget: Option<u64>,
+        ctx: &RunCtx,
+    ) -> AttemptResult {
+        type Q = [usize; 4];
         match self.cfg.noise {
-            Noise::Exact => self.drive_quad(task, || TrueQuadOracle::new(metric), ctx),
-            Noise::Adversarial { mu } => self.drive_quad(
-                task,
-                || AdversarialQuadOracle::new(metric, mu, InvertAdversary),
-                ctx,
-            ),
+            Noise::Exact => {
+                self.attempt::<Q, _>(task, TrueQuadOracle::new(metric), scale, budget, ctx)
+            }
+            Noise::Adversarial { mu } => {
+                let raw = AdversarialQuadOracle::new(metric, mu, InvertAdversary);
+                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
+            }
             Noise::Probabilistic { p, seed } => {
-                self.drive_quad(task, || ProbQuadOracle::new(metric, p, seed), ctx)
+                let raw = ProbQuadOracle::new(metric, p, seed);
+                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
             }
             Noise::Crowd {
                 profile,
                 workers,
                 seed,
-            } => self.drive_quad(
-                task,
-                || CrowdQuadOracle::new(metric, profile, workers, seed),
-                ctx,
-            ),
-        }
-    }
-
-    /// Quadruplet twin of [`Self::drive_value`] — same chain shape and
-    /// the same adaptive re-run.
-    fn drive_quad<O, F>(&self, task: Task, make_raw: F, ctx: RunCtx) -> Result<Outcome, NcoError>
-    where
-        O: QuadrupletOracle + PersistentNoise,
-        F: Fn() -> O,
-    {
-        let (answer, m, partial) =
-            self.quad_attempt(task, make_raw(), self.base_scale(), self.cfg.budget, &ctx)?;
-        match self.escalation(&m) {
-            None => self.finish(answer, m, ctx, partial, 0, true),
-            Some((scale, remaining)) => {
-                let (answer, m2, partial) =
-                    self.quad_attempt(task, make_raw(), scale, remaining, &ctx)?;
-                self.finish(answer, Meters::accumulated(m, m2), ctx, partial, 1, false)
+            } => {
+                let raw = CrowdQuadOracle::new(metric, profile, workers, seed);
+                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
             }
-        }
-    }
-
-    /// One engine pass over a fresh quadruplet chain — see
-    /// [`Self::value_attempt`].
-    fn quad_attempt<O>(
-        &self,
-        task: Task,
-        raw: O,
-        scale: f64,
-        budget: Option<u64>,
-        ctx: &RunCtx,
-    ) -> Result<(Answer, Meters, Option<PartialOutcome>), NcoError>
-    where
-        O: QuadrupletOracle + PersistentNoise,
-    {
-        let plan = self.cfg.fault_plan.unwrap_or_else(FaultPlan::none);
-        let policy = self.cfg.retry.unwrap_or_default();
-        let probe = self.probe_plan();
-        let deadline = self.cfg.deadline.map(|d| ctx.start + d);
-        let cancel = self.cfg.cancel.as_ref().map(CancelToken::flag);
-        let budgeted = Budgeted::new(FaultyOracle::new(raw, plan), budget)
-            .with_deadline(deadline)
-            .with_cancel(cancel);
-        let mut plane = None;
-        let mut partial = None;
-        if self.cfg.memo {
-            // Memo outside the budget: hits are free, only queries that
-            // reach the real oracle bill.
-            let mut oracle =
-                ProbeOracle::new(Retrying::new(MemoOracle::new(budgeted), policy), probe);
-            let answer = self.quad_task(task, &mut oracle, scale, &mut plane, &mut partial)?;
-            let estimate = oracle.estimate();
-            let probes = probe.is_active().then(|| oracle.stats().probes);
-            let retrying = oracle.inner();
-            let failed = retrying.failed();
-            let memo = retrying.inner();
-            let inner = memo.inner();
-            let m = Meters {
-                queries: inner.queries(),
-                rounds: inner.rounds(),
-                exceeded: inner.exceeded(),
-                killed: inner.killed(),
-                failed,
-                memo_hits: Some(memo.hits()),
-                estimate,
-                probes,
-                merge_plane: plane,
-            };
-            Ok((answer, m, partial))
-        } else {
-            let mut oracle = ProbeOracle::new(Retrying::new(budgeted, policy), probe);
-            let answer = self.quad_task(task, &mut oracle, scale, &mut plane, &mut partial)?;
-            let estimate = oracle.estimate();
-            let probes = probe.is_active().then(|| oracle.stats().probes);
-            let retrying = oracle.inner();
-            let failed = retrying.failed();
-            let inner = retrying.inner();
-            let m = Meters {
-                queries: inner.queries(),
-                rounds: inner.rounds(),
-                exceeded: inner.exceeded(),
-                killed: inner.killed(),
-                failed,
-                memo_hits: None,
-                estimate,
-                probes,
-                merge_plane: plane,
-            };
-            Ok((answer, m, partial))
-        }
-    }
-
-    pub(crate) fn quad_task<O: QuadrupletOracle + nco_oracle::PersistentNoise>(
-        &self,
-        task: Task,
-        oracle: &mut O,
-        scale: f64,
-        plane: &mut Option<MergePlaneStats>,
-        partial: &mut Option<PartialOutcome>,
-    ) -> Result<Answer, NcoError> {
-        let n = oracle.n();
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let statistical = self.cfg.noise.is_statistical();
-        match task {
-            Task::Farthest { q } => {
-                // No partial: a single-winner search over one candidate
-                // set has no meaningful intermediate commitment.
-                let far = if statistical {
-                    farthest_prob(
-                        oracle,
-                        q,
-                        self.delta_eff(),
-                        &self.adv_params(scale),
-                        &mut rng,
-                    )
-                } else {
-                    farthest_adv(oracle, q, &self.adv_params(scale), &mut rng)
-                };
-                far.map(Answer::Item)
-                    .ok_or_else(|| NcoError::empty("no candidates"))
-            }
-            Task::Nearest { q } => {
-                let near = if statistical {
-                    nearest_prob(
-                        oracle,
-                        q,
-                        self.delta_eff(),
-                        &self.adv_params(scale),
-                        &mut rng,
-                    )
-                } else {
-                    nearest_adv(oracle, q, &self.adv_params(scale), &mut rng)
-                };
-                near.map(Answer::Item)
-                    .ok_or_else(|| NcoError::empty("no candidates"))
-            }
-            Task::KCenter { k } => {
-                let mut clean = 0;
-                let clustering = if statistical {
-                    kcenter_prob_with_progress(
-                        &self.kcenter_prob_params(k, n, scale),
-                        oracle,
-                        &mut rng,
-                        &mut clean,
-                    )
-                } else {
-                    kcenter_adv_with_progress(
-                        &self.kcenter_adv_params(k, scale),
-                        oracle,
-                        &mut rng,
-                        &mut clean,
-                    )
-                };
-                *partial = Some(PartialOutcome::Committee {
-                    centers: clustering.centers[..clean].to_vec(),
-                    requested: k,
-                });
-                Ok(Answer::Clustering(clustering))
-            }
-            Task::Hierarchy { linkage } => {
-                let (dend, stats) =
-                    hier_oracle_stats(&self.hier_params(linkage, scale), oracle, &mut rng);
-                *partial = Some(PartialOutcome::DendrogramPrefix {
-                    n,
-                    merges: dend.merges[..stats.clean_merges as usize].to_vec(),
-                    expected: n.saturating_sub(1),
-                });
-                *plane = Some(stats);
-                Ok(Answer::Dendrogram(dend))
-            }
-            // validate() routed value tasks away from metric sessions.
-            _ => Err(NcoError::invalid("not a metric task")),
         }
     }
 
@@ -1512,7 +1212,7 @@ impl Session {
     /// The session's baseline repetition scale: `1/(1-2p)^2` when an
     /// assumed noise rate was configured, `1.0` (a strict no-op on
     /// every parameter) otherwise.
-    pub(crate) fn base_scale(&self) -> f64 {
+    fn base_scale(&self) -> f64 {
         self.cfg.assumed_noise.map(noise_scale_for).unwrap_or(1.0)
     }
 
@@ -1520,7 +1220,7 @@ impl Session {
     /// [`SessionBuilder::assume_noise_rate`], falling back to the model
     /// `p` of [`Noise::Probabilistic`]. `None` (no guard) for other
     /// noise models without an explicit assumption.
-    pub(crate) fn assumed_rate(&self) -> Option<f64> {
+    fn assumed_rate(&self) -> Option<f64> {
         self.cfg.assumed_noise.or(match self.cfg.noise {
             Noise::Probabilistic { p, .. } => Some(p),
             _ => None,
@@ -1530,37 +1230,30 @@ impl Session {
     /// `Some(estimate)` when probing measured a flip rate whose CI
     /// lower bound exceeds the assumed rate — the misspecification
     /// trigger shared by the guard and the escalation path.
-    pub(crate) fn misspecified(&self, estimate: &Option<NoiseEstimate>) -> Option<NoiseEstimate> {
+    fn misspecified(&self, estimate: &Option<NoiseEstimate>) -> Option<NoiseEstimate> {
         let assumed = self.assumed_rate()?;
         let est = (*estimate)?;
         (est.p_lo > assumed).then_some(est)
     }
 
-    /// The re-derived repetition scale a clean-but-misspecified attempt
-    /// escalates to — `None` unless the session adapts
-    /// ([`AdaptPolicy::Escalate`]) and the trigger tripped. Planning is
-    /// for the worst rate the probes still deem plausible (the CI upper
-    /// bound), capped away from the `1/2` singularity. Shared with the
-    /// serving plane, which meters its requests itself.
-    pub(crate) fn escalation_scale(&self, estimate: &Option<NoiseEstimate>) -> Option<f64> {
-        if self.cfg.adapt != Some(AdaptPolicy::Escalate) {
-            return None;
-        }
-        let est = self.misspecified(estimate)?;
-        let p_adapt = est.p_hi.min(ADAPT_RATE_CAP);
-        Some(noise_scale_for(p_adapt))
-    }
-
     /// Decides whether a finished first attempt must be escalated:
     /// requires [`AdaptPolicy::Escalate`], a *clean* attempt (a failed,
     /// killed or over-budget run surfaces its own error instead), and a
-    /// tripped misspecification trigger. Returns the re-derived scale
-    /// and the budget the second attempt may still spend.
+    /// tripped misspecification trigger. Returns the re-derived scale —
+    /// planned for the worst rate the probes still deem plausible (the CI
+    /// upper bound), capped away from the `1/2` singularity — and the
+    /// budget the second attempt may still spend.
     fn escalation(&self, m: &Meters) -> Option<(f64, Option<u64>)> {
-        if m.failed.is_some() || m.killed || m.exceeded {
+        if self.cfg.adapt != Some(AdaptPolicy::Escalate)
+            || m.failed.is_some()
+            || m.killed
+            || m.exceeded
+            || m.starved.is_some()
+        {
             return None;
         }
-        let scale = self.escalation_scale(&m.estimate)?;
+        let est = self.misspecified(&m.estimate)?;
+        let scale = noise_scale_for(est.p_hi.min(ADAPT_RATE_CAP));
         let remaining = self.cfg.budget.map(|b| b.saturating_sub(m.queries));
         Some((scale, remaining))
     }
@@ -1648,14 +1341,16 @@ impl Session {
         ctx: RunCtx,
         partial: Option<PartialOutcome>,
         adaptations: u32,
-        guard: bool,
     ) -> Result<Outcome, NcoError> {
         // Failure precedence: a fault that outlived the retry policy
         // trumps the kill flag (the oracle was broken, not merely slow),
-        // a kill trumps the budget flag (whichever fired first, the
-        // kill is what stopped the run from recovering), and both trump
-        // the misspecification guard (a killed run's estimate is
-        // incidental; its real failure is the kill).
+        // a kill trumps the budget flags (whichever fired first, the
+        // kill is what stopped the run from recovering), the pooled
+        // budget trumps the request's own, and all of them trump the
+        // misspecification guard (a killed run's estimate is
+        // incidental; its real failure is the kill). The guard never
+        // fires on an adapted run: the escalated re-run already
+        // answered the misspecification.
         if let Some(attempts) = m.failed {
             return Err(NcoError::OracleFailed {
                 queries_spent: m.queries,
@@ -1687,6 +1382,13 @@ impl Session {
                 partial,
             });
         }
+        if let Some(pool_cap) = m.starved {
+            return Err(NcoError::BudgetExceeded {
+                budget: pool_cap,
+                report: Box::new(report),
+                partial,
+            });
+        }
         if m.exceeded {
             return Err(NcoError::BudgetExceeded {
                 budget: self.cfg.budget.expect("exceeded implies a budget"),
@@ -1694,7 +1396,7 @@ impl Session {
                 partial,
             });
         }
-        if guard {
+        if adaptations == 0 {
             if let Some(est) = self.misspecified(&m.estimate) {
                 return Err(NcoError::NoiseMisspecified {
                     assumed: self.assumed_rate().expect("trigger implies an assumption"),
@@ -1717,23 +1419,26 @@ fn scale_rounds(rounds: usize, scale: f64) -> usize {
     ((rounds as f64 * scale).ceil() as usize).max(rounds)
 }
 
-/// End-of-run meter readings from the per-run oracle chain, gathered by
-/// the drive paths and folded into a [`RunReport`] (or a typed failure)
-/// by [`Session::finish`].
-struct Meters {
-    queries: u64,
-    rounds: u64,
-    exceeded: bool,
-    killed: bool,
+/// End-of-run meter readings from one attempt's oracle chain, gathered by
+/// [`Session::run_chain`] (or the serving plane's attempt) and folded
+/// into a [`RunReport`] or a typed failure.
+pub(crate) struct Meters {
+    pub(crate) queries: u64,
+    pub(crate) rounds: u64,
+    pub(crate) exceeded: bool,
+    pub(crate) killed: bool,
+    /// `Some(pool cap)` once the serving plane's pooled budget refused
+    /// the request a round.
+    pub(crate) starved: Option<u64>,
     /// `Some(attempt bound)` when a fault outlived the retry policy.
-    failed: Option<u32>,
-    memo_hits: Option<u64>,
+    pub(crate) failed: Option<u32>,
+    pub(crate) memo_hits: Option<u64>,
     /// The probe plane's flip-rate estimate, when probing completed at
     /// least one triangle.
-    estimate: Option<NoiseEstimate>,
+    pub(crate) estimate: Option<NoiseEstimate>,
     /// Billed probe queries (`Some` iff probing was enabled).
-    probes: Option<u64>,
-    merge_plane: Option<MergePlaneStats>,
+    pub(crate) probes: Option<u64>,
+    pub(crate) merge_plane: Option<MergePlaneStats>,
 }
 
 impl Meters {
@@ -1741,12 +1446,13 @@ impl Meters {
     /// attempt's: spend accumulates, state (kill/budget/fault flags,
     /// merge plane) comes from the attempt that produced the answer,
     /// and the estimate prefers the re-run's fresher probes.
-    fn accumulated(first: Meters, second: Meters) -> Meters {
+    pub(crate) fn accumulated(first: Meters, second: Meters) -> Meters {
         Meters {
             queries: first.queries + second.queries,
             rounds: first.rounds + second.rounds,
             exceeded: second.exceeded,
             killed: second.killed,
+            starved: second.starved,
             failed: second.failed,
             memo_hits: match (first.memo_hits, second.memo_hits) {
                 (Some(a), Some(b)) => Some(a + b),
@@ -1759,6 +1465,271 @@ impl Meters {
             },
             merge_plane: second.merge_plane,
         }
+    }
+}
+
+/// One attempt's answer, meters and clean-progress partial.
+pub(crate) type AttemptResult = Result<(Answer, Meters, Option<PartialOutcome>), NcoError>;
+
+/// The per-run chain above the metered oracle `I`: the probe plane
+/// outermost, then retry.
+type Chain<I> = ProbeOracle<Retrying<I>>;
+
+/// The metered raw oracle: faults injected right on the raw oracle, the
+/// budget/deadline meter above them.
+type Metered<O> = Budgeted<FaultyOracle<O>>;
+
+/// The engines a chain of query shape `Q` drives: value tasks over
+/// comparison chains, metric tasks over quadruplet chains. It lets one
+/// shape-generic attempt — here and in the serving plane — hand its
+/// chain to the right engines.
+pub(crate) trait Engines<Q> {
+    fn run_task(
+        &mut self,
+        session: &Session,
+        task: Task,
+        scale: f64,
+        plane: &mut Option<MergePlaneStats>,
+        partial: &mut Option<PartialOutcome>,
+    ) -> Result<Answer, NcoError>;
+}
+
+impl<C: ComparisonOracle> Engines<(usize, usize)> for C {
+    fn run_task(
+        &mut self,
+        session: &Session,
+        task: Task,
+        scale: f64,
+        _: &mut Option<MergePlaneStats>,
+        partial: &mut Option<PartialOutcome>,
+    ) -> Result<Answer, NcoError> {
+        let items: Vec<usize> = (0..self.n()).collect();
+        let mut rng = StdRng::seed_from_u64(session.cfg.seed);
+        let mut cmp = ValueCmp::new(self);
+        match task {
+            Task::Max => {
+                let mut leader = None;
+                let best = if session.cfg.noise.is_statistical() {
+                    max_prob_with_progress(
+                        &items,
+                        &session.prob_params(scale),
+                        &mut cmp,
+                        &mut rng,
+                        &mut leader,
+                    )
+                } else {
+                    max_adv_with_progress(
+                        &items,
+                        &session.adv_params(scale),
+                        &mut cmp,
+                        &mut rng,
+                        &mut leader,
+                    )
+                };
+                *partial = Some(PartialOutcome::Leader { candidate: leader });
+                best.map(Answer::Item)
+                    .ok_or_else(|| NcoError::empty("no values"))
+            }
+            Task::TopK { k } => {
+                let mut clean = 0;
+                let top = if session.cfg.noise.is_statistical() {
+                    top_k_prob_with_progress(
+                        &items,
+                        k,
+                        &session.prob_params(scale),
+                        &mut cmp,
+                        &mut rng,
+                        &mut clean,
+                    )
+                } else {
+                    top_k_adv_with_progress(
+                        &items,
+                        k,
+                        &session.adv_params(scale),
+                        &mut cmp,
+                        &mut rng,
+                        &mut clean,
+                    )
+                };
+                *partial = Some(PartialOutcome::TopPrefix {
+                    items: top[..clean].to_vec(),
+                    requested: k,
+                });
+                Ok(Answer::Items(top))
+            }
+            Task::Sort => {
+                let mut clean = 0;
+                let order = if session.cfg.noise.is_statistical() {
+                    sort_prob_with_progress(
+                        &items,
+                        &session.order_prob_params(scale),
+                        &mut cmp,
+                        &mut clean,
+                    )
+                } else {
+                    sort_adv_with_progress(
+                        &items,
+                        &session.order_adv_params(scale),
+                        &mut cmp,
+                        &mut clean,
+                    )
+                };
+                *partial = Some(PartialOutcome::SortedPrefix {
+                    items: order[..clean].to_vec(),
+                    n: order.len(),
+                });
+                Ok(Answer::Ranking(order))
+            }
+            // Select and Partition share the narrowing engine: a select
+            // is a partition whose boundary item is the answer, so both
+            // run the same queries and carry the same partial.
+            Task::Select { k } | Task::Partition { k } => {
+                let mut clean = 0;
+                let mut candidate = None;
+                let split = if session.cfg.noise.is_statistical() {
+                    partition_prob_with_progress(
+                        &items,
+                        k,
+                        &session.order_prob_params(scale),
+                        &mut cmp,
+                        &mut rng,
+                        &mut clean,
+                        &mut candidate,
+                    )
+                } else {
+                    partition_adv_with_progress(
+                        &items,
+                        k,
+                        &session.order_adv_params(scale),
+                        &mut cmp,
+                        &mut rng,
+                        &mut clean,
+                        &mut candidate,
+                    )
+                };
+                *partial = Some(PartialOutcome::PivotCandidate {
+                    candidate,
+                    confirmed: split.top[..clean].to_vec(),
+                    requested: k,
+                });
+                match task {
+                    Task::Select { .. } => Ok(Answer::Item(split.top[k - 1])),
+                    _ => Ok(Answer::Partition {
+                        top: split.top,
+                        rest: split.rest,
+                    }),
+                }
+            }
+            // validate() routed metric tasks away from value sessions.
+            _ => Err(NcoError::invalid("not a value task")),
+        }
+    }
+}
+
+impl<C: QuadrupletOracle + PersistentNoise> Engines<[usize; 4]> for C {
+    fn run_task(
+        &mut self,
+        session: &Session,
+        task: Task,
+        scale: f64,
+        plane: &mut Option<MergePlaneStats>,
+        partial: &mut Option<PartialOutcome>,
+    ) -> Result<Answer, NcoError> {
+        let n = self.n();
+        let mut rng = StdRng::seed_from_u64(session.cfg.seed);
+        let statistical = session.cfg.noise.is_statistical();
+        match task {
+            Task::Farthest { q } => {
+                // No partial: a single-winner search over one candidate
+                // set has no meaningful intermediate commitment.
+                let far = if statistical {
+                    farthest_prob(
+                        self,
+                        q,
+                        session.delta_eff(),
+                        &session.adv_params(scale),
+                        &mut rng,
+                    )
+                } else {
+                    farthest_adv(self, q, &session.adv_params(scale), &mut rng)
+                };
+                far.map(Answer::Item)
+                    .ok_or_else(|| NcoError::empty("no candidates"))
+            }
+            Task::Nearest { q } => {
+                let near = if statistical {
+                    nearest_prob(
+                        self,
+                        q,
+                        session.delta_eff(),
+                        &session.adv_params(scale),
+                        &mut rng,
+                    )
+                } else {
+                    nearest_adv(self, q, &session.adv_params(scale), &mut rng)
+                };
+                near.map(Answer::Item)
+                    .ok_or_else(|| NcoError::empty("no candidates"))
+            }
+            Task::KCenter { k } => {
+                let mut clean = 0;
+                let clustering = if statistical {
+                    kcenter_prob_with_progress(
+                        &session.kcenter_prob_params(k, n, scale),
+                        self,
+                        &mut rng,
+                        &mut clean,
+                    )
+                } else {
+                    kcenter_adv_with_progress(
+                        &session.kcenter_adv_params(k, scale),
+                        self,
+                        &mut rng,
+                        &mut clean,
+                    )
+                };
+                *partial = Some(PartialOutcome::Committee {
+                    centers: clustering.centers[..clean].to_vec(),
+                    requested: k,
+                });
+                Ok(Answer::Clustering(clustering))
+            }
+            Task::Hierarchy { linkage } => {
+                let (dend, stats) =
+                    hier_oracle_stats(&session.hier_params(linkage, scale), self, &mut rng);
+                *partial = Some(PartialOutcome::DendrogramPrefix {
+                    n,
+                    merges: dend.merges[..stats.clean_merges as usize].to_vec(),
+                    expected: n.saturating_sub(1),
+                });
+                *plane = Some(stats);
+                Ok(Answer::Dendrogram(dend))
+            }
+            // validate() routed value tasks away from metric sessions.
+            _ => Err(NcoError::invalid("not a metric task")),
+        }
+    }
+}
+
+/// What sits below retry in an attempt's chain: the budget meter, behind
+/// the answer memo when the memo is on.
+trait BelowRetry {
+    type Raw;
+    /// The budget meter, and the memo's hit tally when the memo is on.
+    fn meters(&self) -> (&Budgeted<Self::Raw>, Option<u64>);
+}
+
+impl<O> BelowRetry for Budgeted<O> {
+    type Raw = O;
+    fn meters(&self) -> (&Self, Option<u64>) {
+        (self, None)
+    }
+}
+
+impl<O: PersistentNoise> BelowRetry for MemoOracle<Budgeted<O>> {
+    type Raw = O;
+    fn meters(&self) -> (&Budgeted<O>, Option<u64>) {
+        (self.inner(), Some(self.hits()))
     }
 }
 
