@@ -16,7 +16,7 @@
 //! | `slink_crowd_n512` | single-linkage SLINK under the 3-worker crowd oracle, **scalar loop vs `le_batch` committee rounds** (PR 5) |
 //! | `kcenter_n1024` | Algorithm 6 greedy 32-center over 1024 128-d points, adversarial `mu = 0.2` |
 //! | `session_kcenter_n1024` | the same greedy 32-center routed through the facade's `Session` front door (zero-overhead check; 7 interleaved direct/Session pairs, medians plus the per-pair ratio spread) |
-//! | `serve_mixed_n512` | a sustained mixed request stream, **sequential solo sessions vs the concurrent serving plane** (PR 6): shared-memo backend + cross-request round coalescing |
+//! | `serve_mixed_n512` | a sustained mixed request stream, **sequential solo sessions vs the concurrent serving plane** (PR 6): shared-memo backend |
 //! | `serve_faulty_n512` | the serving plane under a seeded fault storm (PR 7): **fault-free serving vs injected faults masked by bounded retry** — answers must stay bit-identical, the overhead of masking is the measurement |
 //! | `adaptive_noise_n512` | the adaptive noise plane under a misspecified rate (PR 8): **silently fixed-rate sessions vs probe + `AdaptPolicy::Escalate`** — the probing/adaptation overhead is the measurement, misspecification detection and probe-off bit-identity are the acceptance checks |
 //! | `sort_n1024` | full noisy sort (skeleton insertion + polish) over 1024 hidden values, persistent `p = 0.2` (PR 9): **scalar comparator loop vs `le_batch` rounds** — bit-identical outputs and query counts, the round coalescing is the measurement |
@@ -41,7 +41,7 @@
 //! ```
 //!
 //! `--smoke` shrinks every workload (~16x fewer queries) for CI;
-//! `--out` defaults to `BENCH_PR14.json` in the current directory;
+//! `--out` defaults to `BENCH_PR15.json` in the current directory;
 //! `--check-baseline` compares this run's query counts against a
 //! committed baseline JSON and exits non-zero on any regression
 //! (count > baseline) — the CI guard for the pinned workloads.
@@ -685,16 +685,13 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
     let queries: u64 = solo.iter().map(|o| o.report.queries).sum();
 
     // Optimized: the same stream submitted up front to the serving
-    // plane — a worker pool over one memoised backend, concurrent
-    // rounds coalesced into shared batches. Per-request answers and
-    // bills stay bit-identical to the solo runs (checked below); the
-    // backend answers every cross-request repeat from the shared memo.
-    // Worker pool scaled to the host (like every fan-out workload): on a
-    // single-core host one worker drains the stream and the win is the
-    // shared backend memo alone; with real cores the pool overlaps
-    // requests. The coalescer can merge concurrent rounds only with 3 or
-    // more workers, so on hosts with fewer than 3 cores
-    // `coalesced_rounds` stays 0.
+    // plane — a worker pool over one memoised backend. Per-request
+    // answers and bills stay bit-identical to the solo runs (checked
+    // below); the backend answers every cross-request repeat from the
+    // shared memo. Worker pool scaled to the host (like every fan-out
+    // workload): on a single-core host one worker drains the stream and
+    // the win is the shared backend memo alone; with real cores the pool
+    // overlaps requests.
     let workers = host_logical_cores().min(4);
     let start = Instant::now();
     let template = Session::builder()
@@ -743,7 +740,7 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
         queries,
         threads: workers,
         optimization: if workers > 1 {
-            "concurrent serving plane: worker pool + shared-memo backend + coalesced rounds"
+            "concurrent serving plane: worker pool + shared-memo backend"
         } else {
             "serving plane on one worker: shared-memo backend (pool overlap needs >1 core)"
         },
@@ -755,7 +752,7 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
         detail: Some(format!(
             "solo_p50_ms={:.3} solo_p99_ms={:.3} served_p50_ms={:.3} served_p99_ms={:.3} \
              queries_per_request_solo={:.1} queries_per_request_backend={:.1} \
-             backend_memo_hits={} coalesced_rounds={}",
+             backend_memo_hits={}",
             pct(&base_walls, 0.50),
             pct(&base_walls, 0.99),
             pct(&serve_walls, 0.50),
@@ -763,7 +760,6 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
             per_request(queries),
             per_request(stats.backend_queries),
             stats.memo_hits,
-            stats.coalesced_rounds,
         )),
     }
 }
@@ -1128,7 +1124,7 @@ fn write_json(path: &str, mode: &str, reports: &[WorkloadReport]) -> std::io::Re
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"nco-perfsuite/v4\",\n");
-    s.push_str("  \"pr\": \"PR14\",\n");
+    s.push_str("  \"pr\": \"PR15\",\n");
     s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     s.push_str(&format!(
         "  \"host_logical_cores\": {},\n",
@@ -1247,7 +1243,7 @@ fn check_baseline(path: &str, reports: &[WorkloadReport]) -> Result<(), String> 
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_PR14.json");
+    let mut out_path = String::from("BENCH_PR15.json");
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -502,9 +502,9 @@ impl MinContest {
         // sibling of the level-batched brackets in
         // `super::tournament::{tournament, tournament_partition}` (their
         // winner orientation is reversed: there `le == true` promotes the
-        // second item, here the first) — a fix to the pairing, odd-tail
-        // or answer-cursor logic in any of the three must visit the
-        // others.
+        // second item, here the first) and of `super::scaffold`'s
+        // `sweep_row` — a fix to the pairing, odd-tail or answer-cursor
+        // logic in any of the four must visit the others.
         let mut replays: Vec<(usize, usize, Vec<usize>)> = Vec::new();
         for r in 0..self.rounds {
             for b in 0..self.buckets_per_round {

@@ -43,8 +43,9 @@ pub fn tournament<I: Copy, C: Comparator<I>, R: Rng + ?Sized>(
         // the same left-to-right order as the scalar loop (bit-identical
         // answers and billing), but with the memory latency of the
         // lookups overlapped instead of serialised duel by duel.
-        // NOTE: `tournament_partition` below and `MinContest`'s bucket
-        // replay (min orientation) carry siblings of this loop over
+        // NOTE: `tournament_partition` below, `MinContest`'s bucket
+        // replay (min orientation) and `scaffold::sweep_row` (min
+        // orientation, tombstone byes) carry siblings of this loop over
         // different storage — fixes here must visit them too.
         let mut pairs: Vec<(I, I)> = Vec::with_capacity(round.len() / 2);
         let mut answers: Vec<bool> = Vec::with_capacity(round.len() / 2);

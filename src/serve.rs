@@ -3,15 +3,9 @@
 //! A [`Server`] is an async-style front door over an immutable
 //! [`crate::Engine`]: callers [`submit`](Server::submit) typed
 //! [`Request`]s and get [`TaskHandle`]s back; a small worker pool drains
-//! the queue. Three mechanisms make concurrent serving cheaper than
+//! the queue. Two mechanisms make concurrent serving cheaper than
 //! running the same requests one by one:
 //!
-//! * **Cross-request batching** — every worker routes its oracle rounds
-//!   through a group-commit [`Coalescer`]: rounds from *different*
-//!   concurrent requests that wait behind a busy round leader are
-//!   combined into one `le_batch` call against the shared backend. A
-//!   merge needs at least three requests with rounds in flight — with
-//!   two workers the coalescer never merges (see [`Coalescer`]).
 //! * **A shared exact answer memo** — the backend is a
 //!   [`MemoOracle`] over the session's (persistent) noise model, so a
 //!   query any request has asked before is answered for free, across
@@ -33,11 +27,10 @@
 //! affected requests typed with [`NcoError::OracleFailed`]. Each worker
 //! runs its request under `catch_unwind`: a panicking request returns
 //! [`NcoError::Panicked`] to its submitter while the worker rejoins the
-//! pool, the coalescer aborts and re-runs any round whose leader died,
-//! and every shared lock recovers from poisoning. Per-request deadlines
-//! ([`crate::SessionBuilder::deadline`] on the template) kill overdue
-//! requests with [`NcoError::DeadlineExceeded`], partial accounting
-//! preserved.
+//! pool, and every shared lock recovers from poisoning. Per-request
+//! deadlines ([`crate::SessionBuilder::deadline`] on the template) kill
+//! overdue requests with [`NcoError::DeadlineExceeded`], partial
+//! accounting preserved.
 //!
 //! The plane inherits the session layer's adaptive noise surface: when
 //! the template enables [`crate::SessionBuilder::probe_noise`], every
@@ -74,7 +67,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -152,144 +145,6 @@ impl<Q: Copy> Oracle<Q> for Boxed<Q> {
 impl<Q> PersistentNoise for Boxed<Q> {}
 
 // ---------------------------------------------------------------------
-// The group-commit round coalescer.
-// ---------------------------------------------------------------------
-
-/// Combines oracle rounds submitted by concurrent requests into shared
-/// backend `le_batch` calls (group commit): the first submitter becomes
-/// the round leader and drains *every* pending submission — including
-/// those that arrive while it is executing — until the queue is empty;
-/// followers just wait for their slice of the answers.
-///
-/// A leader's first batch is only its own submission, and while it
-/// drains, its own request stays blocked in the drain loop. So with two
-/// submitters every later batch holds at most the other one's single
-/// round, and no round is ever merged: merging needs two followers
-/// pending behind a busy leader, i.e. at least three workers. The unit
-/// tests below pin both facts.
-///
-/// Correctness does not depend on which submissions share a backend
-/// round: the backend is an exact memo over persistent noise, so answers
-/// are a pure function of the query, and the backend's *query* tally
-/// (first occurrence of each distinct query) is the same for every
-/// possible grouping.
-struct Coalescer<Q> {
-    state: Mutex<CoalState<Q>>,
-    /// Backend rounds executed.
-    rounds: AtomicU64,
-    /// Backend rounds that combined two or more submissions.
-    coalesced: AtomicU64,
-}
-
-/// Sent to every waiter of a round whose leader panicked mid-execution:
-/// the round never produced answers and must be resubmitted.
-struct RoundAborted;
-
-/// A waiter's reply channel: its slice of the round's answers, or the
-/// abort marker telling it to resubmit.
-type RoundReply = Sender<Result<Vec<bool>, RoundAborted>>;
-
-struct CoalState<Q> {
-    pending: Vec<(Vec<Q>, RoundReply)>,
-    leader: bool,
-}
-
-/// How many aborted rounds a follower re-submits before giving up. Fault
-/// plans panic at most once per configured attempt, so in practice a
-/// single retry succeeds; the bound only guards against a backend that
-/// panics unconditionally.
-const MAX_ABORTED_ROUNDS: u32 = 32;
-
-impl<Q: Copy> Coalescer<Q> {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(CoalState {
-                pending: Vec::new(),
-                leader: false,
-            }),
-            rounds: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
-    }
-
-    /// Submits one round; blocks until a leader (possibly this caller)
-    /// has executed it against the backend via `exec`. If the leader
-    /// panics inside `exec`, every waiter of the aborted round is woken
-    /// and resubmits (bounded); the panic propagates out of the leader's
-    /// own call only, so exactly the request that hit the panic dies.
-    fn submit(&self, queries: &[Q], exec: &dyn Fn(&[Q], &mut Vec<bool>)) -> Vec<bool> {
-        for _ in 0..MAX_ABORTED_ROUNDS {
-            match self.submit_once(queries, exec) {
-                Ok(answers) => return answers,
-                Err(RoundAborted) => continue,
-            }
-        }
-        panic!("coalesced round aborted {MAX_ABORTED_ROUNDS} times in a row");
-    }
-
-    fn submit_once(
-        &self,
-        queries: &[Q],
-        exec: &dyn Fn(&[Q], &mut Vec<bool>),
-    ) -> Result<Vec<bool>, RoundAborted> {
-        let (tx, rx) = mpsc::channel();
-        let mut st = relock(&self.state);
-        st.pending.push((queries.to_vec(), tx));
-        if !st.leader {
-            st.leader = true;
-            while !st.pending.is_empty() {
-                let batch = std::mem::take(&mut st.pending);
-                drop(st);
-                let total = batch.iter().map(|(q, _)| q.len()).sum();
-                let mut combined = Vec::with_capacity(total);
-                for (q, _) in &batch {
-                    combined.extend_from_slice(q);
-                }
-                let mut answers = Vec::with_capacity(total);
-                if let Err(payload) =
-                    catch_unwind(AssertUnwindSafe(|| exec(&combined, &mut answers)))
-                {
-                    // The leader dies with its own request, but first it
-                    // aborts the round cleanly: every waiter — batch and
-                    // later arrivals alike — is told to resubmit, and
-                    // leadership is released so one of them (or a fresh
-                    // submitter) can take over. Nobody is left waiting
-                    // on a leader that no longer exists.
-                    let mut st = relock(&self.state);
-                    for (_, reply) in batch {
-                        let _ = reply.send(Err(RoundAborted));
-                    }
-                    for (_, reply) in st.pending.drain(..) {
-                        let _ = reply.send(Err(RoundAborted));
-                    }
-                    st.leader = false;
-                    drop(st);
-                    resume_unwind(payload);
-                }
-                self.rounds.fetch_add(1, Ordering::Relaxed);
-                if batch.len() > 1 {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut offset = 0;
-                for (q, reply) in batch {
-                    let slice = answers[offset..offset + q.len()].to_vec();
-                    offset += q.len();
-                    // A follower that gave up (channel dropped) is fine.
-                    let _ = reply.send(Ok(slice));
-                }
-                st = relock(&self.state);
-            }
-            // Leadership is released under the lock with the queue empty,
-            // so every submission either saw `leader == true` and has a
-            // leader committed to draining it, or becomes the next leader.
-            st.leader = false;
-        }
-        drop(st);
-        rx.recv().unwrap_or(Err(RoundAborted))
-    }
-}
-
-// ---------------------------------------------------------------------
 // The per-query-shape plane and its per-request adapter.
 // ---------------------------------------------------------------------
 
@@ -301,11 +156,11 @@ impl<Q: Copy> Coalescer<Q> {
 type Backend<Q> = MemoOracle<Retrying<Counting<FaultyOracle<Boxed<Q>>>>>;
 
 /// The shared half of the serving plane for query shape `Q`: the
-/// memoised backend, the coalescer in front of it, and the pooled
-/// budget.
+/// memoised backend and the pooled budget.
 struct Plane<Q> {
     backend: Mutex<Backend<Q>>,
-    coalescer: Coalescer<Q>,
+    /// Admitted non-empty batched rounds sent to the backend.
+    rounds: AtomicU64,
     pool: BudgetPool,
 }
 
@@ -318,16 +173,16 @@ impl<Q: Copy> Plane<Q> {
         let chain = Retrying::new(Counting::new(FaultyOracle::new(Boxed(raw), plan)), policy);
         Self {
             backend: Mutex::new(MemoOracle::new(chain)),
-            coalescer: Coalescer::new(),
+            rounds: AtomicU64::new(0),
             pool: BudgetPool::new(pool_budget),
         }
     }
 }
 
-/// The view one request has of the shared plane: rounds go
-/// pool-admission → coalescer → shared memoised backend. Wrapped in a
-/// per-request [`Budgeted`] by the worker, so the request's own meters
-/// tick exactly as in a solo run.
+/// The view one request has of the shared plane: rounds go pool
+/// admission → shared memoised backend. Wrapped in a per-request
+/// [`Budgeted`] by the worker, so the request's own meters tick exactly
+/// as in a solo run.
 struct Served<'p, Q> {
     n: usize,
     plane: &'p Plane<Q>,
@@ -337,7 +192,7 @@ struct Served<'p, Q> {
     starved: bool,
 }
 
-impl<Q: Copy + Send> Oracle<Q> for Served<'_, Q>
+impl<Q: Copy> Oracle<Q> for Served<'_, Q>
 where
     Backend<Q>: Oracle<Q>,
 {
@@ -350,7 +205,6 @@ where
             self.starved = true;
             return OVER_BUDGET_ANSWER;
         }
-        // Scalar queries skip the coalescer: nothing to combine with.
         relock(&self.plane.backend).ask(q)
     }
 
@@ -363,11 +217,8 @@ where
             out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
             return;
         }
-        let backend = &self.plane.backend;
-        let answers = self.plane.coalescer.submit(queries, &|qs, res| {
-            relock(backend).ask_round(qs, res);
-        });
-        out.extend(answers);
+        relock(&self.plane.backend).ask_round(queries, out);
+        self.plane.rounds.fetch_add(1, Ordering::Relaxed);
     }
 
     fn is_doomed(&self) -> bool {
@@ -389,10 +240,10 @@ impl<Q> PersistentNoise for Served<'_, Q> {}
 /// engine serves.
 trait ServingPlane: Send + Sync {
     /// Runs one engine attempt for `task` over a fresh per-request oracle
-    /// chain: served backend view (pool admission → coalescer → shared
-    /// memoised backend) → per-request [`Budgeted`] (budget, deadline
-    /// and cancel, measured from `start`) → outermost [`ProbeOracle`]
-    /// injecting the session's per-seed probe plan into the live stream.
+    /// chain: served backend view (pool admission → shared memoised
+    /// backend) → per-request [`Budgeted`] (budget, deadline and cancel,
+    /// measured from `start`) → outermost [`ProbeOracle`] injecting the
+    /// session's per-seed probe plan into the live stream.
     /// Probes are billed like every other query — through the request's
     /// budget, the pool, and the shared backend alike.
     fn attempt(
@@ -409,8 +260,8 @@ trait ServingPlane: Send + Sync {
     fn failed(&self) -> Option<u32>;
 
     /// `[backend queries, memo hits, retries, faults masked, backend
-    /// rounds, coalesced rounds, pool spent, pool cap]`.
-    fn counters(&self) -> [u64; 8];
+    /// rounds, pool spent, pool cap]`.
+    fn counters(&self) -> [u64; 7];
 }
 
 impl<Q: Copy + Send + 'static> ServingPlane for Plane<Q>
@@ -469,15 +320,14 @@ where
         relock(&self.backend).inner().failed()
     }
 
-    fn counters(&self) -> [u64; 8] {
+    fn counters(&self) -> [u64; 7] {
         let b = relock(&self.backend);
         [
             b.inner().inner().queries(),
             b.hits(),
             b.inner().retries(),
             b.inner().faults_masked(),
-            self.coalescer.rounds.load(Ordering::Relaxed),
-            self.coalescer.coalesced.load(Ordering::Relaxed),
+            self.rounds.load(Ordering::Relaxed),
             self.pool.spent(),
             self.pool.cap(),
         ]
@@ -635,7 +485,7 @@ impl ServerShared {
     }
 
     fn stats(&self) -> ServeStats {
-        let [backend_queries, memo_hits, retries, faults_masked, backend_rounds, coalesced_rounds, pool_spent, pool_cap] =
+        let [backend_queries, memo_hits, retries, faults_masked, backend_rounds, pool_spent, pool_cap] =
             self.plane.counters();
         ServeStats {
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -644,7 +494,7 @@ impl ServerShared {
             backend_queries,
             memo_hits,
             backend_rounds,
-            coalesced_rounds,
+            coalesced_rounds: 0,
             pool_spent,
             pool_cap,
             retries,
@@ -792,14 +642,14 @@ pub struct ServeStats {
     /// minus first occurrences — interleaving-independent, like
     /// [`Self::backend_queries`]).
     pub memo_hits: u64,
-    /// Backend `le_batch` rounds executed by the coalescer. Unlike the
-    /// query counters this is scheduling-dependent: a drain that merges
-    /// several concurrent rounds executes them as one.
+    /// Batched rounds sent to the shared backend: one per admitted
+    /// non-empty round of any request. Every round goes to the backend
+    /// on its own, so the total is interleaving-independent, like
+    /// [`Self::backend_queries`].
     pub backend_rounds: u64,
-    /// Backend rounds that combined two or more concurrent requests —
-    /// scheduling-dependent like [`Self::backend_rounds`]: it records
-    /// how often concurrent rounds happened to overlap, not a property
-    /// of the request set.
+    /// Always 0: the server sends every round to the backend on its
+    /// own and never merges rounds of different requests. Kept only for
+    /// existing readers.
     pub coalesced_rounds: u64,
     /// Queries reserved from the pooled budget.
     pub pool_spent: u64,
@@ -839,9 +689,9 @@ pub struct ServeStats {
 }
 
 /// The concurrent serving plane over one engine: a worker pool behind
-/// [`Server::submit`], a shared memoised backend, cross-request round
-/// coalescing, and optional pooled admission control — built from a
-/// template [`crate::Session`] via [`Server::builder`].
+/// [`Server::submit`], a shared memoised backend, and optional pooled
+/// admission control — built from a template [`crate::Session`] via
+/// [`Server::builder`].
 pub struct Server {
     shared: Arc<ServerShared>,
     /// The worker pool, behind a mutex so shutdown can be called from
@@ -938,94 +788,5 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.close_and_join();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::time::Duration;
-
-    /// Spins until `ready` holds, failing the test after ten seconds
-    /// instead of hanging it.
-    fn wait_until(ready: impl Fn() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !ready() {
-            assert!(Instant::now() < deadline, "timed out waiting");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    fn parity(qs: &[u32], out: &mut Vec<bool>) {
-        out.extend(qs.iter().map(|q| q % 2 == 0));
-    }
-
-    #[test]
-    fn two_submitters_never_coalesce() {
-        // Every round a leader runs for itself waits until the other
-        // submitter is pending behind it (or done), so the other's rounds
-        // always queue behind a busy leader. Still no batch holds two
-        // rounds: the leader's own request stays blocked in its drain
-        // loop. Queries carry their submitter in the thousands digit.
-        let coalescer = Coalescer::<u32>::new();
-        let done = [AtomicBool::new(false), AtomicBool::new(false)];
-        std::thread::scope(|s| {
-            for t in 0..2u32 {
-                let (coalescer, done) = (&coalescer, &done);
-                s.spawn(move || {
-                    let other = &done[1 - t as usize];
-                    let exec = |qs: &[u32], out: &mut Vec<bool>| {
-                        if qs.iter().all(|q| q / 1000 == t) {
-                            wait_until(|| {
-                                relock(&coalescer.state).pending.len() == 1
-                                    || other.load(Ordering::SeqCst)
-                            });
-                        }
-                        parity(qs, out);
-                    };
-                    for r in 0..50u32 {
-                        let qs = [t * 1000 + r, t * 1000 + r + 1];
-                        let mut want = Vec::new();
-                        parity(&qs, &mut want);
-                        assert_eq!(coalescer.submit(&qs, &exec), want);
-                    }
-                    done[t as usize].store(true, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(coalescer.rounds.load(Ordering::Relaxed), 100);
-        assert_eq!(coalescer.coalesced.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn three_submitters_merge_the_two_followers() {
-        // The leader's first round waits until both followers are pending;
-        // it then drains them as one merged round.
-        let coalescer = Coalescer::<u32>::new();
-        let entered = AtomicBool::new(false);
-        let held = |qs: &[u32], out: &mut Vec<bool>| {
-            if !entered.swap(true, Ordering::SeqCst) {
-                wait_until(|| relock(&coalescer.state).pending.len() == 2);
-            }
-            parity(qs, out);
-        };
-        let follower = |qs: &[u32]| {
-            wait_until(|| entered.load(Ordering::SeqCst));
-            coalescer.submit(qs, &|_: &[u32], _: &mut Vec<bool>| {
-                panic!("a follower never executes while the leader drains")
-            })
-        };
-        std::thread::scope(|s| {
-            let leader = s.spawn(|| coalescer.submit(&[1], &held));
-            let first = s.spawn(|| follower(&[2, 3, 4]));
-            wait_until(|| relock(&coalescer.state).pending.len() == 1);
-            let second = s.spawn(|| follower(&[5, 6]));
-            assert_eq!(leader.join().unwrap(), vec![false]);
-            assert_eq!(first.join().unwrap(), vec![true, false, true]);
-            assert_eq!(second.join().unwrap(), vec![false, true]);
-        });
-        assert_eq!(coalescer.rounds.load(Ordering::Relaxed), 2);
-        assert_eq!(coalescer.coalesced.load(Ordering::Relaxed), 1);
     }
 }

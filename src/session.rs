@@ -634,11 +634,14 @@ impl SessionBuilder {
 
     /// Run [`Task::Hierarchy`] searches over the shared-scaffold search
     /// plane (`HierParams::scaffolded`): one Max-Adv scaffold amortised
-    /// across all initial-pointer and pointer-repair searches — strictly
-    /// fewer queries, identical guarantees, decision-identical to its
-    /// from-scratch reference. Off by default because it changes the
-    /// randomness schedule, so enabling it changes which (equally valid)
-    /// dendrogram a given seed produces. No effect on other tasks.
+    /// across all initial-pointer and pointer-repair searches — identical
+    /// guarantees, decision-identical to its from-scratch reference. Off
+    /// by default because it trades queries for rounds and wall time: on
+    /// the `hierarchy` benchmark workload it asks 12% fewer queries per
+    /// request but issues 12% more rounds, and its median latency is 81%
+    /// higher. It also changes the randomness schedule, so enabling it
+    /// changes which (equally valid) dendrogram a given seed produces. No
+    /// effect on other tasks.
     pub fn scaffold_search(mut self, on: bool) -> Self {
         self.scaffold = on;
         self

@@ -2,14 +2,14 @@
 //!
 //! 1. **Served == solo.** A request through the server returns the same
 //!    answer with the same per-request query/round tallies as a solo
-//!    `Session::run` of the identical task — the shared backend memo and
-//!    cross-request coalescing change *cost distribution*, never
-//!    semantics.
+//!    `Session::run` of the identical task — the shared backend memo
+//!    changes *cost distribution*, never semantics, and the server-level
+//!    tallies do not depend on how requests interleave.
 //! 2. **Pooled admission never over-admits.** `BudgetPool` reservations
 //!    under thread contention are all-or-nothing and their sum never
 //!    exceeds the cap.
 //! 3. **Shedding, not collapse.** Pool exhaustion fails requests typed
-//!    (`BudgetExceeded`) without deadlocking the round coalescer; a full
+//!    (`BudgetExceeded`) without deadlocking the shared backend; a full
 //!    queue rejects with `Overloaded`; shutdown drains what was queued.
 //! 4. **Robust lifecycle.** `shutdown` is idempotent and safe to race
 //!    with concurrent `submit`s and other shutdowns; the pooled budget
@@ -62,60 +62,75 @@ fn served_metric_requests_match_solo_sessions() {
         },
     ];
 
-    let server = Server::builder(metric_template(45))
-        .workers(3)
-        .build()
-        .unwrap();
-    let handles: Vec<_> = requests
+    // Solo reference runs, each on a fresh identical engine.
+    let solo: Vec<_> = requests
         .iter()
-        .map(|&r| server.submit(r).unwrap())
+        .map(|request| {
+            Session::builder()
+                .points(&grid_points(45))
+                .noise(Noise::Probabilistic { p: 0.1, seed: 77 })
+                .cache_distances(true)
+                .seed(request.seed)
+                .build()
+                .unwrap()
+                .run(request.task)
+                .unwrap()
+        })
         .collect();
-    let served: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let stats = server.shutdown();
 
-    // Fresh identical engine for the solo reference runs.
-    let solo_template = metric_template(45);
-    let mut request_query_sum = 0;
-    for (request, outcome) in requests.iter().zip(&served) {
-        let solo = Session::builder()
-            .points(&grid_points(45))
-            .noise(Noise::Probabilistic { p: 0.1, seed: 77 })
-            .cache_distances(true)
-            .seed(request.seed)
+    // One worker serves the requests strictly one after another; three
+    // interleave them. The server-level tallies must not notice.
+    let mut runs = Vec::new();
+    for workers in [1, 3] {
+        let server = Server::builder(metric_template(45))
+            .workers(workers)
             .build()
-            .unwrap()
-            .run(request.task)
             .unwrap();
-        assert_eq!(
-            solo.answer, outcome.answer,
-            "answer differs for {request:?}"
-        );
-        assert_eq!(
-            solo.report.queries, outcome.report.queries,
-            "per-request queries differ for {request:?}"
-        );
-        assert_eq!(
-            solo.report.rounds, outcome.report.rounds,
-            "per-request rounds differ for {request:?}"
-        );
-        request_query_sum += outcome.report.queries;
-    }
-    drop(solo_template);
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|&r| server.submit(r).unwrap())
+            .collect();
+        let served: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let stats = server.shutdown();
 
-    assert_eq!(stats.submitted, requests.len() as u64);
-    assert_eq!(stats.completed, requests.len() as u64);
-    assert_eq!(stats.shed, 0);
-    // The repeated request (and any cross-request overlap) was answered
-    // from the shared memo: the backend issued strictly fewer queries
-    // than the requests billed in total.
-    assert!(
-        stats.backend_queries < request_query_sum,
-        "backend {} vs billed {}",
-        stats.backend_queries,
-        request_query_sum
-    );
-    assert!(stats.memo_hits > 0);
-    assert!(stats.backend_rounds > 0);
+        let mut request_query_sum = 0;
+        for ((request, outcome), solo) in requests.iter().zip(&served).zip(&solo) {
+            assert_eq!(
+                solo.answer, outcome.answer,
+                "answer differs for {request:?} with {workers} workers"
+            );
+            assert_eq!(
+                solo.report.queries, outcome.report.queries,
+                "per-request queries differ for {request:?} with {workers} workers"
+            );
+            assert_eq!(
+                solo.report.rounds, outcome.report.rounds,
+                "per-request rounds differ for {request:?} with {workers} workers"
+            );
+            request_query_sum += outcome.report.queries;
+        }
+
+        assert_eq!(stats.submitted, requests.len() as u64);
+        assert_eq!(stats.completed, requests.len() as u64);
+        assert_eq!(stats.shed, 0);
+        // The repeated request (and any cross-request overlap) was
+        // answered from the shared memo: the backend issued strictly
+        // fewer queries than the requests billed in total.
+        assert!(
+            stats.backend_queries < request_query_sum,
+            "backend {} vs billed {} with {workers} workers",
+            stats.backend_queries,
+            request_query_sum
+        );
+        assert!(stats.memo_hits > 0);
+        assert!(stats.backend_rounds > 0);
+        assert_eq!(stats.coalesced_rounds, 0);
+        runs.push(stats);
+    }
+    let (one, three) = (&runs[0], &runs[1]);
+    assert_eq!(one.backend_queries, three.backend_queries);
+    assert_eq!(one.memo_hits, three.memo_hits);
+    assert_eq!(one.backend_rounds, three.backend_rounds);
 }
 
 #[test]
@@ -271,8 +286,8 @@ fn budget_pool_concurrent_reservations_never_exceed_cap() {
 fn pool_exhaustion_sheds_requests_without_deadlock() {
     // A pool far too small for four hierarchy runs: some requests must
     // fail with the *pool's* BudgetExceeded while the rest complete —
-    // and the coalescer must keep serving the survivors (a starved
-    // request stops submitting rounds instead of blocking one).
+    // and the shared backend must keep serving the survivors (a starved
+    // request stops sending rounds instead of blocking one).
     let template = metric_template(36);
     let server = Server::builder(template)
         .workers(4)
