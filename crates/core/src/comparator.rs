@@ -48,6 +48,12 @@ pub trait Comparator<I: Copy> {
     }
 }
 
+/// Upper bound on one [`Comparator::le_round`] an engine builds from a
+/// long query list (a scoring triangle, a probe wave, a Count-Min pool):
+/// the list is cut into rounds of at most this many pairs, so the round
+/// buffers stay a few cache-resident KiB however large the list is.
+pub(crate) const ROUND_CAP: usize = 4096;
+
 impl<I: Copy, C: Comparator<I> + ?Sized> Comparator<I> for &mut C {
     fn le(&mut self, a: I, b: I) -> bool {
         (**self).le(a, b)

@@ -64,9 +64,7 @@
 use super::graph::ClusterGraph;
 use super::{Dendrogram, Linkage, Merge};
 use crate::comparator::Comparator;
-use crate::maxfind::{
-    max_adv, min_adv_incremental, AdvParams, MinContest, RowScaffold, SweepBuffers,
-};
+use crate::maxfind::{max_adv, AdvParams, MinContest, RowScaffold, SweepBuffers};
 use nco_oracle::{PersistentNoise, QuadrupletOracle};
 use rand::rngs::CounterRng;
 use rand::Rng;
@@ -520,7 +518,7 @@ where
             nn: &nn,
             queries: &mut quads,
         };
-        min_adv_incremental(&mut contest, &mut cmp, true).expect("non-empty actives")
+        contest.sweep(&mut cmp, true).expect("non-empty actives")
     };
     let mut step = 0u64;
     while graph.active().len() > 1 {
@@ -639,7 +637,7 @@ where
                 nn: &nn,
                 queries: &mut quads,
             };
-            min_adv_incremental(&mut contest, &mut cmp, full).expect("non-empty actives")
+            contest.sweep(&mut cmp, full).expect("non-empty actives")
         };
         step += 1;
     }

@@ -16,11 +16,11 @@
 //! (a `(1+mu)^2` loss, Lemma 3.1), giving the `(1+mu)^3` total of
 //! Theorem 3.6 with `O(n log^2(1/delta))` queries.
 
+use super::bracket::{play, Deal, Min, Referee, Round, ABSENT};
 use super::count_max::count_max;
 use super::dedup_keep_order;
 use super::tournament::tournament_partition;
-use crate::comparator::{Comparator, Rev};
-use rand::seq::SliceRandom;
+use crate::comparator::{Comparator, Rev, ROUND_CAP};
 use rand::Rng;
 use std::hash::Hash;
 
@@ -175,16 +175,14 @@ pub struct ContestStats {
     pub pool_duels: u64,
 }
 
-/// Dead/absent marker in the contest's dense id-indexed tables.
-const ABSENT: u32 = u32::MAX;
-
 /// An **incremental** [`min_adv`]: Algorithm 4's two defences turned into a
 /// winner structure that persists across calls, so that when only a few
 /// candidates change key between sweeps, only those candidates are
 /// re-contested against the cached incumbent state.
 ///
 /// The structure mirrors Max-Adv stage by stage, with each source of
-/// per-sweep randomness replaced by a persistent random object:
+/// per-sweep randomness replaced by a persistent random object (the
+/// shared bucket deal of the `bracket` module):
 ///
 /// * **Sparse-band defence** — instead of `t` fresh random partitions per
 ///   sweep, `t` persistent random bucket assignments: every candidate is
@@ -203,7 +201,7 @@ const ABSENT: u32 = u32::MAX;
 /// paper's Section 2.2 property): a cached outcome then equals what
 /// re-asking would return, which makes an incremental sweep
 /// *decision-identical* to a full sweep over the same structure — pass
-/// `full = true` to [`min_adv_incremental`] to force that reference
+/// `full = true` to [`sweep`](Self::sweep) to force that reference
 /// behaviour (everything replayed, everything re-asked).
 ///
 /// Candidates are dense `usize` ids below the `id_bound` given at
@@ -211,18 +209,11 @@ const ABSENT: u32 = u32::MAX;
 /// entire agglomeration).
 #[derive(Debug)]
 pub struct MinContest {
-    rounds: usize,
-    buckets_per_round: usize,
-    sample_target: usize,
-    /// `bucket_of[r][item]` = bucket of `item` in round `r`, or [`ABSENT`].
-    bucket_of: Vec<Vec<u32>>,
-    /// `buckets[r][b]` = member list (insertion order).
-    buckets: Vec<Vec<Vec<usize>>>,
-    /// Cached tournament winner per bucket.
-    bucket_winner: Vec<Vec<Option<usize>>>,
-    bucket_dirty: Vec<Vec<bool>>,
-    /// Persistent sample (a multiset of live candidates).
-    sample: Vec<usize>,
+    /// Bucket deals and sample; members leave their buckets on removal.
+    deal: Deal,
+    /// Cached tournament winner per flat bucket.
+    bucket_winner: Vec<Option<usize>>,
+    bucket_dirty: Vec<bool>,
     /// Distinct contestants of the final Count-Min, insertion order.
     pool: Vec<usize>,
     /// `score[slot]` = pairs won by `pool[slot]` under the min orientation.
@@ -244,10 +235,10 @@ pub struct MinContest {
     /// state costs `O(|pending| * pool)` instead of `O(pool^2)`.
     pending: Vec<usize>,
     pending_flag: Vec<bool>,
-    // Reusable round buffers.
-    round_pairs: Vec<(usize, usize)>,
-    round_answers: Vec<bool>,
-    asked: Vec<(usize, usize)>,
+    // Reusable sweep buffers: the replayed brackets, then the pool pairs.
+    arena: Vec<usize>,
+    ranges: Vec<(usize, usize)>,
+    round: Round<usize>,
     queued: std::collections::HashSet<u64, nco_metric::hashing::MixBuildHasher>,
     stats: ContestStats,
 }
@@ -256,8 +247,8 @@ impl MinContest {
     /// Builds the structure over the initial `items`, resolving `(t, l, s)`
     /// from `params` exactly like [`max_adv`] does for `items.len()`
     /// candidates. Draws the `t` bucket deals and the initial sample from
-    /// `rng`; issues no queries (the first [`min_adv_incremental`] call
-    /// plays the tournaments and the Count-Min).
+    /// `rng`; issues no queries (the first [`sweep`](Self::sweep) plays
+    /// the tournaments and the Count-Min).
     ///
     /// # Panics
     /// Panics if `items` is empty, an item is not below `id_bound`, or
@@ -269,21 +260,12 @@ impl MinContest {
         rng: &mut R,
     ) -> Self {
         assert!(!items.is_empty(), "contest needs at least one candidate");
-        assert!(
-            id_bound < u32::MAX as usize,
-            "id_bound must fit the u32 tables"
-        );
-        assert!(items.iter().all(|&it| it < id_bound), "item out of bounds");
-        let (t, l, s) = params.resolve(items.len());
+        let deal = Deal::new(items, id_bound, params, rng);
+        let total = deal.buckets.len();
         let mut contest = Self {
-            rounds: t,
-            buckets_per_round: l,
-            sample_target: s,
-            bucket_of: vec![vec![ABSENT; id_bound]; t],
-            buckets: vec![vec![Vec::new(); l]; t],
-            bucket_winner: vec![vec![None; l]; t],
-            bucket_dirty: vec![vec![true; l]; t],
-            sample: Vec::with_capacity(s),
+            deal,
+            bucket_winner: vec![None; total],
+            bucket_dirty: vec![true; total],
             pool: Vec::new(),
             score: Vec::new(),
             pool_slot: vec![ABSENT; id_bound],
@@ -293,30 +275,12 @@ impl MinContest {
             outcomes: std::collections::HashMap::with_hasher(Default::default()),
             pending: Vec::new(),
             pending_flag: vec![false; id_bound],
-            round_pairs: Vec::new(),
-            round_answers: Vec::new(),
-            asked: Vec::new(),
+            arena: Vec::new(),
+            ranges: Vec::new(),
+            round: Round::default(),
             queued: std::collections::HashSet::with_hasher(Default::default()),
             stats: ContestStats::default(),
         };
-        // One random deal per round: shuffle, then chunk into l near-equal
-        // parts — the same partition shape as `tournament_partition`.
-        let mut deal: Vec<usize> = items.to_vec();
-        for r in 0..t {
-            deal.copy_from_slice(items);
-            deal.shuffle(rng);
-            let base = deal.len() / l;
-            let extra = deal.len() % l;
-            let mut start = 0;
-            for b in 0..l {
-                let size = base + usize::from(b < extra);
-                for &it in &deal[start..start + size] {
-                    contest.bucket_of[r][it] = b as u32;
-                    contest.buckets[r][b].push(it);
-                }
-                start += size;
-            }
-        }
         contest.resample(items, rng);
         contest
     }
@@ -332,35 +296,24 @@ impl MinContest {
     /// # Panics
     /// Panics if the item is out of bounds or already present.
     pub fn insert<R: Rng + ?Sized>(&mut self, item: usize, rng: &mut R) {
-        assert!(item < self.refs.len(), "item out of bounds");
-        assert!(self.bucket_of[0][item] == ABSENT, "item already present");
-        for r in 0..self.rounds {
-            let b = rng.random_range(0..self.buckets_per_round);
-            self.bucket_of[r][item] = b as u32;
-            self.buckets[r][b].push(item);
-            self.bucket_dirty[r][b] = true;
+        self.deal.insert(item, rng);
+        for rb in self.deal.buckets_of(item) {
+            self.bucket_dirty[rb] = true;
         }
     }
 
     /// Removes a dead candidate from its buckets, the sample and the pool.
     pub fn remove(&mut self, item: usize) {
-        for r in 0..self.rounds {
-            let b = self.bucket_of[r][item];
-            if b == ABSENT {
-                continue;
-            }
-            let b = b as usize;
-            self.bucket_of[r][item] = ABSENT;
-            self.buckets[r][b].retain(|&m| m != item);
-            self.bucket_dirty[r][b] = true;
-            if self.bucket_winner[r][b] == Some(item) {
-                self.bucket_winner[r][b] = None;
-                self.unref(item);
+        let mut refs = self.deal.sample.iter().filter(|&&m| m == item).count();
+        for rb in self.deal.buckets_of(item) {
+            self.bucket_dirty[rb] = true;
+            if self.bucket_winner[rb] == Some(item) {
+                self.bucket_winner[rb] = None;
+                refs += 1;
             }
         }
-        let before = self.sample.len();
-        self.sample.retain(|&m| m != item);
-        for _ in 0..before - self.sample.len() {
+        self.deal.remove(item);
+        for _ in 0..refs {
             self.unref(item);
         }
         debug_assert_eq!(self.refs[item], 0, "dead candidate still referenced");
@@ -369,11 +322,8 @@ impl MinContest {
     /// Marks a surviving candidate's key as changed: its buckets replay
     /// and its cached pool outcomes are discarded at the next sweep.
     pub fn touch(&mut self, item: usize) {
-        for r in 0..self.rounds {
-            let b = self.bucket_of[r][item];
-            if b != ABSENT {
-                self.bucket_dirty[r][b as usize] = true;
-            }
+        for rb in self.deal.buckets_of(item) {
+            self.bucket_dirty[rb] = true;
         }
         if self.pool_slot[item] != ABSENT {
             self.drop_outcomes_of(item);
@@ -392,13 +342,8 @@ impl MinContest {
     /// Tops the persistent sample back up to its target size with uniform
     /// (with-replacement) draws from `live`.
     pub fn resample<R: Rng + ?Sized>(&mut self, live: &[usize], rng: &mut R) {
-        if live.is_empty() {
-            return;
-        }
-        while self.sample.len() < self.sample_target {
-            let pick = live[rng.random_range(0..live.len())];
-            self.sample.push(pick);
-            self.reference(pick);
+        for at in self.deal.top_up(live, rng) {
+            self.reference(self.deal.sample[at]);
         }
     }
 
@@ -460,101 +405,62 @@ impl MinContest {
             }
             let key = self.outcome_key(item, other);
             if let Some(le) = self.outcomes.remove(&key) {
-                let winner = self.pair_winner(item, other, le);
+                let winner = Min.winner(self.oriented(item, other), le);
                 self.score[self.pool_slot[winner] as usize] -= 1;
             }
         }
     }
 
-    /// The min-orientation winner of an asked pair: queries are oriented
-    /// lower-sequence first, and `le(lo, hi) == true` means `lo`'s key is
-    /// not larger, so `lo` takes the point.
-    fn pair_winner(&self, a: usize, b: usize, le: bool) -> usize {
-        let (lo, hi) = if self.seq[a] < self.seq[b] {
+    /// The pair as the oracle is asked it: lower sequence number first,
+    /// so a pair is the same query no matter which sweep asks it.
+    fn oriented(&self, a: usize, b: usize) -> (usize, usize) {
+        if self.seq[a] < self.seq[b] {
             (a, b)
         } else {
             (b, a)
-        };
-        if le {
-            lo
-        } else {
-            hi
         }
     }
 
-    /// One sweep: replays dirty bucket tournaments (batched level by
-    /// level), re-asks missing pool pairs (one batched round), and returns
-    /// the Count-Min winner — max score, ties to the lower sequence
-    /// number. `full = true` forces the from-scratch reference sweep.
-    fn run<C: Comparator<usize>>(&mut self, cmp: &mut C, full: bool) -> Option<usize> {
+    /// One sweep of the incremental minimum engine: replays the dirty
+    /// bucket tournaments (batched level by level), re-asks the missing
+    /// pool pairs, and returns the Count-Min winner — max score, ties to
+    /// the lower sequence number; `None` only when the contest holds no
+    /// candidates. `full = true` forces the from-scratch reference sweep
+    /// (everything replayed, everything re-asked).
+    pub fn sweep<C: Comparator<usize>>(&mut self, cmp: &mut C, full: bool) -> Option<usize> {
         if full {
             self.stats.full_sweeps += 1;
             self.outcomes.clear();
             self.score.fill(0);
-            for round in self.bucket_dirty.iter_mut() {
-                round.fill(true);
-            }
+            self.bucket_dirty.fill(true);
         }
 
-        // Stage 1 + 2: replay dirty bucket tournaments. All dirty buckets
-        // advance level by level together, one batched comparator round
-        // per level, in (round, bucket) order. NOTE: this is the MIN
-        // sibling of the level-batched brackets in
-        // `super::tournament::{tournament, tournament_partition}` (their
-        // winner orientation is reversed: there `le == true` promotes the
-        // second item, here the first) and of `super::scaffold`'s
-        // `sweep_row` — a fix to the pairing, odd-tail or answer-cursor
-        // logic in any of the four must visit the others.
-        let mut replays: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-        for r in 0..self.rounds {
-            for b in 0..self.buckets_per_round {
-                if self.bucket_dirty[r][b] {
-                    replays.push((r, b, self.buckets[r][b].clone()));
-                }
+        // Stage 1 + 2: replay the dirty bucket tournaments, all of them
+        // level-synchronously in flat (round, bucket) order.
+        self.arena.clear();
+        self.ranges.clear();
+        for (members, &dirty) in self.deal.buckets.iter().zip(&self.bucket_dirty) {
+            if dirty {
+                self.ranges.push((self.arena.len(), members.len()));
+                self.arena.extend_from_slice(members);
             }
         }
-        loop {
-            self.round_pairs.clear();
-            for (_, _, cur) in &replays {
-                for pair in cur.chunks(2) {
-                    if let [a, b] = *pair {
-                        self.round_pairs.push((a, b));
-                    }
-                }
+        self.stats.bucket_duels += play(
+            &mut self.arena,
+            &mut self.ranges,
+            &mut Min,
+            cmp,
+            &mut self.round,
+        );
+        let mut replayed = 0;
+        for rb in 0..self.bucket_dirty.len() {
+            if !self.bucket_dirty[rb] {
+                continue;
             }
-            if self.round_pairs.is_empty() {
-                break;
-            }
-            self.stats.bucket_duels += self.round_pairs.len() as u64;
-            self.round_answers.clear();
-            cmp.le_round(&self.round_pairs, &mut self.round_answers);
-            let mut at = 0;
-            for (_, _, cur) in replays.iter_mut() {
-                let mut write = 0;
-                let mut read = 0;
-                while read < cur.len() {
-                    cur[write] = if read + 1 < cur.len() {
-                        let won = self.round_answers[at];
-                        at += 1;
-                        if won {
-                            cur[read]
-                        } else {
-                            cur[read + 1]
-                        }
-                    } else {
-                        cur[read]
-                    };
-                    write += 1;
-                    read += 2;
-                }
-                cur.truncate(write);
-            }
-            debug_assert_eq!(at, self.round_answers.len());
-        }
-        for (r, b, cur) in replays {
-            self.stats.bucket_replays += 1;
-            let new_winner = cur.first().copied();
-            let old_winner = self.bucket_winner[r][b];
+            let (start, len) = self.ranges[replayed];
+            replayed += 1;
+            let new_winner = (len == 1).then(|| self.arena[start]);
+            let old_winner = self.bucket_winner[rb];
             if new_winner != old_winner {
                 if let Some(old) = old_winner {
                     self.unref(old);
@@ -562,30 +468,24 @@ impl MinContest {
                 if let Some(new) = new_winner {
                     self.reference(new);
                 }
-                self.bucket_winner[r][b] = new_winner;
+                self.bucket_winner[rb] = new_winner;
             }
-            self.bucket_dirty[r][b] = false;
+            self.bucket_dirty[rb] = false;
         }
+        self.stats.bucket_replays += replayed as u64;
 
         // Stage 3: the final Count-Min over the pool — ask only the pairs
         // with no cached outcome, batched. Missing pairs can only involve
         // a *pending* member (new pool entry or touched key), so the
         // steady-state scan is O(|pending| * pool); a full sweep asks the
-        // whole triangle. Pairs are oriented lower sequence number first,
-        // so a pair is always the same oracle query no matter which sweep
-        // asks it (ask *order* cannot matter: answers are pure functions
-        // of the query under persistent noise).
-        let mut asked = std::mem::take(&mut self.asked);
+        // whole triangle. Ask *order* cannot matter: answers are pure
+        // functions of the (oriented) query under persistent noise.
+        let mut asked = std::mem::take(&mut self.round.pairs);
         asked.clear();
         if full {
             for i in 0..self.pool.len() {
                 for j in i + 1..self.pool.len() {
-                    let (a, b) = (self.pool[i], self.pool[j]);
-                    if self.seq[a] < self.seq[b] {
-                        asked.push((a, b));
-                    } else {
-                        asked.push((b, a));
-                    }
+                    asked.push(self.oriented(self.pool[i], self.pool[j]));
                 }
             }
         } else {
@@ -604,25 +504,21 @@ impl MinContest {
                     if self.outcomes.contains_key(&key) || !self.queued.insert(key) {
                         continue;
                     }
-                    if self.seq[m] < self.seq[o] {
-                        asked.push((m, o));
-                    } else {
-                        asked.push((o, m));
-                    }
+                    asked.push(self.oriented(m, o));
                 }
             }
         }
-        for chunk in asked.chunks(4096) {
-            self.round_answers.clear();
-            cmp.le_round(chunk, &mut self.round_answers);
+        for chunk in asked.chunks(ROUND_CAP) {
+            self.round.answers.clear();
+            cmp.le_round(chunk, &mut self.round.answers);
             self.stats.pool_duels += chunk.len() as u64;
-            for (&(lo, hi), &le) in chunk.iter().zip(self.round_answers.iter()) {
+            for (&(lo, hi), &le) in chunk.iter().zip(self.round.answers.iter()) {
                 self.outcomes.insert(self.outcome_key(lo, hi), le);
-                let winner = if le { lo } else { hi };
+                let winner = Min.winner((lo, hi), le);
                 self.score[self.pool_slot[winner] as usize] += 1;
             }
         }
-        self.asked = asked;
+        self.round.pairs = asked;
         for idx in 0..self.pending.len() {
             let m = self.pending[idx];
             self.pending_flag[m] = false;
@@ -644,18 +540,6 @@ impl MinContest {
         }
         best
     }
-}
-
-/// One sweep of the incremental minimum engine: re-contests the dirty
-/// parts of `contest` (everything, when `full`) and returns the current
-/// approximate-minimum candidate — `None` only when the contest holds no
-/// candidates. See [`MinContest`] for the structure and its guarantees.
-pub fn min_adv_incremental<C: Comparator<usize>>(
-    contest: &mut MinContest,
-    cmp: &mut C,
-    full: bool,
-) -> Option<usize> {
-    contest.run(cmp, full)
 }
 
 #[cfg(test)]
@@ -808,8 +692,7 @@ mod tests {
         let mut live: Vec<usize> = (0..40).collect();
         let mut r = rng(71);
         let mut contest = MinContest::new(&live, id_bound, &AdvParams::experimental(), &mut r);
-        let mut winner =
-            min_adv_incremental(&mut contest, &mut ExactKeyCmp::new(&keys), true).unwrap();
+        let mut winner = contest.sweep(&mut ExactKeyCmp::new(&keys), true).unwrap();
         for step in 0..30usize {
             let true_min = live.iter().map(|&i| keys[i]).fold(f64::INFINITY, f64::min);
             assert_eq!(keys[winner], true_min, "step {step}");
@@ -825,8 +708,7 @@ mod tests {
             keys[moved] = ((step * 57 + 3) % 983) as f64 + 0.5;
             contest.touch(moved);
             contest.resample(&live, &mut r);
-            winner =
-                min_adv_incremental(&mut contest, &mut ExactKeyCmp::new(&keys), false).unwrap();
+            winner = contest.sweep(&mut ExactKeyCmp::new(&keys), false).unwrap();
         }
         let s = contest.stats();
         assert_eq!(s.full_sweeps, 1, "only the initial sweep is full");
@@ -854,10 +736,8 @@ mod tests {
             let mut a = MinContest::new(&start, id_bound, &params, &mut rng_a);
             let mut b = MinContest::new(&start, id_bound, &params, &mut rng_b);
             let mut live = start;
-            let mut wa =
-                min_adv_incremental(&mut a, &mut ValueCmp::new(&mut oracle_a), true).unwrap();
-            let mut wb =
-                min_adv_incremental(&mut b, &mut ValueCmp::new(&mut oracle_b), true).unwrap();
+            let mut wa = a.sweep(&mut ValueCmp::new(&mut oracle_a), true).unwrap();
+            let mut wb = b.sweep(&mut ValueCmp::new(&mut oracle_b), true).unwrap();
             for step in 0..24usize {
                 assert_eq!(wa, wb, "seed {seed}, step {step}");
                 a.remove(wa);
@@ -874,8 +754,8 @@ mod tests {
                 b.touch(moved);
                 a.resample(&live, &mut rng_a);
                 b.resample(&live, &mut rng_b);
-                wa = min_adv_incremental(&mut a, &mut ValueCmp::new(&mut oracle_a), false).unwrap();
-                wb = min_adv_incremental(&mut b, &mut ValueCmp::new(&mut oracle_b), true).unwrap();
+                wa = a.sweep(&mut ValueCmp::new(&mut oracle_a), false).unwrap();
+                wb = b.sweep(&mut ValueCmp::new(&mut oracle_b), true).unwrap();
             }
             assert_eq!(a.stats().full_sweeps, 1, "cached contest swept once");
             assert_eq!(b.stats().full_sweeps, 25, "reference contest always full");

@@ -12,7 +12,7 @@
 //! independence (probabilistic), both of which are preserved; the constant
 //! in the query count halves (documented deviation, DESIGN.md §6.2).
 
-use crate::comparator::{Comparator, Rev};
+use crate::comparator::{Comparator, Rev, ROUND_CAP};
 
 /// One head-to-head comparison; returns the item the comparator deems
 /// larger. A binary tournament match costs exactly this one query
@@ -34,16 +34,11 @@ pub fn count_scores<I: Copy, C: Comparator<I>>(items: &[I], cmp: &mut C) -> Vec<
     scores
 }
 
-/// Upper bound on one scoring round's buffer (pairs); the triangle is cut
-/// into rounds of at most this many queries, so the working set stays a
-/// few cache-resident KiB no matter how large the item set is.
-const SCORE_ROUND_CHUNK: usize = 4096;
-
 /// [`count_scores`] into a caller-provided buffer — the reusable-capacity
 /// form for engines that score repeatedly.
 ///
 /// The upper triangle is issued as batched comparator rounds
-/// ([`Comparator::le_round`]) of at most `SCORE_ROUND_CHUNK` pairs, in
+/// ([`Comparator::le_round`]) of at most `ROUND_CAP` pairs, in
 /// the same `(i, j), i < j` order the scalar loops used, so oracle-backed
 /// comparators amortise per-query dispatch across rounds while answers
 /// (and query counts) stay bit-identical — and the round buffers stay
@@ -59,7 +54,7 @@ pub fn count_scores_into<I: Copy, C: Comparator<I>>(
     if n < 2 {
         return;
     }
-    let cap = SCORE_ROUND_CHUNK.min(n * (n - 1) / 2);
+    let cap = ROUND_CAP.min(n * (n - 1) / 2);
     let mut round: Vec<(I, I)> = Vec::with_capacity(cap);
     let mut answers: Vec<bool> = Vec::with_capacity(cap);
     // The scoring walk re-derives each flushed pair's `(i, j)` by
@@ -88,7 +83,7 @@ pub fn count_scores_into<I: Copy, C: Comparator<I>>(
         let vi = items[i];
         for &vj in items.iter().skip(i + 1) {
             round.push((vi, vj));
-            if round.len() == SCORE_ROUND_CHUNK {
+            if round.len() == ROUND_CAP {
                 flush(&mut round, &mut answers, cmp);
             }
         }

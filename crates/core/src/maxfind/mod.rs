@@ -28,8 +28,15 @@
 //! across the many row-anchored nearest-neighbour searches of a hierarchy
 //! run (PR 10) — see the [`scaffold`](self::RowScaffold) docs for why
 //! persistent noise makes the reuse decision-identical.
+//!
+//! All four bracket engines — [`tournament`] (λ = 2),
+//! [`tournament_partition`], [`MinContest`] and [`RowScaffold`] — play
+//! their binary brackets through one crate-private level loop (one
+//! batched comparator round per level), and the two planes share one
+//! persistent bucket deal and top-up sample (the `bracket` module).
 
 mod adversarial;
+mod bracket;
 mod count_max;
 mod probabilistic;
 mod scaffold;
@@ -37,8 +44,7 @@ pub mod topk;
 mod tournament;
 
 pub use adversarial::{
-    max_adv, max_adv_with_progress, min_adv, min_adv_incremental, AdvParams, ContestStats,
-    MinContest,
+    max_adv, max_adv_with_progress, min_adv, AdvParams, ContestStats, MinContest,
 };
 pub use count_max::{count_max, count_min, count_scores, count_scores_into, duel};
 pub use probabilistic::{max_prob, max_prob_with_progress, min_prob, ProbParams};

@@ -29,16 +29,12 @@
 //! which is how `tests/hier_scaffold_equivalence.rs` pins the contract.
 
 use super::adversarial::AdvParams;
-use crate::comparator::Comparator;
-use rand::seq::SliceRandom;
+use super::bracket::{play, Deal, Min, Referee, Round, ABSENT};
+use crate::comparator::{Comparator, ROUND_CAP};
 use rand::Rng;
 
-/// Dead/absent marker in dense `u32` tables.
-const ABSENT: u32 = u32::MAX;
-/// Bracket-bye marker: the slot holds no live contestant.
-const BYE: u32 = u32::MAX;
-/// Bracket placeholder for a duel whose answer is still in flight.
-const PENDING: u32 = u32::MAX - 1;
+/// Bracket-bye marker: the arena slot holds no live contestant.
+const BYE: usize = usize::MAX;
 
 /// Cumulative cost counters of a [`RowScaffold`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,40 +55,7 @@ pub struct ScaffoldStats {
     pub pool_duels: u64,
 }
 
-/// The shared, read-only-during-a-sweep part of the scaffold: the random
-/// bucket deals (one per Tournament-Partition round), the persistent
-/// sample, the liveness table and the change epochs.
-///
-/// Bucket member lists are **append-only**: dead candidates stay in place
-/// as tombstones (skipped as byes when a bracket replays), so survivor
-/// pairings — and therefore cached duels — stay stable across membership
-/// churn instead of shifting one slot left after every death.
-#[derive(Debug)]
-struct ScaffoldDeal {
-    rounds: usize,
-    buckets_per_round: usize,
-    sample_target: usize,
-    id_bound: usize,
-    /// Monotone structure-change clock; bumped once per merge.
-    epoch: u64,
-    /// Liveness by candidate id.
-    alive: Vec<bool>,
-    /// `bucket_of[r * id_bound + id]` = flat bucket index, or [`ABSENT`].
-    bucket_of: Vec<u32>,
-    /// `buckets[r * l + b]` = append-only member list (tombstoned).
-    buckets: Vec<Vec<u32>>,
-    /// Epoch of the last membership change per flat bucket index.
-    bucket_epoch: Vec<u64>,
-    /// Persistent sample: a multiset of live ids, topped back up after
-    /// removals (insertion order, order-preserving removals).
-    sample: Vec<u32>,
-}
-
-impl ScaffoldDeal {
-    fn total_buckets(&self) -> usize {
-        self.rounds * self.buckets_per_round
-    }
-}
+type Outcomes = std::collections::HashMap<u64, bool, nco_metric::hashing::MixBuildHasher>;
 
 /// Per-row cached state: the row's bucket-tournament winners and its duel
 /// outcome cache, both valid for as long as the contestants live.
@@ -104,7 +67,7 @@ struct RowState {
     winners: Vec<u32>,
     /// `(lo << 32 | hi)` (candidate ids, `lo < hi`) → cached oracle bit
     /// `le(rep(row, lo), rep(row, hi))` (`true` = `lo` at least as close).
-    outcomes: std::collections::HashMap<u64, bool, nco_metric::hashing::MixBuildHasher>,
+    outcomes: Outcomes,
 }
 
 impl RowState {
@@ -112,31 +75,57 @@ impl RowState {
         Self {
             synced_epoch: 0,
             winners: vec![ABSENT; total_buckets],
-            outcomes: std::collections::HashMap::with_hasher(Default::default()),
+            outcomes: Outcomes::default(),
         }
     }
 }
 
-fn pack(lo: u32, hi: u32) -> u64 {
+fn pack((lo, hi): (usize, usize)) -> u64 {
     debug_assert!(lo < hi);
-    (u64::from(lo) << 32) | u64::from(hi)
+    ((lo as u64) << 32) | hi as u64
+}
+
+/// A row's referee: byes advance their opponent, every duel is asked as
+/// the id-ordered query `(lo, hi)` (min orientation), and with
+/// `use_cache` a cached outcome settles it without the oracle. Asked
+/// outcomes are always written to the cache.
+struct RowReferee<'a> {
+    outcomes: &'a mut Outcomes,
+    use_cache: bool,
+    hits: u64,
+}
+
+impl Referee<usize> for RowReferee<'_> {
+    fn settle(&mut self, a: usize, b: usize) -> Result<usize, (usize, usize)> {
+        if a == BYE || b == BYE {
+            return Ok(a.min(b)); // the live side, if any (`BYE` is the max)
+        }
+        let query = (a.min(b), a.max(b));
+        if self.use_cache {
+            if let Some(&le) = self.outcomes.get(&pack(query)) {
+                self.hits += 1;
+                return Ok(Min.winner(query, le));
+            }
+        }
+        Err(query)
+    }
+
+    fn winner(&mut self, query: (usize, usize), le: bool) -> usize {
+        self.outcomes.insert(pack(query), le);
+        Min.winner(query, le)
+    }
 }
 
 /// Reusable working memory for a [`RowScaffold`]'s sweeps — callers own
 /// it so repeated sweeps allocate nothing.
 #[derive(Debug)]
 pub struct SweepBuffers {
-    /// Flat arena of bracket level lists ([`BYE`]/[`PENDING`] sentinels).
-    levels: Vec<u32>,
-    /// `(flat bucket index, arena start, current length)` per replay.
-    ranges: Vec<(u32, u32, u32)>,
-    /// Canonically oriented duels awaiting the oracle.
-    pairs: Vec<(usize, usize)>,
-    /// Arena positions to fill with the answered duels' winners.
-    holes: Vec<u32>,
-    answers: Vec<bool>,
+    /// Replayed brackets ([`BYE`] for tombstones and the row itself).
+    arena: Vec<usize>,
+    ranges: Vec<(usize, usize)>,
+    round: Round<usize>,
     /// Final Count-Min contestants (bucket winners ∪ sample, deduped).
-    pool: Vec<u32>,
+    pool: Vec<usize>,
     score: Vec<u32>,
     /// `slot_of[id]` = pool slot during a sweep, [`ABSENT`] otherwise.
     slot_of: Vec<u32>,
@@ -147,215 +136,14 @@ impl SweepBuffers {
     /// the owning [`RowScaffold`] was built with).
     pub fn new(id_bound: usize) -> Self {
         Self {
-            levels: Vec::new(),
+            arena: Vec::new(),
             ranges: Vec::new(),
-            pairs: Vec::new(),
-            holes: Vec::new(),
-            answers: Vec::new(),
+            round: Round::default(),
             pool: Vec::new(),
             score: Vec::new(),
             slot_of: vec![ABSENT; id_bound],
         }
     }
-}
-
-/// One row sweep over the shared scaffold: replay the row's dirty bucket
-/// tournaments (all of them when dirty buckets are the majority or when
-/// `use_cache` is off), then run the final Count-Min over the pooled
-/// bucket winners and shared sample. Returns `(winner, fell_back)`.
-///
-/// With `use_cache = false` every duel is asked through `cmp` even when a
-/// cached outcome exists (the cache is still *written*, with the
-/// identical bits a persistent oracle must return) — the from-scratch
-/// reference behaviour.
-fn sweep_row<C: Comparator<usize>>(
-    deal: &ScaffoldDeal,
-    row: usize,
-    state: &mut RowState,
-    cmp: &mut C,
-    use_cache: bool,
-    buf: &mut SweepBuffers,
-    counters: &mut ScaffoldStats,
-) -> (usize, bool) {
-    counters.row_sweeps += 1;
-    let total = deal.total_buckets();
-    let SweepBuffers {
-        levels,
-        ranges,
-        pairs,
-        holes,
-        answers,
-        pool,
-        score,
-        slot_of,
-    } = buf;
-
-    // A bucket is dirty for this row iff its membership changed after the
-    // row's last sync. Majority-dirty (and the reference mode) replays
-    // everything — same queries either way, because a clean bucket's
-    // bracket re-plays entirely from the cache.
-    let mut dirty = 0usize;
-    for rb in 0..total {
-        if deal.bucket_epoch[rb] > state.synced_epoch {
-            dirty += 1;
-        }
-    }
-    let fell_back = state.synced_epoch > 0 && 2 * dirty > total;
-    let replay_all = !use_cache || 2 * dirty > total;
-
-    // Stage 1 + 2: bracket replays, level-batched across buckets. This is
-    // the tombstone-stable sibling of the level-batched brackets in
-    // `MinContest::run` and `super::tournament` — dead members advance
-    // their opponents as byes instead of compacting the pairing.
-    ranges.clear();
-    levels.clear();
-    for rb in 0..total {
-        if !replay_all && deal.bucket_epoch[rb] <= state.synced_epoch {
-            continue;
-        }
-        let start = levels.len();
-        for &id in &deal.buckets[rb] {
-            let live = deal.alive[id as usize] && id as usize != row;
-            levels.push(if live { id } else { BYE });
-        }
-        ranges.push((rb as u32, start as u32, (levels.len() - start) as u32));
-    }
-    loop {
-        pairs.clear();
-        holes.clear();
-        let mut progressed = false;
-        for range in ranges.iter_mut() {
-            let (start, len) = (range.1 as usize, range.2 as usize);
-            if len <= 1 {
-                continue;
-            }
-            progressed = true;
-            let mut write = start;
-            let mut read = start;
-            let end = start + len;
-            while read < end {
-                levels[write] = if read + 1 < end {
-                    let (x, y) = (levels[read], levels[read + 1]);
-                    if x == BYE {
-                        y
-                    } else if y == BYE {
-                        x
-                    } else {
-                        let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-                        let cached = if use_cache {
-                            state.outcomes.get(&pack(lo, hi)).copied()
-                        } else {
-                            None
-                        };
-                        match cached {
-                            Some(le) => {
-                                counters.scaffold_hits += 1;
-                                if le {
-                                    lo
-                                } else {
-                                    hi
-                                }
-                            }
-                            None => {
-                                pairs.push((lo as usize, hi as usize));
-                                holes.push(write as u32);
-                                PENDING
-                            }
-                        }
-                    }
-                } else {
-                    levels[read]
-                };
-                write += 1;
-                read += 2;
-            }
-            range.2 = (write - start) as u32;
-        }
-        if !progressed {
-            break;
-        }
-        if !pairs.is_empty() {
-            counters.bracket_duels += pairs.len() as u64;
-            answers.clear();
-            cmp.le_round(pairs, answers);
-            for ((&(lo, hi), &le), &hole) in pairs.iter().zip(answers.iter()).zip(holes.iter()) {
-                state.outcomes.insert(pack(lo as u32, hi as u32), le);
-                levels[hole as usize] = if le { lo as u32 } else { hi as u32 };
-            }
-        }
-    }
-    for &(rb, start, len) in ranges.iter() {
-        let winner = if len == 1 {
-            levels[start as usize]
-        } else {
-            BYE
-        };
-        state.winners[rb as usize] = if winner == BYE { ABSENT } else { winner };
-    }
-
-    // Stage 3: the final Count-Min over bucket winners ∪ shared sample
-    // (first-entry dedup, the row itself excluded). Pool order — winners
-    // in flat-bucket order, then sample in insertion order — is a pure
-    // function of the scaffold, so the tie-break (earliest pool slot on
-    // equal scores) cannot depend on what was cached.
-    pool.clear();
-    for rb in 0..total {
-        let w = state.winners[rb];
-        if w != ABSENT && slot_of[w as usize] == ABSENT {
-            slot_of[w as usize] = pool.len() as u32;
-            pool.push(w);
-        }
-    }
-    for &s in &deal.sample {
-        if s as usize != row && slot_of[s as usize] == ABSENT {
-            slot_of[s as usize] = pool.len() as u32;
-            pool.push(s);
-        }
-    }
-    debug_assert!(!pool.is_empty(), "sweep of the only live candidate");
-    score.clear();
-    score.resize(pool.len(), 0);
-    if pool.len() > 1 {
-        pairs.clear();
-        for i in 0..pool.len() {
-            for j in i + 1..pool.len() {
-                let (a, b) = (pool[i], pool[j]);
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                if use_cache {
-                    if let Some(&le) = state.outcomes.get(&pack(lo, hi)) {
-                        counters.scaffold_hits += 1;
-                        let winner = if le { lo } else { hi };
-                        score[slot_of[winner as usize] as usize] += 1;
-                        continue;
-                    }
-                }
-                pairs.push((lo as usize, hi as usize));
-            }
-        }
-        counters.pool_duels += pairs.len() as u64;
-        for chunk in pairs.chunks(4096) {
-            answers.clear();
-            cmp.le_round(chunk, answers);
-            for (&(lo, hi), &le) in chunk.iter().zip(answers.iter()) {
-                state.outcomes.insert(pack(lo as u32, hi as u32), le);
-                let winner = if le { lo } else { hi };
-                score[slot_of[winner] as usize] += 1;
-            }
-        }
-    }
-
-    let mut best = 0usize;
-    for slot in 1..pool.len() {
-        if score[slot] > score[best] {
-            best = slot;
-        }
-    }
-    let winner = pool[best] as usize;
-    for &id in pool.iter() {
-        slot_of[id as usize] = ABSENT;
-    }
-    state.synced_epoch = deal.epoch;
-    (winner, fell_back)
 }
 
 /// The shared-scaffold search plane (see the module docs): Max-Adv's
@@ -376,7 +164,18 @@ fn sweep_row<C: Comparator<usize>>(
 /// reuse exact, not approximate.
 #[derive(Debug)]
 pub struct RowScaffold {
-    deal: ScaffoldDeal,
+    /// The shared bucket deals and sample (the `bracket` module's deal).
+    /// Member lists are **append-only**: dead candidates stay in place as
+    /// tombstones (byes when a bracket replays), so survivor pairings —
+    /// and therefore cached duels — stay stable across membership churn
+    /// instead of shifting one slot left after every death.
+    deal: Deal,
+    /// Monotone structure-change clock; bumped once per merge.
+    epoch: u64,
+    /// Epoch of the last membership change per flat bucket index.
+    bucket_epoch: Vec<u64>,
+    /// Liveness by candidate id.
+    alive: Vec<bool>,
     /// Per-row cached state, indexed by candidate id (lazily created).
     rows: Vec<Option<RowState>>,
     stats: ScaffoldStats,
@@ -401,53 +200,17 @@ impl RowScaffold {
         rng: &mut R,
     ) -> Self {
         assert!(!items.is_empty(), "scaffold needs at least one candidate");
-        assert!(
-            id_bound < PENDING as usize,
-            "id_bound must fit the u32 tables"
-        );
-        assert!(items.iter().all(|&it| it < id_bound), "item out of bounds");
-        let (t, l, s) = params.resolve(items.len());
-        let mut deal = ScaffoldDeal {
-            rounds: t,
-            buckets_per_round: l,
-            sample_target: s,
-            id_bound,
-            epoch: 1,
-            alive: vec![false; id_bound],
-            bucket_of: vec![ABSENT; t * id_bound],
-            buckets: vec![Vec::new(); t * l],
-            bucket_epoch: vec![1; t * l],
-            sample: Vec::with_capacity(s),
-        };
+        let mut deal = Deal::new(items, id_bound, params, rng);
+        deal.top_up(items, rng);
+        let mut alive = vec![false; id_bound];
         for &it in items {
-            deal.alive[it] = true;
-        }
-        // One random deal per round: shuffle, then chunk into l near-equal
-        // parts — the same partition shape as `tournament_partition` and
-        // `MinContest::new`.
-        let mut shuffled: Vec<usize> = items.to_vec();
-        for r in 0..t {
-            shuffled.copy_from_slice(items);
-            shuffled.shuffle(rng);
-            let base = shuffled.len() / l;
-            let extra = shuffled.len() % l;
-            let mut start = 0;
-            for b in 0..l {
-                let size = base + usize::from(b < extra);
-                let rb = r * l + b;
-                for &it in &shuffled[start..start + size] {
-                    deal.bucket_of[r * id_bound + it] = rb as u32;
-                    deal.buckets[rb].push(it as u32);
-                }
-                start += size;
-            }
-        }
-        for _ in 0..s {
-            let pick = items[rng.random_range(0..items.len())];
-            deal.sample.push(pick as u32);
+            alive[it] = true;
         }
         Self {
+            bucket_epoch: vec![1; deal.buckets.len()],
             deal,
+            epoch: 1,
+            alive,
             rows: (0..id_bound).map(|_| None).collect(),
             stats: ScaffoldStats::default(),
             from: vec![0; id_bound],
@@ -459,9 +222,18 @@ impl RowScaffold {
         self.stats
     }
 
-    /// One row sweep (see `sweep_row`); lazily creates the row's state,
-    /// classifies repair sweeps into contests vs fallbacks, and returns
-    /// the row's approximate-nearest candidate id.
+    /// One row sweep over the shared scaffold: replay the row's dirty
+    /// bucket tournaments (all of them when dirty buckets are the
+    /// majority or when `use_cache` is off), then run the final Count-Min
+    /// over the pooled bucket winners and shared sample; returns the
+    /// row's approximate-nearest candidate id. Repair sweeps (of a row
+    /// swept before) count as contests or, when replaying everything,
+    /// fallbacks.
+    ///
+    /// With `use_cache = false` every duel is asked through `cmp` even
+    /// when a cached outcome exists (the cache is still *written*, with
+    /// the identical bits a persistent oracle must return) — the
+    /// from-scratch reference behaviour.
     pub fn sweep<C: Comparator<usize>>(
         &mut self,
         row: usize,
@@ -469,29 +241,105 @@ impl RowScaffold {
         use_cache: bool,
         buf: &mut SweepBuffers,
     ) -> usize {
-        let total = self.deal.total_buckets();
+        let total = self.deal.buckets.len();
         let mut state = self.rows[row]
             .take()
             .unwrap_or_else(|| RowState::new(total));
-        let repair = state.synced_epoch > 0;
-        let (winner, fell_back) = sweep_row(
-            &self.deal,
-            row,
-            &mut state,
-            cmp,
-            use_cache,
-            buf,
-            &mut self.stats,
-        );
-        if repair {
-            if fell_back {
+        let SweepBuffers {
+            arena,
+            ranges,
+            round,
+            pool,
+            score,
+            slot_of,
+        } = buf;
+        self.stats.row_sweeps += 1;
+
+        // A bucket is dirty for this row iff its membership changed after
+        // the row's last sync. Majority-dirty (and the reference mode)
+        // replays everything — same queries either way, because a clean
+        // bucket's bracket re-plays entirely from the cache.
+        let synced = state.synced_epoch;
+        let dirty = self.bucket_epoch.iter().filter(|&&e| e > synced).count();
+        let replay_all = !use_cache || 2 * dirty > total;
+        if synced > 0 {
+            if 2 * dirty > total {
                 self.stats.repair_fallbacks += 1;
             } else {
                 self.stats.repair_contests += 1;
             }
         }
+        let replayed = |rb: &usize| replay_all || self.bucket_epoch[*rb] > synced;
+
+        // Stage 1 + 2: bracket replays, level-batched across buckets;
+        // tombstones and the row itself play as byes.
+        arena.clear();
+        ranges.clear();
+        for rb in (0..total).filter(replayed) {
+            let members = &self.deal.buckets[rb];
+            ranges.push((arena.len(), members.len()));
+            let live = |id: usize| self.alive[id] && id != row;
+            arena.extend(members.iter().map(|&id| if live(id) { id } else { BYE }));
+        }
+        let mut referee = RowReferee {
+            outcomes: &mut state.outcomes,
+            use_cache,
+            hits: 0,
+        };
+        self.stats.bracket_duels += play(arena, ranges, &mut referee, cmp, round);
+        for (rb, &(start, len)) in (0..total).filter(replayed).zip(ranges.iter()) {
+            let winner = if len == 1 { arena[start] } else { BYE };
+            state.winners[rb] = if winner == BYE { ABSENT } else { winner as u32 };
+        }
+
+        // Stage 3: the final Count-Min over bucket winners ∪ shared sample
+        // (first-entry dedup, the row itself excluded). Pool order —
+        // winners in flat-bucket order, then sample in insertion order —
+        // is a pure function of the scaffold, so the tie-break (earliest
+        // pool slot on equal scores) cannot depend on what was cached.
+        pool.clear();
+        let winners = state.winners.iter().filter(|&&w| w != ABSENT);
+        let sample = self.deal.sample.iter().filter(|&&s| s != row);
+        for id in winners.map(|&w| w as usize).chain(sample.copied()) {
+            if slot_of[id] == ABSENT {
+                slot_of[id] = pool.len() as u32;
+                pool.push(id);
+            }
+        }
+        debug_assert!(!pool.is_empty(), "sweep of the only live candidate");
+        score.clear();
+        score.resize(pool.len(), 0);
+        round.pairs.clear();
+        for i in 0..pool.len() {
+            for j in i + 1..pool.len() {
+                match referee.settle(pool[i], pool[j]) {
+                    Ok(w) => score[slot_of[w] as usize] += 1,
+                    Err(query) => round.pairs.push(query),
+                }
+            }
+        }
+        self.stats.pool_duels += round.pairs.len() as u64;
+        for chunk in round.pairs.chunks(ROUND_CAP) {
+            round.answers.clear();
+            cmp.le_round(chunk, &mut round.answers);
+            for (&query, &le) in chunk.iter().zip(&round.answers) {
+                score[slot_of[referee.winner(query, le)] as usize] += 1;
+            }
+        }
+        self.stats.scaffold_hits += referee.hits;
+
+        let mut best = 0usize;
+        for slot in 1..pool.len() {
+            if score[slot] > score[best] {
+                best = slot;
+            }
+        }
+        for &id in pool.iter() {
+            slot_of[id] = ABSENT;
+        }
+        state.synced_epoch = self.epoch;
         self.rows[row] = Some(state);
-        winner
+        pool[best]
     }
 
     /// Structure maintenance after clusters `a` and `b` merged into
@@ -514,36 +362,21 @@ impl RowScaffold {
         live: &[usize],
         rng: &mut R,
     ) {
-        let deal = &mut self.deal;
-        assert!(new < deal.id_bound, "cluster id out of bounds");
-        assert!(!deal.alive[new], "cluster already live");
-        deal.epoch += 1;
-        let id_bound = deal.id_bound;
-        for parent in [a, b] {
-            deal.alive[parent] = false;
-            for r in 0..deal.rounds {
-                let rb = deal.bucket_of[r * id_bound + parent];
-                if rb != ABSENT {
-                    deal.bucket_epoch[rb as usize] = deal.epoch;
-                }
+        assert!(new < self.alive.len(), "cluster id out of bounds");
+        assert!(!self.alive[new], "cluster already live");
+        self.epoch += 1;
+        self.alive[a] = false;
+        self.alive[b] = false;
+        self.alive[new] = true;
+        self.deal.insert(new, rng);
+        for id in [a, b, new] {
+            for rb in self.deal.buckets_of(id) {
+                self.bucket_epoch[rb] = self.epoch;
             }
         }
-        deal.alive[new] = true;
-        for r in 0..deal.rounds {
-            let b = rng.random_range(0..deal.buckets_per_round);
-            let rb = r * deal.buckets_per_round + b;
-            deal.bucket_of[r * id_bound + new] = rb as u32;
-            deal.buckets[rb].push(new as u32);
-            deal.bucket_epoch[rb] = deal.epoch;
-        }
-        let alive = &deal.alive;
-        deal.sample.retain(|&s| alive[s as usize]);
-        if !live.is_empty() {
-            while deal.sample.len() < deal.sample_target {
-                let pick = live[rng.random_range(0..live.len())];
-                deal.sample.push(pick as u32);
-            }
-        }
+        let alive = &self.alive;
+        self.deal.sample.retain(|&s| alive[s]);
+        self.deal.top_up(live, rng);
 
         // Union cache inheritance. The merge's rep-refresh round already
         // decided, per survivor, which parent's representative the union
@@ -554,13 +387,12 @@ impl RowScaffold {
         for &(survivor, from_a) in kept_from_a {
             self.from[survivor] = if from_a { 1 } else { 2 };
         }
-        let mut state = RowState::new(deal.rounds * deal.buckets_per_round);
+        let mut state = RowState::new(self.deal.buckets.len());
         for (parent, tag) in [(&parent_a, 1u8), (&parent_b, 2u8)] {
             let Some(parent) = parent else { continue };
             for (&key, &le) in &parent.outcomes {
                 let (lo, hi) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
-                if deal.alive[lo] && deal.alive[hi] && self.from[lo] == tag && self.from[hi] == tag
-                {
+                if alive[lo] && alive[hi] && self.from[lo] == tag && self.from[hi] == tag {
                     state.outcomes.insert(key, le);
                 }
             }

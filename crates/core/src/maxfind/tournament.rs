@@ -12,7 +12,12 @@
 //! uses it to protect the true maximum from its confusion band (Lemma 8.6:
 //! with `l = sqrt(n)` parts, the band members land in the max's part with
 //! probability at most 1/2).
+//!
+//! Both play their binary brackets through the shared level loop of the
+//! `bracket` module: every level's duels, across all parts, are one
+//! batched comparator round.
 
+use super::bracket::{parts, play, Max, Round};
 use super::count_max::{count_max, duel};
 use crate::comparator::Comparator;
 use rand::seq::SliceRandom;
@@ -38,46 +43,13 @@ pub fn tournament<I: Copy, C: Comparator<I>, R: Rng + ?Sized>(
     let mut round: Vec<I> = items.to_vec();
     round.shuffle(rng);
     if lambda == 2 {
-        // Binary case: a level's duels are independent, so each level is
-        // issued as ONE batched comparator round — the same queries in
-        // the same left-to-right order as the scalar loop (bit-identical
-        // answers and billing), but with the memory latency of the
-        // lookups overlapped instead of serialised duel by duel.
-        // NOTE: `tournament_partition` below, `MinContest`'s bucket
-        // replay (min orientation) and `scaffold::sweep_row` (min
-        // orientation, tombstone byes) carry siblings of this loop over
-        // different storage — fixes here must visit them too.
-        let mut pairs: Vec<(I, I)> = Vec::with_capacity(round.len() / 2);
-        let mut answers: Vec<bool> = Vec::with_capacity(round.len() / 2);
-        let mut len = round.len();
-        while len > 1 {
-            pairs.clear();
-            let mut start = 0;
-            while start + 1 < len {
-                pairs.push((round[start], round[start + 1]));
-                start += 2;
-            }
-            answers.clear();
-            cmp.le_round(&pairs, &mut answers);
-            let mut write = 0;
-            let mut start = 0;
-            while start < len {
-                round[write] = if start + 1 < len {
-                    let a = round[start];
-                    let b = round[start + 1];
-                    if answers[write] {
-                        b
-                    } else {
-                        a
-                    }
-                } else {
-                    round[start]
-                };
-                write += 1;
-                start += 2;
-            }
-            len = write;
-        }
+        play(
+            &mut round,
+            &mut [(0, items.len())],
+            &mut Max,
+            cmp,
+            &mut Round::default(),
+        );
         return Some(round[0]);
     }
     let mut len = round.len();
@@ -126,64 +98,20 @@ pub fn tournament_partition<I: Copy, C: Comparator<I>, R: Rng + ?Sized>(
     let l = l.clamp(1, items.len());
     let mut shuffled: Vec<I> = items.to_vec();
     shuffled.shuffle(rng);
-    // Split into l contiguous chunks of near-equal size; shuffle each
-    // chunk in part order (the draws `tournament` would have made).
-    let base = shuffled.len() / l;
-    let extra = shuffled.len() % l;
-    let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(l);
-    let mut start = 0;
-    for part in 0..l {
-        let size = base + usize::from(part < extra);
-        shuffled[start..start + size].shuffle(rng);
-        bounds.push((start, size));
-        start += size;
+    // Each part's within-part shuffle, in part order: the draws
+    // `tournament` would have made.
+    let mut ranges: Vec<(usize, usize)> = parts(items.len(), l).collect();
+    for &(start, len) in &ranges {
+        shuffled[start..start + len].shuffle(rng);
     }
-    // Level-synchronous duels: each part compacts its winners into the
-    // prefix of its own chunk, one batched round per level.
-    let mut pairs: Vec<(I, I)> = Vec::with_capacity(shuffled.len() / 2);
-    let mut answers: Vec<bool> = Vec::new();
-    loop {
-        pairs.clear();
-        for &(start, len) in &bounds {
-            let mut k = 0;
-            while k + 1 < len {
-                pairs.push((shuffled[start + k], shuffled[start + k + 1]));
-                k += 2;
-            }
-        }
-        if pairs.is_empty() {
-            break;
-        }
-        answers.clear();
-        cmp.le_round(&pairs, &mut answers);
-        let mut at = 0;
-        for (start, len) in bounds.iter_mut() {
-            let mut write = 0;
-            let mut k = 0;
-            while k < *len {
-                shuffled[*start + write] = if k + 1 < *len {
-                    let winner = if answers[at] {
-                        shuffled[*start + k + 1]
-                    } else {
-                        shuffled[*start + k]
-                    };
-                    at += 1;
-                    winner
-                } else {
-                    shuffled[*start + k]
-                };
-                write += 1;
-                k += 2;
-            }
-            *len = write;
-        }
-        debug_assert_eq!(at, answers.len());
-    }
-    bounds
-        .iter()
-        .filter(|&&(_, len)| len > 0)
-        .map(|&(start, _)| shuffled[start])
-        .collect()
+    play(
+        &mut shuffled,
+        &mut ranges,
+        &mut Max,
+        cmp,
+        &mut Round::default(),
+    );
+    ranges.iter().map(|&(start, _)| shuffled[start]).collect()
 }
 
 #[cfg(test)]
@@ -191,6 +119,7 @@ mod tests {
     use super::*;
     use crate::comparator::{ExactKeyCmp, ValueCmp};
     use nco_oracle::counting::Counting;
+    use nco_oracle::probabilistic::ProbValueOracle;
     use nco_oracle::{ComparisonOracle, TrueValueOracle};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -244,6 +173,55 @@ mod tests {
         w.sort_unstable();
         w.dedup();
         assert_eq!(w.len(), 4);
+    }
+
+    /// The `tournament_partition` contract: bit-identical to a global
+    /// shuffle followed by one binary `tournament` per part, in part
+    /// order — same winners, same multiset of queries.
+    #[test]
+    fn partition_equals_per_part_tournaments() {
+        struct Recording<'a, O> {
+            cmp: ValueCmp<'a, O>,
+            log: Vec<(usize, usize)>,
+        }
+        impl<O: ComparisonOracle> Comparator<usize> for Recording<'_, O> {
+            fn le(&mut self, a: usize, b: usize) -> bool {
+                self.log.push((a, b));
+                self.cmp.le(a, b)
+            }
+        }
+        let keys: Vec<f64> = (0..103).map(|i| ((i * 41) % 97) as f64).collect();
+        let items: Vec<usize> = (0..keys.len()).collect();
+        for (l, seed) in [(1, 0u64), (4, 1), (10, 2), (17, 3), (103, 4)] {
+            let mut oracle = ProbValueOracle::new(keys.clone(), 0.3, 50 + seed);
+            let mut batched = Recording {
+                cmp: ValueCmp::new(&mut oracle),
+                log: Vec::new(),
+            };
+            let got = tournament_partition(&items, l, &mut batched, &mut rng(seed));
+
+            let mut oracle = ProbValueOracle::new(keys.clone(), 0.3, 50 + seed);
+            let mut scalar = Recording {
+                cmp: ValueCmp::new(&mut oracle),
+                log: Vec::new(),
+            };
+            let mut r = rng(seed);
+            let mut shuffled = items.clone();
+            shuffled.shuffle(&mut r);
+            let (base, extra) = (items.len() / l, items.len() % l);
+            let mut expect = Vec::new();
+            let mut start = 0;
+            for part in 0..l {
+                let end = start + base + usize::from(part < extra);
+                expect.push(tournament(&shuffled[start..end], 2, &mut scalar, &mut r).unwrap());
+                start = end;
+            }
+
+            assert_eq!(got, expect, "l = {l}");
+            batched.log.sort_unstable();
+            scalar.log.sort_unstable();
+            assert_eq!(batched.log, scalar.log, "l = {l}");
+        }
     }
 
     #[test]

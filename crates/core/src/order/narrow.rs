@@ -20,12 +20,8 @@
 use rand::Rng;
 
 use super::{OrderSpec, Split};
-use crate::comparator::Comparator;
+use crate::comparator::{Comparator, ROUND_CAP};
 use crate::maxfind::count_scores_into;
-
-/// Pairs per coalesced scoring round, matching the scoring-triangle
-/// chunk in `maxfind::count_scores_into`.
-const NARROW_ROUND_CHUNK: usize = 4096;
 
 /// Top-`k` / rest split of `items`, best first. `clean` counts the
 /// confirmed-top prefix committed on real answers; `candidate` is the
@@ -125,7 +121,7 @@ where
 {
     scores.clear();
     scores.resize(active.len(), 0);
-    let cap = NARROW_ROUND_CHUNK.min(active.len() * sample.len());
+    let cap = ROUND_CAP.min(active.len() * sample.len());
     let mut round: Vec<(I, I)> = Vec::with_capacity(cap);
     let mut who: Vec<usize> = Vec::with_capacity(cap);
     let mut answers: Vec<bool> = Vec::with_capacity(cap);
@@ -136,7 +132,7 @@ where
             }
             round.push((u, x));
             who.push(u_idx);
-            if round.len() == NARROW_ROUND_CHUNK {
+            if round.len() == ROUND_CAP {
                 flush(&round, &who, cmp, &mut answers, scores);
                 round.clear();
                 who.clear();

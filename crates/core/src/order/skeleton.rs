@@ -21,12 +21,8 @@
 //! run's prefix is bit-identical to the same prefix of the completed run.
 
 use super::OrderSpec;
-use crate::comparator::Comparator;
+use crate::comparator::{Comparator, ROUND_CAP};
 use crate::maxfind::count_scores_into;
-
-/// Pairs per coalesced insertion round, matching the scoring-triangle
-/// chunk in `maxfind::count_scores_into`.
-const WAVE_ROUND_CHUNK: usize = 4096;
 
 /// Full noisy sort, descending (best first). `clean` is the emit-sweep
 /// watermark: `out[..clean]` was committed entirely on real answers.
@@ -128,7 +124,7 @@ where
             return lo;
         }
         answers.clear();
-        for chunk in pairs.chunks(WAVE_ROUND_CHUNK) {
+        for chunk in pairs.chunks(ROUND_CAP) {
             cmp.le_round(chunk, &mut answers);
         }
         let mut at = 0;

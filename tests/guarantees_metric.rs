@@ -10,10 +10,12 @@
 use nco_core::hier::{hier_oracle, HierParams, Linkage};
 use nco_core::kcenter::{gonzalez, kcenter_adv, kcenter_prob, KCenterAdvParams, KCenterProbParams};
 use nco_core::maxfind::AdvParams;
+use nco_core::neighbor::baselines::nearest_tour2;
 use nco_core::neighbor::{farthest_adv, farthest_prob, nearest_adv, nearest_prob};
 use nco_eval::pair_f_score;
 use nco_metric::stats::{farthest_rank, kcenter_objective, nearest_rank};
 use nco_metric::Metric;
+use nco_oracle::adversarial::{AdversarialQuadOracle, PersistentRandomAdversary};
 use nco_oracle::crowd::AccuracyProfile;
 use nco_testkit::{assert_kcenter_constant_factor, success_rate, Counting, MetricScenario};
 use rand::rngs::StdRng;
@@ -77,6 +79,34 @@ fn nearest_adv_bound_across_noise_levels() {
             rate >= 0.9,
             "mu = {mu}: nearest bound held in only {rate} of trials"
         );
+    }
+}
+
+/// Figure 9(a) at small scale, with the `fig9_nearest_noise` bench's
+/// data and seeds (`cities` analogue, n = 500, query record 0, seeds
+/// 13..23): the mean distance `NN` (Max-Adv nearest) returns is never
+/// worse than `Tour2`'s at any adversarial μ, and strictly better at
+/// μ = 2.
+#[test]
+fn figure_9a_nn_never_worse_than_tour2() {
+    let d = nco_data::cities(500, 0xC1);
+    let metric = &d.metric;
+    let q = 0;
+    for mu in [0.0, 0.5, 1.0, 2.0] {
+        let (mut nn, mut tour2) = (0.0, 0.0);
+        for seed in 13..23u64 {
+            let oracle =
+                || AdversarialQuadOracle::new(metric, mu, PersistentRandomAdversary::new(seed));
+            let got = nearest_adv(&mut oracle(), q, &AdvParams::experimental(), &mut rng(seed));
+            nn += metric.dist(q, got.unwrap()) / 10.0;
+            let got = nearest_tour2(&mut oracle(), q, &mut rng(seed));
+            tour2 += metric.dist(q, got.unwrap()) / 10.0;
+        }
+        eprintln!("mu = {mu}: NN {nn:.4} Tour2 {tour2:.4}");
+        assert!(nn <= tour2, "mu = {mu}: NN {nn} > Tour2 {tour2}");
+        if mu == 2.0 {
+            assert!(nn < tour2, "mu = 2: NN {nn} not below Tour2 {tour2}");
+        }
     }
 }
 
