@@ -2,9 +2,15 @@
 //! level, simulated oracle: (a) adversarial mu in {0, 0.5, 1, 2};
 //! (b) probabilistic p in {0, 0.1, 0.3}.
 //!
-//! Paper result: `Far` finds the correct farthest for mu < 1 and stays
-//! within 4x at every mu; `Far_p` stays near `TDist` for every p while
-//! `Samp` is >4x smaller at p = 0.3 and `Tour2` declines beyond p = 0.1.
+//! Measured shape, 10 reps: `Far` finds the exact farthest only at
+//! mu = 0 and lands within 1% of it at mu = 0.5, 1 and 2 (0.996 at
+//! n = 500, 0.994 at n = 2000), far inside 4x at every mu. `Far_p` stays
+//! at `TDist` for every p, while `Samp` is >4x smaller at p = 0.3 (0.109
+//! at n = 500, 0.202 at n = 2000). `Tour2` declines as p grows: 1.000 /
+//! 0.824 / 0.383 at p = 0 / 0.1 / 0.3 for n = 500, and 1.000 / 0.997 /
+//! 0.475 for n = 2000. The n = 500 shape (`NCO_SCALE=0.25`) is pinned with
+//! these seeds in
+//! `tests/guarantees_metric.rs::figure_8_far_within_4x_samp_collapses_tour2_declines`.
 
 use nco_bench::{bench_cities, reps, scaled};
 use nco_core::maxfind::AdvParams;
@@ -118,6 +124,7 @@ fn main() {
         ]);
     }
     println!("{table}");
-    println!("paper shape: Far/Far_p ~1.0 at every noise level; Tour2 fine until p > 0.1;");
-    println!("Samp far below 1.0 on cities at all levels (skewed distances, unique optimum).");
+    println!("measured shape: Far within 1% of TDist at every mu, Far_p ~1.0 at every p;");
+    println!("Tour2 declines as p grows (by p = 0.1 at n = 500, by p = 0.3 at n = 2000);");
+    println!("Samp far below 1.0 on cities at all levels, >4x below Far_p at p = 0.3.");
 }

@@ -7,8 +7,9 @@
 //! = point-to-assigned-center distances, Section 4) and hierarchical
 //! clustering's closest-pair search (values = inter-cluster rep-pair
 //! distances, Section 5). [`Comparator`] captures that reuse: a noisy
-//! `le(a, b)` over opaque items, with adapters mapping each concrete setting
-//! onto an oracle.
+//! `le(a, b)` over opaque items. [`ValueCmp`] maps it onto a comparison
+//! oracle, and [`PairDistCmp`] maps all three metric settings onto a
+//! quadruplet oracle through one item-to-record-pair key.
 
 use nco_oracle::{ComparisonOracle, QuadrupletOracle};
 
@@ -39,6 +40,15 @@ pub trait Comparator<I: Copy> {
         }
     }
 
+    /// [`Comparator::le_round`] with every pair swapped: one answer per
+    /// `(a, b)` equal to `le(b, a)`, in round order. [`Rev`] calls it so
+    /// the reversal reaches the comparator that builds the queries; the
+    /// default copies the round swapped and hands it to `le_round`.
+    fn le_round_rev(&mut self, round: &[(I, I)], out: &mut Vec<bool>) {
+        let swapped: Vec<(I, I)> = round.iter().map(|&(a, b)| (b, a)).collect();
+        self.le_round(&swapped, out);
+    }
+
     /// `true` once the backing oracle stack can no longer return real
     /// answers (see [`ComparisonOracle::doomed`]); engines use it to stop
     /// advancing clean-progress watermarks. Purely observational; the
@@ -60,6 +70,9 @@ impl<I: Copy, C: Comparator<I> + ?Sized> Comparator<I> for &mut C {
     }
     fn le_round(&mut self, round: &[(I, I)], out: &mut Vec<bool>) {
         (**self).le_round(round, out);
+    }
+    fn le_round_rev(&mut self, round: &[(I, I)], out: &mut Vec<bool>) {
+        (**self).le_round_rev(round, out);
     }
     fn doomed(&self) -> bool {
         (**self).doomed()
@@ -94,61 +107,75 @@ impl<O: ComparisonOracle> Comparator<usize> for ValueCmp<'_, O> {
     }
 }
 
-/// Items are record indices, keys are their distances from a fixed query
-/// point `q` — the reduction of Section 3.3 (farthest/nearest neighbour).
-#[derive(Debug)]
-pub struct DistToQueryCmp<'a, O> {
+/// Items map to record pairs, keys are those pairs' distances — the one
+/// reduction behind every metric engine: `key(a)` names the record pair
+/// whose distance is item `a`'s hidden key, and `le(a, b)` asks the
+/// quadruplet query `key(a) <= key(b)`.
+///
+/// Keys of the crate's engines:
+/// - farthest/nearest from a query `q` (Section 3.3): `|v| (q, v)`;
+/// - Approx-Farthest (Section 4): `|v| (v, centers[assignment[v]])`;
+/// - record pairs themselves: `|p| p`;
+/// - hierarchy closest pairs (Section 5): `|c| graph.rep(c, nn[c])`.
+///
+/// Every round becomes one `le_batch`, translated into a query buffer the
+/// comparator owns and reuses across rounds; under [`Rev`] the swapped
+/// queries are built directly, with no copied round.
+pub struct PairDistCmp<'a, O, K> {
     oracle: &'a mut O,
-    q: usize,
+    key: K,
+    queries: Vec<[usize; 4]>,
 }
 
-impl<'a, O: QuadrupletOracle> DistToQueryCmp<'a, O> {
-    /// Wraps a quadruplet oracle with the query record `q`.
-    pub fn new(oracle: &'a mut O, q: usize) -> Self {
-        Self { oracle, q }
+impl<'a, O: QuadrupletOracle, K> PairDistCmp<'a, O, K> {
+    /// Wraps a quadruplet oracle with the item-to-record-pair `key`.
+    pub fn new<I>(oracle: &'a mut O, key: K) -> Self
+    where
+        K: Fn(I) -> (usize, usize),
+    {
+        Self {
+            oracle,
+            key,
+            queries: Vec::new(),
+        }
+    }
+
+    fn ask_round<I: Copy, const REV: bool>(&mut self, round: &[(I, I)], out: &mut Vec<bool>)
+    where
+        K: Fn(I) -> (usize, usize),
+    {
+        let Self {
+            oracle,
+            key,
+            queries,
+        } = self;
+        queries.clear();
+        queries.extend(round.iter().map(|&(a, b)| {
+            let ((a0, a1), (b0, b1)) = if REV {
+                (key(b), key(a))
+            } else {
+                (key(a), key(b))
+            };
+            [a0, a1, b0, b1]
+        }));
+        oracle.le_batch(queries, out);
     }
 }
 
-impl<O: QuadrupletOracle> Comparator<usize> for DistToQueryCmp<'_, O> {
-    fn le(&mut self, a: usize, b: usize) -> bool {
-        self.oracle.le(self.q, a, self.q, b)
+impl<I: Copy, O: QuadrupletOracle, K: Fn(I) -> (usize, usize)> Comparator<I>
+    for PairDistCmp<'_, O, K>
+{
+    fn le(&mut self, a: I, b: I) -> bool {
+        let ((a0, a1), (b0, b1)) = ((self.key)(a), (self.key)(b));
+        self.oracle.le(a0, a1, b0, b1)
     }
 
-    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
-        let queries: Vec<[usize; 4]> = round.iter().map(|&(a, b)| [self.q, a, self.q, b]).collect();
-        self.oracle.le_batch(&queries, out);
+    fn le_round(&mut self, round: &[(I, I)], out: &mut Vec<bool>) {
+        self.ask_round::<I, false>(round, out);
     }
 
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
-/// Items are unordered record pairs, keys are their pairwise distances —
-/// used by hierarchical clustering's closest-pair searches (Section 5).
-#[derive(Debug)]
-pub struct PairDistCmp<'a, O> {
-    oracle: &'a mut O,
-}
-
-impl<'a, O: QuadrupletOracle> PairDistCmp<'a, O> {
-    /// Wraps a quadruplet oracle.
-    pub fn new(oracle: &'a mut O) -> Self {
-        Self { oracle }
-    }
-}
-
-impl<O: QuadrupletOracle> Comparator<(usize, usize)> for PairDistCmp<'_, O> {
-    fn le(&mut self, a: (usize, usize), b: (usize, usize)) -> bool {
-        self.oracle.le(a.0, a.1, b.0, b.1)
-    }
-
-    fn le_round(&mut self, round: &[((usize, usize), (usize, usize))], out: &mut Vec<bool>) {
-        let queries: Vec<[usize; 4]> = round
-            .iter()
-            .map(|&((a0, a1), (b0, b1))| [a0, a1, b0, b1])
-            .collect();
-        self.oracle.le_batch(&queries, out);
+    fn le_round_rev(&mut self, round: &[(I, I)], out: &mut Vec<bool>) {
+        self.ask_round::<I, true>(round, out);
     }
 
     fn doomed(&self) -> bool {
@@ -167,10 +194,13 @@ impl<I: Copy, C: Comparator<I>> Comparator<I> for Rev<C> {
     }
 
     fn le_round(&mut self, round: &[(I, I)], out: &mut Vec<bool>) {
-        // Reverse every pair, then delegate so the inner comparator's
-        // batching (and therefore the oracle's) still kicks in.
-        let reversed: Vec<(I, I)> = round.iter().map(|&(a, b)| (b, a)).collect();
-        self.0.le_round(&reversed, out);
+        // Delegate so the inner comparator's batching (and therefore the
+        // oracle's) still kicks in; reversing twice is the identity.
+        self.0.le_round_rev(round, out);
+    }
+
+    fn le_round_rev(&mut self, round: &[(I, I)], out: &mut Vec<bool>) {
+        self.0.le_round(round, out);
     }
 
     fn doomed(&self) -> bool {
@@ -216,7 +246,7 @@ mod tests {
     fn dist_to_query_cmp_compares_distances_from_q() {
         let m = EuclideanMetric::from_points(&[vec![0.0], vec![1.0], vec![5.0]]);
         let mut o = TrueQuadOracle::new(m);
-        let mut c = DistToQueryCmp::new(&mut o, 0);
+        let mut c = PairDistCmp::new(&mut o, |v| (0, v));
         assert!(c.le(1, 2)); // d(0,1)=1 <= d(0,2)=5
         assert!(!c.le(2, 1));
     }
@@ -225,7 +255,7 @@ mod tests {
     fn pair_dist_cmp_compares_pairs() {
         let m = EuclideanMetric::from_points(&[vec![0.0], vec![1.0], vec![5.0]]);
         let mut o = TrueQuadOracle::new(m);
-        let mut c = PairDistCmp::new(&mut o);
+        let mut c = PairDistCmp::new(&mut o, |p| p);
         assert!(c.le((0, 1), (1, 2)));
         assert!(!c.le((0, 2), (0, 1)));
     }

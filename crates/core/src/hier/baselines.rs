@@ -16,25 +16,10 @@
 
 use super::graph::ClusterGraph;
 use super::{Dendrogram, Linkage, Merge};
-use crate::comparator::Comparator;
-use crate::comparator::Rev;
-use crate::maxfind::{count_max, tournament};
+use crate::comparator::{PairDistCmp, Rev};
+use crate::maxfind::{count_scores, tournament};
 use nco_oracle::QuadrupletOracle;
 use rand::Rng;
-
-/// Compares two candidate cluster pairs by their rep-pair distances.
-struct PairRepCmp<'a, O> {
-    oracle: &'a mut O,
-    graph: &'a ClusterGraph,
-}
-
-impl<O: QuadrupletOracle> Comparator<(usize, usize)> for PairRepCmp<'_, O> {
-    fn le(&mut self, p: (usize, usize), q: (usize, usize)) -> bool {
-        let r1 = self.graph.rep(p.0, p.1);
-        let r2 = self.graph.rep(q.0, q.1);
-        self.oracle.le(r1.0, r1.1, r2.0, r2.1)
-    }
-}
 
 /// Result of the budgeted `Tour2` agglomeration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,13 +73,8 @@ where
             };
         }
         spent += cost;
-        let (a, b) = {
-            let mut cmp = Rev(PairRepCmp {
-                oracle,
-                graph: &graph,
-            });
-            tournament(&pairs, 2, &mut cmp, rng).expect("non-empty pair list")
-        };
+        let mut cmp = Rev(PairDistCmp::new(oracle, |(a, b)| graph.rep(a, b)));
+        let (a, b) = tournament(&pairs, 2, &mut cmp, rng).expect("non-empty pair list");
         let rep = graph.rep(a, b);
         let new = graph.merge(a, b, linkage, oracle);
         merges.push(Merge {
@@ -142,13 +122,13 @@ where
                 sample.push(p);
             }
         }
-        let (a, b) = {
-            let mut cmp = Rev(PairRepCmp {
-                oracle,
-                graph: &graph,
-            });
-            count_max(&sample, &mut cmp).expect("non-empty sample")
-        };
+        // Count-Min straight off the scoring triangle, so a two-pair sample
+        // is a batched round too (`count_min` duels it as a scalar `le`);
+        // the first top scorer wins, as in `count_min`.
+        let mut cmp = Rev(PairDistCmp::new(oracle, |(a, b)| graph.rep(a, b)));
+        let scores = count_scores(&sample, &mut cmp);
+        let top = scores.iter().max().expect("non-empty sample");
+        let (a, b) = sample[scores.iter().position(|s| s == top).expect("a top score")];
         let rep = graph.rep(a, b);
         let new = graph.merge(a, b, linkage, oracle);
         merges.push(Merge {
@@ -169,6 +149,7 @@ mod tests {
     use super::*;
     use nco_metric::EuclideanMetric;
     use nco_oracle::counting::Counting;
+    use nco_oracle::probabilistic::ProbQuadOracle;
     use nco_oracle::TrueQuadOracle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -234,6 +215,85 @@ mod tests {
         // Per merge ~ sqrt(r)^2/2 = r/2 sample queries + r refresh queries:
         // O(n^2) total.
         assert!(o.queries() < (2 * n * n) as u64, "{} queries", o.queries());
+    }
+
+    /// Splits an oracle's traffic into scalar `le` calls and queries
+    /// asked through `le_batch` rounds.
+    struct SplitCount<O> {
+        inner: O,
+        scalar: u64,
+        batched: u64,
+    }
+
+    impl<O: QuadrupletOracle> QuadrupletOracle for SplitCount<O> {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+        fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
+            self.scalar += 1;
+            self.inner.le(a, b, c, d)
+        }
+        fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
+            self.batched += queries.len() as u64;
+            self.inner.le_batch(queries, out);
+        }
+    }
+
+    /// Forwards only `le`, so every round takes the trait's scalar loop.
+    struct ScalarRounds<O>(O);
+
+    impl<O: QuadrupletOracle> QuadrupletOracle for ScalarRounds<O> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
+            self.0.le(a, b, c, d)
+        }
+    }
+
+    /// Both baselines ask every tournament and Count-Min duel in batched
+    /// rounds — no scalar `le` at all — and the batching changes neither
+    /// the dendrogram nor the query count of the scalar-loop run.
+    #[test]
+    fn baselines_ask_every_duel_in_batched_rounds() {
+        let pts: Vec<Vec<f64>> = (0..20)
+            .map(|i| vec![((i * 37) % 23) as f64, ((i * 11) % 7) as f64])
+            .collect();
+        let metric = EuclideanMetric::from_points(&pts);
+        for linkage in [Linkage::Single, Linkage::Complete] {
+            for seed in 0..4u64 {
+                let noisy = || ProbQuadOracle::new(metric.clone(), 0.2, seed);
+                let split = || SplitCount {
+                    inner: noisy(),
+                    scalar: 0,
+                    batched: 0,
+                };
+
+                let mut o = split();
+                let mut reference = Counting::new(ScalarRounds(noisy()));
+                let got = hier_tour2(linkage, u64::MAX, &mut o, &mut rng(10 + seed));
+                let want = hier_tour2(linkage, u64::MAX, &mut reference, &mut rng(10 + seed));
+                assert_eq!(o.scalar, 0, "tour2 {linkage:?} seed {seed}");
+                assert_eq!(got, want, "tour2 {linkage:?} seed {seed}");
+                assert_eq!(
+                    o.batched,
+                    reference.queries(),
+                    "tour2 {linkage:?} seed {seed}"
+                );
+
+                let mut o = split();
+                let mut reference = Counting::new(ScalarRounds(noisy()));
+                let got = hier_samp(linkage, &mut o, &mut rng(20 + seed));
+                let want = hier_samp(linkage, &mut reference, &mut rng(20 + seed));
+                assert_eq!(o.scalar, 0, "samp {linkage:?} seed {seed}");
+                assert_eq!(got, want, "samp {linkage:?} seed {seed}");
+                assert_eq!(
+                    o.batched,
+                    reference.queries(),
+                    "samp {linkage:?} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -63,8 +63,8 @@
 
 use super::graph::ClusterGraph;
 use super::{Dendrogram, Linkage, Merge};
-use crate::comparator::Comparator;
-use crate::maxfind::{max_adv, AdvParams, MinContest, RowScaffold, SweepBuffers};
+use crate::comparator::PairDistCmp;
+use crate::maxfind::{min_adv, AdvParams, MinContest, RowScaffold, SweepBuffers};
 use nco_oracle::{PersistentNoise, QuadrupletOracle};
 use rand::rngs::CounterRng;
 use rand::Rng;
@@ -173,129 +173,8 @@ pub struct MergePlaneStats {
     pub repair_fallbacks: u64,
 }
 
-/// Compares neighbour clusters of a fixed cluster by their rep-pair
-/// distances, with the **minimum orientation fused into the
-/// translation**: `le(a, b)` asks `oracle.le(rep(me, b), rep(me, a))`,
-/// exactly what `Rev(RepCmp)` would ask — so `nearest_of` calls
-/// [`max_adv`](crate::maxfind::max_adv) directly and skips the `Rev`
-/// adapter's per-round reversal pass. The translated round is built in a
-/// caller-owned reusable buffer.
-struct RevRepCmp<'a, O> {
-    oracle: &'a mut O,
-    graph: &'a ClusterGraph,
-    me: usize,
-    queries: &'a mut Vec<[usize; 4]>,
-}
-
-impl<O: QuadrupletOracle> Comparator<usize> for RevRepCmp<'_, O> {
-    fn le(&mut self, c1: usize, c2: usize) -> bool {
-        let r1 = self.graph.rep(self.me, c2);
-        let r2 = self.graph.rep(self.me, c1);
-        self.oracle.le(r1.0, r1.1, r2.0, r2.1)
-    }
-
-    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
-        let Self {
-            oracle,
-            graph,
-            me,
-            queries,
-        } = self;
-        queries.clear();
-        queries.extend(round.iter().map(|&(c1, c2)| {
-            let r1 = graph.rep(*me, c2);
-            let r2 = graph.rep(*me, c1);
-            [r1.0, r1.1, r2.0, r2.1]
-        }));
-        oracle.le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
-/// Compares neighbour clusters of a fixed cluster by rep-pair distance in
-/// the **direct minimum orientation** the scaffold plane expects:
-/// `le(u, v)` asks `oracle.le(rep(me, u), rep(me, v))` — `true` promotes
-/// `u` as the at-least-as-close one. No reversal fusion here: the
-/// scaffold caches outcomes under canonically ordered candidate-id pairs,
-/// so the query orientation must be a pure function of the pair, never of
-/// bracket position.
-struct RepCmp<'a, O> {
-    oracle: &'a mut O,
-    graph: &'a ClusterGraph,
-    me: usize,
-    queries: &'a mut Vec<[usize; 4]>,
-}
-
-impl<O: QuadrupletOracle> Comparator<usize> for RepCmp<'_, O> {
-    fn le(&mut self, c1: usize, c2: usize) -> bool {
-        let r1 = self.graph.rep(self.me, c1);
-        let r2 = self.graph.rep(self.me, c2);
-        self.oracle.le(r1.0, r1.1, r2.0, r2.1)
-    }
-
-    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
-        let Self {
-            oracle,
-            graph,
-            me,
-            queries,
-        } = self;
-        queries.clear();
-        queries.extend(round.iter().map(|&(c1, c2)| {
-            let r1 = graph.rep(*me, c1);
-            let r2 = graph.rep(*me, c2);
-            [r1.0, r1.1, r2.0, r2.1]
-        }));
-        oracle.le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
-/// Compares candidate clusters by the rep pair to their current nearest
-/// neighbour — the closest-pair search of Algorithm 11 line 7. Rounds are
-/// translated to quadruplet batches in a reusable buffer.
-struct CandidateCmp<'a, O> {
-    oracle: &'a mut O,
-    graph: &'a ClusterGraph,
-    /// Dense pointer table indexed by cluster id.
-    nn: &'a [usize],
-    queries: &'a mut Vec<[usize; 4]>,
-}
-
-impl<O: QuadrupletOracle> Comparator<usize> for CandidateCmp<'_, O> {
-    fn le(&mut self, c1: usize, c2: usize) -> bool {
-        let r1 = self.graph.rep(c1, self.nn[c1]);
-        let r2 = self.graph.rep(c2, self.nn[c2]);
-        self.oracle.le(r1.0, r1.1, r2.0, r2.1)
-    }
-
-    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
-        let Self {
-            oracle,
-            graph,
-            nn,
-            queries,
-        } = self;
-        queries.clear();
-        queries.extend(round.iter().map(|&(c1, c2)| {
-            let r1 = graph.rep(c1, nn[c1]);
-            let r2 = graph.rep(c2, nn[c2]);
-            [r1.0, r1.1, r2.0, r2.1]
-        }));
-        oracle.le_batch(queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
+/// Row `c`'s nearest neighbour: Max-Adv for the minimum over the live
+/// clusters, keyed by their rep pairs with `c`.
 fn nearest_of<O, R>(
     graph: &ClusterGraph,
     c: usize,
@@ -303,7 +182,6 @@ fn nearest_of<O, R>(
     oracle: &mut O,
     rng: &mut R,
     scratch: &mut Vec<usize>,
-    quads: &mut Vec<[usize; 4]>,
 ) -> usize
 where
     O: QuadrupletOracle,
@@ -312,20 +190,18 @@ where
     scratch.clear();
     scratch.extend(graph.active().iter().copied().filter(|&x| x != c));
     debug_assert!(!scratch.is_empty());
-    let mut cmp = RevRepCmp {
-        oracle,
-        graph,
-        me: c,
-        queries: quads,
-    };
-    // `max_adv` over the reversal-fused comparator IS `min_adv` over the
-    // plain one — identical queries, identical winner.
-    max_adv(scratch, params, &mut cmp, rng).expect("at least one neighbour")
+    let mut cmp = PairDistCmp::new(oracle, move |u| graph.rep(c, u));
+    min_adv(scratch, params, &mut cmp, rng).expect("at least one neighbour")
 }
 
 /// One row-anchored nearest-neighbour search through the shared scaffold
 /// plane: sweep row `c`'s brackets (dirty buckets only, unless `use_cache`
 /// is off or the dirty set is the majority) and the pooled Count-Min.
+///
+/// The comparator is handed over in the direct orientation (`le(u, v)`
+/// asks `rep(c, u) <= rep(c, v)`): the scaffold caches outcomes under
+/// canonically ordered candidate-id pairs, so it must orient each query
+/// by the pair's ids, never by bracket position.
 fn scaffold_nearest<O: QuadrupletOracle>(
     plane: &mut RowScaffold,
     buf: &mut SweepBuffers,
@@ -333,14 +209,8 @@ fn scaffold_nearest<O: QuadrupletOracle>(
     c: usize,
     oracle: &mut O,
     use_cache: bool,
-    quads: &mut Vec<[usize; 4]>,
 ) -> usize {
-    let mut cmp = RepCmp {
-        oracle,
-        graph,
-        me: c,
-        queries: quads,
-    };
+    let mut cmp = PairDistCmp::new(oracle, move |u| graph.rep(c, u));
     plane.sweep(c, &mut cmp, use_cache, buf)
 }
 
@@ -365,11 +235,8 @@ where
     let mut plane = RowScaffold::new(&items, 2 * n - 1, &params.search, rng);
     let mut buf = SweepBuffers::new(2 * n - 1);
     let mut nn: Vec<usize> = vec![usize::MAX; 2 * n - 1];
-    let mut quads: Vec<[usize; 4]> = Vec::new();
     for (c, pointer) in nn.iter_mut().enumerate().take(n) {
-        *pointer = scaffold_nearest(
-            &mut plane, &mut buf, &graph, c, oracle, use_cache, &mut quads,
-        );
+        *pointer = scaffold_nearest(&mut plane, &mut buf, &graph, c, oracle, use_cache);
     }
     (graph, nn, plane, buf)
 }
@@ -457,17 +324,8 @@ where
     // dead/unset entries.
     let mut nn: Vec<usize> = vec![usize::MAX; 2 * n - 1];
     let mut neighbours: Vec<usize> = Vec::with_capacity(n);
-    let mut quads: Vec<[usize; 4]> = Vec::new();
     for (c, pointer) in nn.iter_mut().enumerate().take(n) {
-        *pointer = nearest_of(
-            &graph,
-            c,
-            &params.search,
-            oracle,
-            rng,
-            &mut neighbours,
-            &mut quads,
-        );
+        *pointer = nearest_of(&graph, c, &params.search, oracle, rng, &mut neighbours);
     }
     (graph, nn)
 }
@@ -507,17 +365,11 @@ where
     // Scratch buffers reused by every search and repair round.
     let mut neighbours: Vec<usize> = Vec::with_capacity(n);
     let mut stale: Vec<usize> = Vec::with_capacity(n);
-    let mut quads: Vec<[usize; 4]> = Vec::new();
     let mut kept: Vec<(usize, bool)> = Vec::with_capacity(n);
 
     let mut merges = Vec::with_capacity(n - 1);
     let mut winner = {
-        let mut cmp = CandidateCmp {
-            oracle,
-            graph: &graph,
-            nn: &nn,
-            queries: &mut quads,
-        };
+        let mut cmp = PairDistCmp::new(oracle, |c| graph.rep(c, nn[c]));
         contest.sweep(&mut cmp, true).expect("non-empty actives")
     };
     let mut step = 0u64;
@@ -573,11 +425,11 @@ where
                     // Complete linkage: distances grew; recompute over
                     // the shared scaffold.
                     Linkage::Complete => {
-                        nn[c] = scaffold_nearest(sc, buf, &graph, c, oracle, !scratch, &mut quads);
+                        nn[c] = scaffold_nearest(sc, buf, &graph, c, oracle, !scratch);
                     }
                 }
             }
-            nn[new] = scaffold_nearest(sc, buf, &graph, new, oracle, !scratch, &mut quads);
+            nn[new] = scaffold_nearest(sc, buf, &graph, new, oracle, !scratch);
         } else {
             for &c in &stale {
                 match params.linkage {
@@ -596,7 +448,6 @@ where
                             oracle,
                             &mut repair_rng,
                             &mut neighbours,
-                            &mut quads,
                         );
                     }
                 }
@@ -608,7 +459,6 @@ where
                 oracle,
                 &mut repair_rng,
                 &mut neighbours,
-                &mut quads,
             );
         }
         stats.repaired_pointers += stale.len() as u64;
@@ -631,12 +481,7 @@ where
         // incumbent structure (decision-identical either way).
         let full = scratch || 2 * dirty > graph.active().len();
         winner = {
-            let mut cmp = CandidateCmp {
-                oracle,
-                graph: &graph,
-                nn: &nn,
-                queries: &mut quads,
-            };
+            let mut cmp = PairDistCmp::new(oracle, |c| graph.rep(c, nn[c]));
             contest.sweep(&mut cmp, full).expect("non-empty actives")
         };
         step += 1;

@@ -18,7 +18,7 @@
 //! queries for `mu < 1/18` (Theorem 4.2).
 
 use super::Clustering;
-use crate::comparator::Comparator;
+use crate::comparator::PairDistCmp;
 use crate::maxfind::{max_adv, AdvParams};
 use nco_oracle::QuadrupletOracle;
 use rand::Rng;
@@ -70,42 +70,6 @@ impl KCenterAdvParams {
 impl Default for KCenterAdvParams {
     fn default() -> Self {
         Self::experimental(2)
-    }
-}
-
-/// Compares two non-center points by their distance to their assigned
-/// centers — the item ordering Approx-Farthest maximises. Shared with the
-/// `Tour2` / `Samp` baselines.
-pub(crate) struct AssignedDistCmp<'a, O> {
-    pub(crate) oracle: &'a mut O,
-    pub(crate) centers: &'a [usize],
-    pub(crate) assignment: &'a [usize],
-}
-
-impl<O: QuadrupletOracle> Comparator<usize> for AssignedDistCmp<'_, O> {
-    fn le(&mut self, a: usize, b: usize) -> bool {
-        let sa = self.centers[self.assignment[a]];
-        let sb = self.centers[self.assignment[b]];
-        self.oracle.le(a, sa, b, sb)
-    }
-
-    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
-        let queries: Vec<[usize; 4]> = round
-            .iter()
-            .map(|&(a, b)| {
-                [
-                    a,
-                    self.centers[self.assignment[a]],
-                    b,
-                    self.centers[self.assignment[b]],
-                ]
-            })
-            .collect();
-        self.oracle.le_batch(&queries, out);
-    }
-
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
     }
 }
 
@@ -166,11 +130,7 @@ where
     while centers.len() < k {
         // Approx-Farthest over all non-center points.
         let items: Vec<usize> = (0..n).filter(|&v| !is_center[v]).collect();
-        let mut cmp = AssignedDistCmp {
-            oracle,
-            centers: &centers,
-            assignment: &assignment,
-        };
+        let mut cmp = PairDistCmp::new(oracle, |v| (v, centers[assignment[v]]));
         let far = max_adv(&items, &params.farthest, &mut cmp, rng)
             .expect("non-empty candidate set while centers < k <= n");
 

@@ -14,8 +14,8 @@
 //!   connected components. High precision / low recall behaviour comes
 //!   from the oracle model (`nco_oracle::cluster_query`).
 
-use super::adversarial::AssignedDistCmp;
 use super::Clustering;
+use crate::comparator::PairDistCmp;
 use crate::maxfind::{count_max, tournament};
 use nco_oracle::cluster_query::ClusterQueryOracle;
 use nco_oracle::QuadrupletOracle;
@@ -47,14 +47,8 @@ where
 
     while centers.len() < k {
         let items: Vec<usize> = (0..n).filter(|&v| !is_center[v]).collect();
-        let far = {
-            let mut cmp = AssignedDistCmp {
-                oracle,
-                centers: &centers,
-                assignment: &assignment,
-            };
-            tournament(&items, 2, &mut cmp, rng).expect("non-empty candidates")
-        };
+        let mut cmp = PairDistCmp::new(oracle, |v| (v, centers[assignment[v]]));
+        let far = tournament(&items, 2, &mut cmp, rng).expect("non-empty candidates");
         let pos = centers.len();
         centers.push(far);
         is_center[far] = true;
@@ -119,14 +113,8 @@ where
 
     while centers.len() < k {
         let items: Vec<usize> = sample.iter().copied().filter(|&v| !is_center[v]).collect();
-        let far = {
-            let mut cmp = AssignedDistCmp {
-                oracle,
-                centers: &centers,
-                assignment: &s_assign,
-            };
-            count_max(&items, &mut cmp).expect("sample larger than k")
-        };
+        let mut cmp = PairDistCmp::new(oracle, |v| (v, centers[s_assign[v]]));
+        let far = count_max(&items, &mut cmp).expect("sample larger than k");
         let pos = centers.len();
         centers.push(far);
         is_center[far] = true;

@@ -19,8 +19,8 @@
 //! constant — measured in the ablation bench.
 
 use super::Clustering;
-use crate::comparator::{PairDistCmp, Rev};
-use crate::maxfind::{max_adv, AdvParams};
+use crate::comparator::PairDistCmp;
+use crate::maxfind::{min_adv, AdvParams};
 use crate::neighbor::farthest_adv_among;
 use nco_oracle::QuadrupletOracle;
 use rand::seq::SliceRandom;
@@ -108,10 +108,8 @@ where
                 continue;
             }
             // Least-eccentric candidate = minimum pair distance.
-            let best = {
-                let mut cmp = Rev(PairDistCmp::new(oracle));
-                max_adv(&pairs, &params.search, &mut cmp, rng).expect("non-empty pairs")
-            };
+            let mut cmp = PairDistCmp::new(oracle, |p| p);
+            let best = min_adv(&pairs, &params.search, &mut cmp, rng).expect("non-empty pairs");
             clustering.centers[c] = best.0;
         }
         // Centers must map to themselves even if they changed cluster

@@ -9,8 +9,8 @@
 //!   when many records are near-optimal (amazon/caltech), loses badly when
 //!   the optimum is unique (cities), per Section 6.3's discussion.
 
-use crate::comparator::{DistToQueryCmp, Rev};
-use crate::maxfind::{count_max, tournament};
+use crate::comparator::{PairDistCmp, Rev};
+use crate::maxfind::{count_max, count_min, tournament};
 use nco_oracle::QuadrupletOracle;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -22,7 +22,7 @@ where
     R: Rng + ?Sized,
 {
     let items = super::candidates_excluding(oracle.n(), q);
-    tournament(&items, 2, &mut DistToQueryCmp::new(oracle, q), rng)
+    tournament(&items, 2, &mut PairDistCmp::new(oracle, |v| (q, v)), rng)
 }
 
 /// `Tour2` nearest: binary tournament with the reversed comparator.
@@ -32,7 +32,8 @@ where
     R: Rng + ?Sized,
 {
     let items = super::candidates_excluding(oracle.n(), q);
-    tournament(&items, 2, &mut Rev(DistToQueryCmp::new(oracle, q)), rng)
+    let mut cmp = Rev(PairDistCmp::new(oracle, |v| (q, v)));
+    tournament(&items, 2, &mut cmp, rng)
 }
 
 /// `Samp` farthest: Count-Max over a uniform sample of `ceil(sqrt(n))`
@@ -43,7 +44,7 @@ where
     R: Rng + ?Sized,
 {
     let sample = sqrt_sample(oracle.n(), q, rng);
-    count_max(&sample, &mut DistToQueryCmp::new(oracle, q))
+    count_max(&sample, &mut PairDistCmp::new(oracle, |v| (q, v)))
 }
 
 /// `Samp` nearest: Count-Max over a `sqrt(n)` sample, reversed comparator.
@@ -53,7 +54,7 @@ where
     R: Rng + ?Sized,
 {
     let sample = sqrt_sample(oracle.n(), q, rng);
-    count_max(&sample, &mut Rev(DistToQueryCmp::new(oracle, q)))
+    count_min(&sample, &mut PairDistCmp::new(oracle, |v| (q, v)))
 }
 
 fn sqrt_sample<R: Rng + ?Sized>(n: usize, q: usize, rng: &mut R) -> Vec<usize> {

@@ -4,8 +4,9 @@
 //! Finding the record farthest from (or nearest to) a query `q` is finding
 //! the maximum (minimum) of the hidden value set `D(q) = { d(q, v) }`, so
 //! the Section 3 engines apply directly with a
-//! [`crate::comparator::DistToQueryCmp`] ([`farthest_adv`], [`nearest_adv`]
-//! — Algorithms 14–16 with raw quadruplet queries).
+//! [`crate::comparator::PairDistCmp`] keyed by `|v| (q, v)`
+//! ([`farthest_adv`], [`nearest_adv`] — Algorithms 14–16 with raw
+//! quadruplet queries).
 //!
 //! Under **probabilistic** noise the raw engines only guarantee an
 //! `O(log^2 n)`-rank result (Theorem 3.7). The paper sharpens this to an

@@ -3,8 +3,8 @@
 
 use super::core_set::build_core;
 use super::pairwise::PairwiseCmp;
-use crate::comparator::{DistToQueryCmp, Rev};
-use crate::maxfind::{max_adv, AdvParams};
+use crate::comparator::{PairDistCmp, Rev};
+use crate::maxfind::{max_adv, min_adv, AdvParams};
 use nco_oracle::QuadrupletOracle;
 use rand::Rng;
 
@@ -38,7 +38,8 @@ where
     R: Rng + ?Sized,
 {
     let items: Vec<usize> = candidates.iter().copied().filter(|&v| v != q).collect();
-    max_adv(&items, params, &mut DistToQueryCmp::new(oracle, q), rng)
+    let mut cmp = PairDistCmp::new(oracle, |v| (q, v));
+    max_adv(&items, params, &mut cmp, rng)
 }
 
 /// Nearest record to `q` under adversarial noise (reversed comparator).
@@ -64,12 +65,8 @@ where
     R: Rng + ?Sized,
 {
     let items: Vec<usize> = candidates.iter().copied().filter(|&v| v != q).collect();
-    max_adv(
-        &items,
-        params,
-        &mut Rev(DistToQueryCmp::new(oracle, q)),
-        rng,
-    )
+    let mut cmp = PairDistCmp::new(oracle, |v| (q, v));
+    min_adv(&items, params, &mut cmp, rng)
 }
 
 /// Farthest record from `q` under probabilistic noise, given a core `S` of
@@ -207,7 +204,6 @@ mod tests {
     /// ~3.96 < (1+mu)^2 approximation.
     #[test]
     fn paper_example_3_8_farthest_worst_case() {
-        use crate::comparator::DistToQueryCmp;
         use crate::maxfind::{count_max, count_scores};
         let m = EuclideanMetric::from_points(&[
             vec![0.0],   // s (query)
@@ -218,9 +214,9 @@ mod tests {
         ]);
         let mut o = AdversarialQuadOracle::new(m, 1.0, InvertAdversary);
         let items = [1usize, 2, 3, 4];
-        let scores = count_scores(&items, &mut DistToQueryCmp::new(&mut o, 0));
+        let scores = count_scores(&items, &mut PairDistCmp::new(&mut o, |v| (0, v)));
         assert_eq!(scores, vec![2, 2, 1, 1]);
-        let far = count_max(&items, &mut DistToQueryCmp::new(&mut o, 0)).unwrap();
+        let far = count_max(&items, &mut PairDistCmp::new(&mut o, |v| (0, v))).unwrap();
         let ratio = 202.0 / (far as f64 * 0.0 + [51.0, 101.0, 102.0, 202.0][far - 1]);
         assert!(ratio <= 4.0, "approximation ratio {ratio} within (1+mu)^2");
     }

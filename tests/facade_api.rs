@@ -1,7 +1,7 @@
 //! The facade crate exposes the full public API documented in the README:
 //! this test is the README's usage contract, compiled and executed.
 
-use noisy_oracle::core::comparator::{DistToQueryCmp, Rev, ValueCmp};
+use noisy_oracle::core::comparator::{PairDistCmp, Rev, ValueCmp};
 use noisy_oracle::core::hier::{hier_oracle, HierParams, Linkage};
 use noisy_oracle::core::kcenter::{kcenter_adv, KCenterAdvParams};
 use noisy_oracle::core::maxfind::{count_max, max_adv, min_adv, AdvParams};
@@ -141,14 +141,14 @@ fn min_and_rev_are_consistent() {
     let a = min_adv(
         &items,
         &AdvParams::experimental(),
-        &mut DistToQueryCmp::new(&mut quad, 0),
+        &mut PairDistCmp::new(&mut quad, |v| (0, v)),
         &mut rng,
     )
     .unwrap();
     let b = max_adv(
         &items,
         &AdvParams::experimental(),
-        &mut Rev(DistToQueryCmp::new(&mut quad, 0)),
+        &mut Rev(PairDistCmp::new(&mut quad, |v| (0, v))),
         &mut rng,
     )
     .unwrap();

@@ -10,13 +10,14 @@
 use nco_core::hier::{hier_oracle, HierParams, Linkage};
 use nco_core::kcenter::{gonzalez, kcenter_adv, kcenter_prob, KCenterAdvParams, KCenterProbParams};
 use nco_core::maxfind::AdvParams;
-use nco_core::neighbor::baselines::nearest_tour2;
+use nco_core::neighbor::baselines::{farthest_samp, farthest_tour2, nearest_tour2};
 use nco_core::neighbor::{farthest_adv, farthest_prob, nearest_adv, nearest_prob};
 use nco_eval::pair_f_score;
-use nco_metric::stats::{farthest_rank, kcenter_objective, nearest_rank};
+use nco_metric::stats::{exact_farthest, farthest_rank, kcenter_objective, nearest_rank};
 use nco_metric::Metric;
 use nco_oracle::adversarial::{AdversarialQuadOracle, PersistentRandomAdversary};
 use nco_oracle::crowd::AccuracyProfile;
+use nco_oracle::probabilistic::ProbQuadOracle;
 use nco_testkit::{assert_kcenter_constant_factor, success_rate, Counting, MetricScenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,6 +109,57 @@ fn figure_9a_nn_never_worse_than_tour2() {
             assert!(nn < tour2, "mu = 2: NN {nn} not below Tour2 {tour2}");
         }
     }
+}
+
+/// Figure 8 shape claims at the `fig8_farthest_noise` bench's data and
+/// seeds (`cities` analogue, n = 500, query record 0; seeds 31..41 for
+/// 8(a), 77..87 for 8(b)), each at the threshold its sentence states:
+/// - 8(a): `Far`'s mean distance is within 4x of TDist at every μ;
+/// - 8(b): at p = 0.3, `Samp` is more than 4x below `Far_p`;
+/// - 8(b): `Tour2` at p = 0.3 is below `Tour2` at p = 0.
+#[test]
+fn figure_8_far_within_4x_samp_collapses_tour2_declines() {
+    let d = nco_data::cities(500, 0xC1);
+    let metric = &d.metric;
+    let q = 0;
+    let (_, d_opt) = exact_farthest(metric, q, 0..500).unwrap();
+    let params = AdvParams::experimental();
+    for mu in [0.0, 0.5, 1.0, 2.0] {
+        let mut far = 0.0;
+        for seed in 31..41u64 {
+            let mut o =
+                AdversarialQuadOracle::new(metric, mu, PersistentRandomAdversary::new(seed));
+            let got = farthest_adv(&mut o, q, &params, &mut rng(seed)).unwrap();
+            far += metric.dist(q, got) / d_opt / 10.0;
+        }
+        eprintln!("mu = {mu}: Far {far:.3}");
+        assert!(far >= 0.25, "mu = {mu}: Far {far} not within 4x of TDist");
+    }
+    let mut tour2_at = Vec::new();
+    for p in [0.0, 0.3] {
+        let (mut far_p, mut tour2, mut samp) = (0.0, 0.0, 0.0);
+        for seed in 77..87u64 {
+            let oracle = || ProbQuadOracle::new(metric, p, seed);
+            let got = farthest_prob(&mut oracle(), q, 0.1, &params, &mut rng(seed)).unwrap();
+            far_p += metric.dist(q, got) / d_opt / 10.0;
+            let got = farthest_tour2(&mut oracle(), q, &mut rng(seed)).unwrap();
+            tour2 += metric.dist(q, got) / d_opt / 10.0;
+            let got = farthest_samp(&mut oracle(), q, &mut rng(seed)).unwrap();
+            samp += metric.dist(q, got) / d_opt / 10.0;
+        }
+        eprintln!("p = {p}: Far_p {far_p:.3} Tour2 {tour2:.3} Samp {samp:.3}");
+        if p == 0.3 {
+            assert!(
+                samp < far_p / 4.0,
+                "p = 0.3: Samp {samp} not 4x below Far_p {far_p}"
+            );
+        }
+        tour2_at.push(tour2);
+    }
+    assert!(
+        tour2_at[1] < tour2_at[0],
+        "Tour2 does not decline: {tour2_at:?} at p = 0, 0.3"
+    );
 }
 
 /// Probabilistic persistent noise (Lemma 3.9 pipeline): the core-voted

@@ -152,7 +152,7 @@ fn memo_is_bit_identical_for_kcenter_and_hierarchy() {
 
 mod batch_equivalence {
     use super::*;
-    use nco_core::comparator::{Comparator, DistToQueryCmp, Rev};
+    use nco_core::comparator::{Comparator, PairDistCmp, Rev};
     use nco_core::maxfind::count_scores;
     use nco_oracle::adversarial::PersistentRandomAdversary;
     use nco_oracle::crowd::AccuracyProfile;
@@ -361,47 +361,70 @@ mod batch_equivalence {
         }
     }
 
+    /// Scores and billed queries of `count_scores` through the shared
+    /// pair-distance comparator with key `key`, batched vs `ScalarOnly`,
+    /// in the max, `Rev` and `Rev(Rev(..))` orientations (the double
+    /// reversal flips back through `le_round_rev`).
+    fn assert_key_round_matches_scalar<I, K>(
+        scenario: &MetricScenario,
+        seed: u64,
+        items: &[I],
+        key: K,
+        label: &str,
+    ) where
+        I: Copy,
+        K: Fn(I) -> (usize, usize) + Copy,
+    {
+        for orientation in ["max", "rev", "rev-rev"] {
+            let mut scalar_oracle = Counting::new(scenario.probabilistic_oracle(0.2, seed));
+            let mut batched_oracle = Counting::new(scenario.probabilistic_oracle(0.2, seed));
+            let scalar = PairDistCmp::new(&mut scalar_oracle, key);
+            let mut batched = PairDistCmp::new(&mut batched_oracle, key);
+            let (scalar, batched) = match orientation {
+                "max" => (
+                    count_scores(items, &mut ScalarOnly(scalar)),
+                    count_scores(items, &mut batched),
+                ),
+                "rev" => (
+                    count_scores(items, &mut ScalarOnly(Rev(scalar))),
+                    count_scores(items, &mut Rev(batched)),
+                ),
+                _ => (
+                    count_scores(items, &mut ScalarOnly(Rev(Rev(scalar)))),
+                    count_scores(items, &mut Rev(Rev(batched))),
+                ),
+            };
+            let case = format!("{label} {orientation} seed {seed}");
+            assert_eq!(scalar, batched, "{case}");
+            assert_eq!(scalar_oracle.queries(), batched_oracle.queries(), "{case}");
+        }
+    }
+
     /// The Count-Max scoring triangle routed through `le_round` produces
     /// the scores (and bills the queries) of the scalar double loop — for
-    /// the plain comparator, the reversed one, and the oracle-batching
-    /// distance comparator.
+    /// every key shape the shared pair-distance comparator serves (query
+    /// anchored, identity over record pairs, assigned center), in the
+    /// plain, reversed and doubly reversed orientations.
     #[test]
     fn count_scores_round_matches_scalar_loop() {
+        use rand::Rng;
         let scenario = MetricScenario::separated_blobs(3, 20, 30.0, 7);
+        let n = scenario.n();
         for seed in 0..20u64 {
-            let items: Vec<usize> = (0..scenario.n()).step_by(2).collect();
-            let q = ((seed as usize * 7) % scenario.n()) | 1; // odd: not in items
+            let items: Vec<usize> = (0..n).step_by(2).collect();
+            let q = ((seed as usize * 7) % n) | 1; // odd: not in items
+            assert_key_round_matches_scalar(&scenario, seed, &items, |v| (q, v), "query");
 
-            let mut scalar_oracle = Counting::new(scenario.probabilistic_oracle(0.2, seed));
-            let scalar = count_scores(
-                &items,
-                &mut ScalarOnly(DistToQueryCmp::new(&mut scalar_oracle, q)),
-            );
-            let mut batched_oracle = Counting::new(scenario.probabilistic_oracle(0.2, seed));
-            let batched = count_scores(&items, &mut DistToQueryCmp::new(&mut batched_oracle, q));
-            assert_eq!(scalar, batched, "seed {seed}");
-            assert_eq!(
-                scalar_oracle.queries(),
-                batched_oracle.queries(),
-                "seed {seed}"
-            );
+            let mut r = rng(1500 + seed);
+            let pairs: Vec<(usize, usize)> = (0..24)
+                .map(|_| (r.random_range(0..n), r.random_range(0..n)))
+                .collect();
+            assert_key_round_matches_scalar(&scenario, seed, &pairs, |p| p, "identity");
 
-            let mut rev_scalar_oracle = Counting::new(scenario.probabilistic_oracle(0.2, seed));
-            let rev_scalar = count_scores(
-                &items,
-                &mut ScalarOnly(Rev(DistToQueryCmp::new(&mut rev_scalar_oracle, q))),
-            );
-            let mut rev_batched_oracle = Counting::new(scenario.probabilistic_oracle(0.2, seed));
-            let rev_batched = count_scores(
-                &items,
-                &mut Rev(DistToQueryCmp::new(&mut rev_batched_oracle, q)),
-            );
-            assert_eq!(rev_scalar, rev_batched, "rev seed {seed}");
-            assert_eq!(
-                rev_scalar_oracle.queries(),
-                rev_batched_oracle.queries(),
-                "rev seed {seed}"
-            );
+            let centers: Vec<usize> = (0..4).map(|j| (seed as usize + 15 * j) % n).collect();
+            let assignment: Vec<usize> = (0..n).map(|_| r.random_range(0..centers.len())).collect();
+            let assigned = |v: usize| (v, centers[assignment[v]]);
+            assert_key_round_matches_scalar(&scenario, seed, &items, assigned, "assigned");
         }
     }
 }
