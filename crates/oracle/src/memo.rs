@@ -8,7 +8,8 @@
 //! [`PersistentNoise`] marker so a
 //! non-persistent oracle cannot be wrapped by accident.
 //!
-//! Storage is sized to the query space:
+//! Storage is sized to the query space. Every query maps to one table
+//! *cell*, a `u64`:
 //!
 //! * **comparison queries** live in a condensed triangular table with one
 //!   nibble per unordered record pair — 2 bits (`known`, `answer`) for
@@ -22,55 +23,49 @@
 //!   open-addressed table keyed by the four indices packed into one `u64`
 //!   (16 bits each). Only the *within-pair* order is canonicalised
 //!   (`d` is symmetric for every metric), never the pair-of-pairs order.
+//!
+//! A batched round runs on scratch the memo keeps between rounds — a slot
+//! list, one miss list per shape and a stamped in-flight table that
+//! dedups the round's misses by cell — so a warm round allocates nothing
+//! and hashes each miss once with `splitmix64`.
 
 use crate::persistent::PersistentNoise;
 use crate::{Layer, Oracle, Reply};
+use nco_metric::hashing::splitmix64;
 
-/// Condensed triangular nibble table: per unordered pair `i < j`, bits
-/// `known`/`answer` for the forward query `(i, j)` and the reverse query
-/// `(j, i)`.
-#[derive(Debug, Clone)]
+/// Condensed triangular table of 2-bit cells (`known`, `answer`). The cell
+/// of query `(i, j)` is `2 t + (i > j)`, where `t` is the condensed index
+/// of the unordered pair, so the two directions of a pair share a nibble.
+#[derive(Debug, Clone, PartialEq)]
 struct PairMemo {
-    nibbles: Vec<u8>,
+    bits: Vec<u8>,
 }
 
-const FWD_KNOWN: u8 = 0b0001;
-const FWD_ANS: u8 = 0b0010;
-const REV_KNOWN: u8 = 0b0100;
-const REV_ANS: u8 = 0b1000;
+const KNOWN: u8 = 0b01;
+const ANSWER: u8 = 0b10;
 
 impl PairMemo {
     fn new(n: usize) -> Self {
         let pairs = n * n.saturating_sub(1) / 2;
         Self {
-            nibbles: vec![0u8; pairs.div_ceil(2)],
+            bits: vec![0u8; pairs.div_ceil(2)],
         }
     }
 
     #[inline]
-    fn get(&self, t: usize, forward: bool) -> Option<bool> {
-        let nib = (self.nibbles[t >> 1] >> ((t & 1) << 2)) & 0xF;
-        let (known, ans) = if forward {
-            (FWD_KNOWN, FWD_ANS)
-        } else {
-            (REV_KNOWN, REV_ANS)
-        };
-        if nib & known != 0 {
-            Some(nib & ans != 0)
+    fn get(&self, cell: u64) -> Option<bool> {
+        let v = self.bits[(cell >> 2) as usize] >> ((cell & 3) << 1);
+        if v & KNOWN != 0 {
+            Some(v & ANSWER != 0)
         } else {
             None
         }
     }
 
     #[inline]
-    fn set(&mut self, t: usize, forward: bool, answer: bool) {
-        let (known, ans) = if forward {
-            (FWD_KNOWN, FWD_ANS)
-        } else {
-            (REV_KNOWN, REV_ANS)
-        };
-        let bits = known | if answer { ans } else { 0 };
-        self.nibbles[t >> 1] |= bits << ((t & 1) << 2);
+    fn set(&mut self, cell: u64, answer: bool) {
+        let v = KNOWN | if answer { ANSWER } else { 0 };
+        self.bits[(cell >> 2) as usize] |= v << ((cell & 3) << 1);
     }
 }
 
@@ -78,7 +73,7 @@ impl PairMemo {
 /// answer bit. Keys pack four 16-bit indices; `u64::MAX` is the empty
 /// sentinel (unreachable: it would require the two canonical pairs to be
 /// identical, which is short-circuited before lookup).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct QuadMemo {
     keys: Vec<u64>,
     answers: Vec<u64>,
@@ -86,11 +81,6 @@ struct QuadMemo {
 }
 
 const EMPTY: u64 = u64::MAX;
-
-#[inline]
-fn hash_key(key: u64) -> u64 {
-    nco_metric::hashing::splitmix64(key)
-}
 
 impl QuadMemo {
     fn new() -> Self {
@@ -104,7 +94,7 @@ impl QuadMemo {
     #[inline]
     fn get(&self, key: u64) -> Option<bool> {
         let mask = self.keys.len() - 1;
-        let mut slot = (hash_key(key) as usize) & mask;
+        let mut slot = (splitmix64(key) as usize) & mask;
         loop {
             let k = self.keys[slot];
             if k == key {
@@ -123,7 +113,7 @@ impl QuadMemo {
             self.grow();
         }
         let mask = self.keys.len() - 1;
-        let mut slot = (hash_key(key) as usize) & mask;
+        let mut slot = (splitmix64(key) as usize) & mask;
         while self.keys[slot] != EMPTY {
             debug_assert_ne!(self.keys[slot], key, "double insert");
             slot = (slot + 1) & mask;
@@ -151,6 +141,89 @@ impl QuadMemo {
     }
 }
 
+/// The answer tables, one per query shape, each allocated on first use.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Tables {
+    pairs: Option<PairMemo>,
+    quads: Option<QuadMemo>,
+}
+
+/// A query's fate within one batched round: answered from the table, or
+/// waiting on lane `k` of the deduplicated miss round.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Done(bool),
+    Pending(usize),
+}
+
+/// The misses of the round in flight, by cell: a reusable open-addressed
+/// table (linear probing, `splitmix64`) sized to at least twice the
+/// round. An entry belongs to the current round only while its stamp
+/// matches, so starting a round empties the table in O(1).
+#[derive(Debug, Clone, Default)]
+struct InFlight {
+    entries: Vec<InFlightEntry>,
+    stamp: u64,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct InFlightEntry {
+    cell: u64,
+    stamp: u64,
+    miss: usize,
+}
+
+impl InFlight {
+    /// Empties the table for a round of `len` queries, growing it only
+    /// when the round is larger than every earlier one.
+    fn start(&mut self, len: usize) {
+        let cap = (2 * len).next_power_of_two();
+        if self.entries.len() < cap {
+            self.entries = vec![InFlightEntry::default(); cap];
+        }
+        self.stamp += 1;
+    }
+
+    /// The miss lane already asking `cell` this round, or `None` after
+    /// recording `miss` as that lane.
+    #[inline]
+    fn claim(&mut self, cell: u64, miss: usize) -> Option<usize> {
+        let mask = self.entries.len() - 1;
+        let mut slot = (splitmix64(cell) as usize) & mask;
+        loop {
+            let e = &mut self.entries[slot];
+            if e.stamp != self.stamp {
+                *e = InFlightEntry {
+                    cell,
+                    stamp: self.stamp,
+                    miss,
+                };
+                return None;
+            }
+            if e.cell == cell {
+                return Some(e.miss);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+}
+
+/// Per-round scratch, kept between rounds so a warm round allocates
+/// nothing: the slot list, the in-flight table and the miss lists.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    slots: Vec<Slot>,
+    in_flight: InFlight,
+    misses: Misses,
+}
+
+/// One miss list per query shape.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Misses {
+    pairs: Vec<(usize, usize)>,
+    quads: Vec<[usize; 4]>,
+}
+
 /// A memoising decorator for persistent oracles.
 ///
 /// Exact by construction: a cache hit returns the bit the wrapped oracle
@@ -162,8 +235,8 @@ impl QuadMemo {
 #[derive(Debug, Clone)]
 pub struct MemoOracle<O> {
     inner: O,
-    pairs: Option<PairMemo>,
-    quads: Option<QuadMemo>,
+    tables: Tables,
+    scratch: Scratch,
     hits: u64,
     lookups: u64,
 }
@@ -177,8 +250,8 @@ impl<O: PersistentNoise> MemoOracle<O> {
     pub fn new(inner: O) -> Self {
         Self {
             inner,
-            pairs: None,
-            quads: None,
+            tables: Tables::default(),
+            scratch: Scratch::default(),
             hits: 0,
             lookups: 0,
         }
@@ -205,61 +278,69 @@ impl<O: PersistentNoise> MemoOracle<O> {
     }
 }
 
-/// The shape-specific half of [`MemoOracle`]: the cache key of a query
-/// and the table it lives in.
+/// The shape-specific half of [`MemoOracle`]: the cell of a query, the
+/// table it lives in and its miss list in a round.
 pub(crate) trait MemoShape: Copy {
-    /// A table cell.
-    type Key: Copy + Eq + std::hash::Hash;
-
-    /// The cell of this query over `n` records, or `None` for a
+    /// The table cell of this query over `n` records, or `None` for a
     /// degenerate query, which is forwarded uncached.
-    fn key(self, n: usize) -> Option<Self::Key>;
+    fn key(self, n: usize) -> Option<u64>;
 
     /// Reads a cell, allocating this shape's table on first use.
-    fn get<O>(memo: &mut MemoOracle<O>, n: usize, key: Self::Key) -> Option<bool>;
+    fn get(tables: &mut Tables, n: usize, cell: u64) -> Option<bool>;
 
     /// Fills a cell of the table [`MemoShape::get`] allocated.
-    fn set<O>(memo: &mut MemoOracle<O>, key: Self::Key, answer: bool);
+    fn set(tables: &mut Tables, cell: u64, answer: bool);
+
+    /// This shape's miss list.
+    fn misses(misses: &mut Misses) -> &mut Vec<Self>;
 }
 
-/// Comparison queries: the nibble triangle, keyed by the condensed index
-/// of the unordered pair plus the query direction.
+/// Comparison queries: the 2-bit-cell triangle.
 impl MemoShape for (usize, usize) {
-    type Key = (usize, bool);
-
     #[inline]
-    fn key(self, n: usize) -> Option<(usize, bool)> {
+    fn key(self, n: usize) -> Option<u64> {
         let (i, j) = self;
         if i == j {
             return None;
         }
         let forward = i < j;
         let (lo, hi) = if forward { (i, j) } else { (j, i) };
-        debug_assert!(hi < n);
-        Some((lo * n - lo * (lo + 1) / 2 + (hi - lo - 1), forward))
+        // Release-mode guard: an index at or past `n` lands on another
+        // pair's cell and would answer a query nobody asked.
+        assert!(
+            hi < n,
+            "comparison memoisation needs indices below n (query ({i}, {j}), n = {n})"
+        );
+        let t = lo * n - lo * (lo + 1) / 2 + (hi - lo - 1);
+        Some(((t as u64) << 1) | u64::from(!forward))
     }
 
     #[inline]
-    fn get<O>(memo: &mut MemoOracle<O>, n: usize, (t, forward): (usize, bool)) -> Option<bool> {
-        memo.pairs
+    fn get(tables: &mut Tables, n: usize, cell: u64) -> Option<bool> {
+        tables
+            .pairs
             .get_or_insert_with(|| PairMemo::new(n))
-            .get(t, forward)
+            .get(cell)
     }
 
     #[inline]
-    fn set<O>(memo: &mut MemoOracle<O>, (t, forward): (usize, bool), answer: bool) {
-        memo.pairs
+    fn set(tables: &mut Tables, cell: u64, answer: bool) {
+        tables
+            .pairs
             .as_mut()
             .expect("allocated by get")
-            .set(t, forward, answer);
+            .set(cell, answer);
+    }
+
+    #[inline]
+    fn misses(misses: &mut Misses) -> &mut Vec<Self> {
+        &mut misses.pairs
     }
 }
 
 /// Quadruplet queries: the open-addressed table, keyed by the two
 /// within-pair-canonical record pairs packed 16 bits per index.
 impl MemoShape for [usize; 4] {
-    type Key = u64;
-
     #[inline]
     fn key(self, n: usize) -> Option<u64> {
         // Release-mode guard: an index above 16 bits would shift out of
@@ -280,24 +361,23 @@ impl MemoShape for [usize; 4] {
     }
 
     #[inline]
-    fn get<O>(memo: &mut MemoOracle<O>, _: usize, key: u64) -> Option<bool> {
-        memo.quads.get_or_insert_with(QuadMemo::new).get(key)
+    fn get(tables: &mut Tables, _: usize, cell: u64) -> Option<bool> {
+        tables.quads.get_or_insert_with(QuadMemo::new).get(cell)
     }
 
     #[inline]
-    fn set<O>(memo: &mut MemoOracle<O>, key: u64, answer: bool) {
-        memo.quads
+    fn set(tables: &mut Tables, cell: u64, answer: bool) {
+        tables
+            .quads
             .as_mut()
             .expect("allocated by get")
-            .insert(key, answer);
+            .insert(cell, answer);
     }
-}
 
-/// A query's fate within one batched round: answered from the memo, or
-/// waiting on slot `k` of the deduplicated miss round.
-enum Slot {
-    Done(bool),
-    Pending(usize),
+    #[inline]
+    fn misses(misses: &mut Misses) -> &mut Vec<Self> {
+        &mut misses.quads
+    }
 }
 
 impl<Q: MemoShape, O: Oracle<Q> + PersistentNoise> Layer<Q> for MemoOracle<O> {
@@ -313,17 +393,17 @@ impl<Q: MemoShape, O: Oracle<Q> + PersistentNoise> Layer<Q> for MemoOracle<O> {
     /// table.
     fn one<R: Reply>(&mut self, q: Q) -> R {
         let n = self.inner.records();
-        let Some(key) = q.key(n) else {
+        let Some(cell) = q.key(n) else {
             return R::one(&mut self.inner, q);
         };
         self.lookups += 1;
-        if let Some(ans) = Q::get(self, n, key) {
+        if let Some(ans) = Q::get(&mut self.tables, n, cell) {
             self.hits += 1;
             return R::bit(ans);
         }
         let ans = R::one(&mut self.inner, q);
         if let Some(bit) = ans.answered() {
-            Q::set(self, key, bit);
+            Q::set(&mut self.tables, cell, bit);
         }
         ans
     }
@@ -331,62 +411,71 @@ impl<Q: MemoShape, O: Oracle<Q> + PersistentNoise> Layer<Q> for MemoOracle<O> {
     /// One memoised round: cached queries answer from the table, the
     /// remaining **first occurrences** (plus uncached degenerates) forward
     /// as a single deduplicated inner round, in query order. Exactly one
-    /// inner round per outer call — even when every query hits — so a
-    /// round-billing layer *inside* the memo (the facade's `Budgeted`)
-    /// counts the same rounds it would without memoisation. Answers, hit
-    /// and lookup tallies, and the cached table state are bit-identical to
-    /// the scalar decomposition: a duplicate later in the batch counts as
-    /// the hit it would have been against the freshly cached first answer.
-    /// On the fallible path only `Ok` miss lanes are cached, and every
-    /// duplicate of a faulted miss reports that lane's fault.
+    /// inner round per outer call — even when every query hits or the
+    /// round is empty — so a round-billing layer *inside* the memo (the
+    /// facade's `Budgeted`) counts the same rounds it would without
+    /// memoisation. Answers, hit and lookup tallies, and the cached table
+    /// state are bit-identical to the scalar decomposition: a duplicate
+    /// later in the batch counts as the hit it would have been against
+    /// the freshly cached first answer. On the fallible path only `Ok`
+    /// miss lanes are cached, and every duplicate of a faulted miss
+    /// reports that lane's fault.
+    ///
+    /// Mechanism, allocation-free once the scratch is warm: each query
+    /// gets a slot — a table bit, or the miss lane it waits on. A miss
+    /// probes the stamped in-flight table by cell, so a duplicate shares
+    /// its first occurrence's lane. The inner round appends the miss
+    /// answers straight onto `out`, each `Ok` one is cached under its
+    /// cell (`misses[k].key(n)`), and the slots then expand in place, back
+    /// to front: slot `i` reads a table bit or lane `k <= i`, which the
+    /// expansion has not yet overwritten.
     fn round<R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>) {
-        if queries.is_empty() {
-            R::round(&mut self.inner, queries, out);
-            return;
-        }
         let n = self.inner.records();
-        let mut slots: Vec<Slot> = Vec::with_capacity(queries.len());
-        let mut misses: Vec<Q> = Vec::new();
-        // Miss slot -> table cell it fills afterwards (None: degenerate,
-        // forwarded uncached), plus a batch-local index for dedup.
-        let mut cache_into: Vec<Option<Q::Key>> = Vec::new();
-        let mut open: std::collections::HashMap<Q::Key, usize> = std::collections::HashMap::new();
+        let Scratch {
+            slots,
+            in_flight,
+            misses,
+        } = &mut self.scratch;
+        let misses = Q::misses(misses);
+        slots.clear();
+        misses.clear();
+        in_flight.start(queries.len());
         let (mut lookups, mut hits) = (0u64, 0u64);
         for &q in queries {
-            let Some(key) = q.key(n) else {
-                cache_into.push(None);
+            let Some(cell) = q.key(n) else {
                 slots.push(Slot::Pending(misses.len()));
                 misses.push(q);
                 continue;
             };
             lookups += 1;
-            if let Some(ans) = Q::get(self, n, key) {
+            if let Some(ans) = Q::get(&mut self.tables, n, cell) {
                 hits += 1;
                 slots.push(Slot::Done(ans));
-            } else if let Some(&k) = open.get(&key) {
+            } else if let Some(k) = in_flight.claim(cell, misses.len()) {
                 hits += 1;
                 slots.push(Slot::Pending(k));
             } else {
-                open.insert(key, misses.len());
-                cache_into.push(Some(key));
                 slots.push(Slot::Pending(misses.len()));
                 misses.push(q);
             }
         }
         self.lookups += lookups;
         self.hits += hits;
-        let mut answers: Vec<R> = Vec::with_capacity(misses.len());
-        R::round(&mut self.inner, &misses, &mut answers);
-        for (k, target) in cache_into.iter().enumerate() {
-            if let (Some(key), Some(bit)) = (*target, answers[k].answered()) {
-                Q::set(self, key, bit);
+        let base = out.len();
+        R::round(&mut self.inner, misses, out);
+        debug_assert_eq!(out.len(), base + misses.len());
+        for (k, &q) in misses.iter().enumerate() {
+            if let (Some(cell), Some(bit)) = (q.key(n), out[base + k].answered()) {
+                Q::set(&mut self.tables, cell, bit);
             }
         }
-        out.reserve(queries.len());
-        out.extend(slots.iter().map(|s| match *s {
-            Slot::Done(ans) => R::bit(ans),
-            Slot::Pending(k) => answers[k],
-        }));
+        out.resize(base + queries.len(), R::bit(false));
+        for (i, &slot) in slots.iter().enumerate().rev() {
+            out[base + i] = match slot {
+                Slot::Done(ans) => R::bit(ans),
+                Slot::Pending(k) => out[base + k],
+            };
+        }
     }
 }
 
@@ -399,9 +488,11 @@ mod tests {
     use super::*;
     use crate::adversarial::{AdversarialValueOracle, InvertAdversary};
     use crate::counting::Counting;
+    use crate::fault::{FaultPlan, FaultyOracle, QueryFault};
     use crate::probabilistic::{ProbQuadOracle, ProbValueOracle};
     use crate::{ComparisonOracle, QuadrupletOracle};
     use nco_metric::EuclideanMetric;
+    use std::collections::HashMap;
 
     #[test]
     fn comparison_memo_is_bit_identical_and_saves_queries() {
@@ -634,5 +725,198 @@ mod tests {
                 assert_eq!(memo.le(a, b, c, d), reference.le(a, b, c, d));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "comparison memoisation needs indices below n")]
+    fn comparison_memo_rejects_an_index_past_n() {
+        // Without the guard, (0, 16) lands on the cell of (1, 2) and
+        // answers with its cached bit.
+        let values: Vec<f64> = (0..16).map(|i| i as f64).collect();
+        let mut memo = MemoOracle::new(ProbValueOracle::new(values, 0.2, 4));
+        memo.le(1, 2);
+        memo.le(0, 16);
+    }
+
+    /// Asks `batch` twice as fallible rounds through a memo over a
+    /// transient-fault plan. In the first round every in-batch duplicate
+    /// (same table cell) reports its first occurrence's lane, `Ok` or
+    /// `Err`; the replay hits exactly the cells that came back `Ok` and
+    /// re-asks each faulted cell once.
+    fn assert_faulted_duplicates_share_their_lane<Q, O>(raw: O, batch: &[Q])
+    where
+        Q: MemoShape + std::fmt::Debug,
+        O: Oracle<Q> + PersistentNoise,
+        MemoOracle<FaultyOracle<O>>: Oracle<Q>,
+    {
+        let n = raw.records();
+        let mut memo = MemoOracle::new(FaultyOracle::new(raw, FaultPlan::new(5).transient(0.4)));
+        let mut first = Vec::new();
+        memo.try_ask_round(batch, &mut first);
+        let mut lanes: HashMap<u64, Result<bool, QueryFault>> = HashMap::new();
+        let mut faulted_duplicates = 0;
+        for (&q, &lane) in batch.iter().zip(&first) {
+            let cell = q.key(n).expect("no degenerate queries");
+            let head = *lanes.entry(cell).or_insert(lane);
+            assert_eq!(lane, head, "{q:?}");
+            faulted_duplicates += usize::from(lane.is_err());
+        }
+        let faulted = lanes.values().filter(|lane| lane.is_err()).count();
+        faulted_duplicates -= faulted;
+        assert!(faulted > 0 && faulted < lanes.len() && faulted_duplicates > 0);
+
+        let (hits, lookups) = (memo.hits(), memo.lookups());
+        let attempts = memo.inner().stats().attempts;
+        let mut replay = Vec::new();
+        memo.try_ask_round(batch, &mut replay);
+        let len = batch.len() as u64;
+        assert_eq!(memo.lookups(), lookups + len);
+        assert_eq!(memo.hits(), hits + len - faulted as u64);
+        assert_eq!(memo.inner().stats().attempts, attempts + faulted as u64);
+        for (&q, (&a, &b)) in batch.iter().zip(first.iter().zip(&replay)) {
+            if a.is_ok() {
+                assert_eq!(b, a, "{q:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_duplicates_share_their_lane_and_only_ok_cells_are_cached() {
+        let values: Vec<f64> = (0..24).map(|i| ((i * 7) % 25) as f64).collect();
+        let base: Vec<(usize, usize)> = (0..24).map(|i| (i, (i + 5) % 24)).collect();
+        let mut pairs = base.clone();
+        pairs.extend(base.iter().map(|&(i, j)| (j, i))); // mirrored direction
+        pairs.extend(base.iter().rev()); // duplicates
+        pairs.extend(base.iter().map(|&(i, j)| (j, i)).rev());
+        assert_faulted_duplicates_share_their_lane(ProbValueOracle::new(values, 0.3, 2), &pairs);
+
+        let m = EuclideanMetric::from_points(
+            &(0..16)
+                .map(|i| vec![(i * 5 % 17) as f64, i as f64])
+                .collect::<Vec<_>>(),
+        );
+        let base: Vec<[usize; 4]> = (0..16)
+            .map(|a| [a, (a + 3) % 16, (a + 1) % 16, (a + 9) % 16])
+            .collect();
+        let mut quads = base.clone();
+        quads.extend(base.iter().map(|&[a, b, c, d]| [c, d, a, b])); // another cell
+        quads.extend(base.iter().map(|&[a, b, c, d]| [b, a, c, d])); // within-pair mirrors
+        quads.extend(base.iter().rev().map(|&[a, b, c, d]| [a, b, d, c]));
+        quads.extend(base.iter().map(|&[a, b, c, d]| [b, a, d, c]));
+        quads.extend(base.iter().map(|&[a, b, c, d]| [d, c, a, b]));
+        assert_faulted_duplicates_share_their_lane(ProbQuadOracle::new(m, 0.25, 2), &quads);
+    }
+
+    fn draw(state: &mut u64) -> usize {
+        *state += 1;
+        splitmix64(*state) as usize
+    }
+
+    /// A round of `len` queries: fresh ones from `fresh`, a quarter
+    /// in-batch duplicates, an eighth `mirror`ed earlier queries and an
+    /// eighth `degenerate`s.
+    fn mixed_round<Q: Copy>(
+        len: usize,
+        state: &mut u64,
+        fresh: impl Fn(&mut u64) -> Q,
+        mirror: impl Fn(Q) -> Q,
+        degenerate: impl Fn(Q) -> Q,
+    ) -> Vec<Q> {
+        let mut round: Vec<Q> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let r = draw(state);
+            let earlier = (!round.is_empty()).then(|| round[(r >> 3) % round.len()]);
+            let q = match (r % 8, earlier) {
+                (0 | 1, Some(q)) => q,
+                (2, Some(q)) => mirror(q),
+                (3, _) => degenerate(fresh(state)),
+                _ => fresh(state),
+            };
+            round.push(q);
+        }
+        round
+    }
+
+    /// Sends `rounds` back to back through one memo, alternating
+    /// `le_batch` and `try_le_batch` into one growing `out`, and checks
+    /// each against the scalar decomposition on a twin memo: answers,
+    /// inner queries, `hits` and `lookups`, and at the end the tables.
+    fn assert_rounds_match_scalar_twin<Q, O>(mk: impl Fn() -> O, rounds: &[Vec<Q>])
+    where
+        Q: MemoShape,
+        O: PersistentNoise,
+        MemoOracle<Counting<O>>: Oracle<Q>,
+    {
+        let mut batched = MemoOracle::new(Counting::new(mk()));
+        let mut scalar = MemoOracle::new(Counting::new(mk()));
+        let (mut out, mut try_out) = (Vec::new(), Vec::new());
+        for (r, batch) in rounds.iter().enumerate() {
+            let fallible = r % 2 == 1;
+            let expect: Vec<bool> = if fallible {
+                batch.iter().map(|&q| scalar.try_ask(q).unwrap()).collect()
+            } else {
+                batch.iter().map(|&q| scalar.ask(q)).collect()
+            };
+            let got: Vec<bool> = if fallible {
+                let base = try_out.len();
+                batched.try_ask_round(batch, &mut try_out);
+                try_out[base..].iter().map(|a| a.unwrap()).collect()
+            } else {
+                let base = out.len();
+                batched.ask_round(batch, &mut out);
+                out[base..].to_vec()
+            };
+            assert_eq!(got, expect, "round {r}");
+            assert_eq!(
+                batched.inner().queries(),
+                scalar.inner().queries(),
+                "round {r}"
+            );
+            assert_eq!(batched.hits(), scalar.hits(), "round {r}");
+            assert_eq!(batched.lookups(), scalar.lookups(), "round {r}");
+        }
+        assert!(batched.hits() > 0);
+        assert!(batched.tables == scalar.tables);
+    }
+
+    #[test]
+    fn back_to_back_rounds_reuse_scratch_and_match_scalar_decomposition() {
+        const LENS: [usize; 5] = [0, 1, 4096, 3, 4096];
+        let n = 40;
+        let values: Vec<f64> = (0..n).map(|i| ((i * 17) % 41) as f64).collect();
+        let mut state = 11;
+        let pairs: Vec<Vec<(usize, usize)>> = LENS
+            .iter()
+            .map(|&len| {
+                mixed_round(
+                    len,
+                    &mut state,
+                    |s| (draw(s) % n, draw(s) % n),
+                    |(i, j)| (j, i),
+                    |(i, _)| (i, i),
+                )
+            })
+            .collect();
+        assert_rounds_match_scalar_twin(|| ProbValueOracle::new(values.clone(), 0.3, 6), &pairs);
+
+        let n = 24;
+        let m = EuclideanMetric::from_points(
+            &(0..n)
+                .map(|i| vec![(i * 7 % 29) as f64, i as f64])
+                .collect::<Vec<_>>(),
+        );
+        let quads: Vec<Vec<[usize; 4]>> = LENS
+            .iter()
+            .map(|&len| {
+                mixed_round(
+                    len,
+                    &mut state,
+                    |s| [draw(s) % n, draw(s) % n, draw(s) % n, draw(s) % n],
+                    |[a, b, c, d]| [b, a, d, c],
+                    |[a, b, _, _]| [a, b, b, a],
+                )
+            })
+            .collect();
+        assert_rounds_match_scalar_twin(|| ProbQuadOracle::new(m.clone(), 0.25, 6), &quads);
     }
 }
