@@ -1,38 +1,38 @@
-//! `perfsuite` — the reproducible performance suite behind the repo's
-//! perf trajectory (`BENCH_*.json`).
+//! `perfsuite` — the deterministic query ledger behind the repo's perf
+//! trajectory (`BENCH_*.json`).
 //!
 //! Sixteen pinned, fully seeded workloads cover the paper's hot paths:
 //!
 //! | name | shape |
 //! |---|---|
 //! | `count_max_prob_n4096` | Algorithm 12 maximum over 4096 hidden values, persistent `p = 0.2` |
-//! | `neighbor_n2048` | 12 farthest + 12 nearest searches (Alg. 13/15), 128-d points, persistent `p = 0.15` |
-//! | `neighbor_d64_n2048` | 16 farthest + 16 nearest searches over 64-d points, persistent `p = 0.15` |
-//! | `slink_n512` | Algorithm 11 single-linkage hierarchy over 512 128-d points, persistent `p = 0.05` |
-//! | `slink_n1024` | single-linkage SLINK on the **shared-scaffold search plane** (PR 10): from-scratch scaffold vs cached scaffold |
-//! | `slink_n2048` | the same scaffold head-to-head at 2048 points |
-//! | `slink_complete_n1024` | complete-linkage SLINK, **from-scratch sweep vs incremental merge plane + scaffolded pointer repair** (PR 5, PR 10) |
-//! | `slink_complete_n2048` | the same complete-linkage head-to-head at 2048 points |
-//! | `slink_crowd_n512` | single-linkage SLINK under the 3-worker crowd oracle, **scalar loop vs `le_batch` committee rounds** (PR 5) |
-//! | `kcenter_n1024` | Algorithm 6 greedy 32-center over 1024 128-d points, adversarial `mu = 0.2` |
-//! | `session_kcenter_n1024` | the same greedy 32-center routed through the facade's `Session` front door (zero-overhead check; 7 interleaved direct/Session pairs, medians plus the per-pair ratio spread) |
-//! | `serve_mixed_n512` | a sustained mixed request stream, **sequential solo sessions vs the concurrent serving plane** (PR 6): shared-memo backend |
-//! | `serve_faulty_n512` | the serving plane under a seeded fault storm (PR 7): **fault-free serving vs injected faults masked by bounded retry** — answers must stay bit-identical, the overhead of masking is the measurement |
-//! | `adaptive_noise_n512` | the adaptive noise plane under a misspecified rate (PR 8): **silently fixed-rate sessions vs probe + `AdaptPolicy::Escalate`** — the probing/adaptation overhead is the measurement, misspecification detection and probe-off bit-identity are the acceptance checks |
-//! | `sort_n1024` | full noisy sort (skeleton insertion + polish) over 1024 hidden values, persistent `p = 0.2` (PR 9): **scalar comparator loop vs `le_batch` rounds** — bit-identical outputs and query counts, the round coalescing is the measurement |
-//! | `select_n2048` | k-th selection (sample–score–narrow) over 2048 hidden values, `k = 256`, persistent `p = 0.2` (PR 9): same scalar-vs-batched contract |
+//! | `neighbor_n2048` | 12 farthest + 12 nearest searches (Alg. 13/15), 128-d points behind a `DistCache`, persistent `p = 0.15` |
+//! | `neighbor_d64_n2048` | 16 farthest + 16 nearest searches over 64-d points, same shape |
+//! | `slink_n512` | Algorithm 11 single-linkage hierarchy over 512 128-d points behind a `DistCache`, persistent `p = 0.05` |
+//! | `slink_n1024` | single linkage on the **shared-scaffold search plane** (PR 10) over 64-d points |
+//! | `slink_n2048` | the same at 2048 points |
+//! | `slink_complete_n1024` | complete linkage on the **incremental merge plane with scaffolded pointer repair** (PR 5, PR 10) |
+//! | `slink_complete_n2048` | the same at 2048 points |
+//! | `slink_crowd_n512` | single linkage under the 3-worker crowd oracle's batched committee rounds (PR 5), lazy 128-d distances |
+//! | `kcenter_n1024` | Algorithm 6 greedy 32-center over 1024 128-d points, adversarial `mu = 0.2`, one `DistCache` across reps |
+//! | `session_kcenter_n1024` | **A/B:** the same k-center called directly vs through the facade's `Session` front door (7 interleaved pairs) |
+//! | `serve_mixed_n512` | **A/B:** a mixed request stream as sequential solo sessions vs the concurrent serving plane (PR 6) |
+//! | `serve_faulty_n512` | the serving plane under a seeded fault storm, every fault masked by bounded retry (PR 7) |
+//! | `adaptive_noise_n512` | **A/B:** silently fixed-rate sessions vs probe + `AdaptPolicy::Escalate` under a misspecified rate (PR 8) |
+//! | `sort_n1024` | full noisy sort (skeleton insertion + polish) over 1024 hidden values, persistent `p = 0.2` (PR 9) |
+//! | `select_n2048` | k-th selection (sample–score–narrow) over 2048 hidden values, `k = 256`, persistent `p = 0.2` (PR 9) |
 //!
-//! Each workload runs twice: a **baseline** configuration and an
-//! **optimized** configuration. Both runs draw the same seeds; the suite
-//! *verifies* that outputs are bit-identical (and, where the two
-//! configurations do the same logical work, that oracle-query totals are
-//! equal) before reporting, so a speedup can never come from doing
-//! different work. For the `slink_n*` and `slink_complete_n*` workloads
-//! the baseline is the from-scratch reference (`hier_oracle_scratch`)
-//! and the optimized run reuses the cached
-//! scaffold/merge-plane state — there the *dendrogram equality* is the
-//! decision-identity acceptance check and the query totals intentionally
-//! differ (that saving is the optimization).
+//! Every workload runs its configuration once and records its oracle
+//! query bill (`queries`) and `answer_digest`, a 64-bit hash of every
+//! answer the run produced. Both are pure functions of the seeds, so
+//! the committed BENCH files must agree on them exactly. The three A/B
+//! workloads run a second configuration in the same process and record
+//! whether the two agree as `outputs_match`; `serve_faulty_n512` records
+//! its masking check there. `wall_ms` is one unrepeated timing of the
+//! whole workload: smoke-only, never a claim. Equivalences between
+//! configurations (cached vs raw metric, scaffold vs from-scratch sweep,
+//! batched vs scalar rounds, faulty vs fault-free serving) are pinned by
+//! the test suites, not re-run here.
 //!
 //! Usage:
 //!
@@ -41,23 +41,22 @@
 //! ```
 //!
 //! `--smoke` shrinks every workload (~16x fewer queries) for CI;
-//! `--out` defaults to `BENCH_PR18.json` in the current directory;
+//! `--out` defaults to `BENCH_PR19.json` in the current directory;
 //! `--check-baseline` compares this run's query counts against a
 //! committed baseline JSON and exits non-zero on any regression
 //! (count > baseline) — the CI guard for the pinned workloads.
 
-use nco_core::comparator::{Comparator, ValueCmp};
-use nco_core::hier::{
-    hier_oracle, hier_oracle_scratch, hier_oracle_stats, Dendrogram, HierParams, Linkage,
-};
+use nco_core::comparator::ValueCmp;
+use nco_core::hier::{hier_oracle, hier_oracle_stats, Dendrogram, HierParams, Linkage};
 use nco_core::kcenter::{kcenter_adv, KCenterAdvParams};
 use nco_core::maxfind::{max_prob, AdvParams, ProbParams};
 use nco_core::neighbor::{farthest_adv, nearest_adv};
 use nco_core::order::{select_prob, sort_prob, OrderProbParams};
-use nco_metric::{CachedMetric, EuclideanMetric, SquareMetric};
+use nco_metric::{CachedMetric, EuclideanMetric};
 use nco_oracle::adversarial::{AdversarialQuadOracle, InvertAdversary};
 use nco_oracle::counting::Counting;
 use nco_oracle::probabilistic::{ProbQuadOracle, ProbValueOracle};
+use noisy_oracle::Answer;
 use rand::rngs::{CounterRng, StdRng};
 use rand::{Rng, RngCore, SeedableRng};
 use std::time::Instant;
@@ -66,14 +65,15 @@ struct WorkloadReport {
     name: String,
     n: usize,
     reps: usize,
-    baseline_ms: f64,
-    optimized_ms: f64,
-    queries: u64,
-    /// Worker threads the optimized configuration ran on (1 = serial;
-    /// the serving workloads report their worker count).
+    /// Worker threads the workload ran on (1 = serial; the serving
+    /// workloads report their worker count).
     threads: usize,
-    optimization: &'static str,
-    outputs_match: bool,
+    wall_ms: f64,
+    queries: u64,
+    answer_digest: u64,
+    config: &'static str,
+    /// The in-run comparison or check, for the workloads that keep one.
+    outputs_match: Option<bool>,
     /// Free-form extra measurements (latency percentiles, backend
     /// tallies); rendered into the JSON only when present. Must never
     /// contain a quoted JSON key (`"x":`) — `extract_workloads` scans
@@ -81,12 +81,48 @@ struct WorkloadReport {
     detail: Option<String>,
 }
 
-impl WorkloadReport {
-    fn speedup(&self) -> f64 {
-        if self.optimized_ms > 0.0 {
-            self.baseline_ms / self.optimized_ms
-        } else {
-            f64::INFINITY
+/// FNV-1a over the answers of one workload, fed as 64-bit words in run
+/// order (lists length-prefixed). Answers are record indices throughout,
+/// so the digest depends on what was computed and on nothing else.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn word(&mut self, w: usize) {
+        for byte in (w as u64).to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    fn list(&mut self, ws: &[usize]) {
+        self.word(ws.len());
+        for &w in ws {
+            self.word(w);
+        }
+    }
+
+    fn dendrogram(&mut self, d: &Dendrogram) {
+        self.word(d.n);
+        self.word(d.merges.len());
+        for m in &d.merges {
+            for w in [m.a, m.b, m.merged, m.rep.0, m.rep.1] {
+                self.word(w);
+            }
+        }
+    }
+
+    /// The answers of the tasks perfsuite runs through the facade.
+    fn answer(&mut self, answer: &Answer) {
+        match answer {
+            Answer::Item(i) => self.word(*i),
+            Answer::Clustering(c) => {
+                self.list(&c.centers);
+                self.list(&c.assignment);
+            }
+            other => unreachable!("perfsuite runs no task answering {other:?}"),
         }
     }
 }
@@ -117,80 +153,64 @@ fn mixture_points(n: usize, dim: usize, k: usize, seed: u64) -> EuclideanMetric 
     EuclideanMetric::from_flat(flat, dim)
 }
 
+/// `1..=n` as hidden values, shuffled by `seed`.
+fn shuffled_values(n: usize, seed: u64) -> Vec<f64> {
+    use rand::seq::SliceRandom;
+    let mut values: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+    values.shuffle(&mut StdRng::seed_from_u64(seed));
+    values
+}
+
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
+/// Sorts `xs` and returns its middle element.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 // ---------------------------------------------------------------------
-// Workload 1: Count-Max-Prob over hidden values.
+// Count-Max-Prob over hidden values.
 // ---------------------------------------------------------------------
 
 fn run_count_max_prob(n: usize, reps: usize) -> WorkloadReport {
-    let mut values: Vec<f64> = (1..=n).map(|i| i as f64).collect();
-    {
-        use rand::seq::SliceRandom;
-        values.shuffle(&mut StdRng::seed_from_u64(0xC0DE));
-    }
+    let start = Instant::now();
+    let values = shuffled_values(n, 0xC0DE);
     let params = ProbParams::experimental();
-    let seeds = rep_seeds(0xA1, reps);
-
-    // Both configurations run the serial scoring rounds: the workload pins
-    // the engine's query count and its run-to-run wall-time spread.
-    let run = || {
-        let start = Instant::now();
-        let mut queries = 0u64;
-        let mut winners = Vec::with_capacity(reps);
-        for &(oracle_seed, rng_seed) in &seeds {
-            let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
-            let items: Vec<usize> = (0..n).collect();
-            let w = max_prob(
-                &items,
-                &params,
-                &mut ValueCmp::new(&mut oracle),
-                &mut StdRng::seed_from_u64(rng_seed),
-            );
-            queries += oracle.queries();
-            winners.push(w);
-        }
-        (ms(start), queries, winners)
-    };
-    let (baseline_ms, queries, serial_winners) = run();
-    let (optimized_ms, opt_queries, opt_winners) = run();
+    let items: Vec<usize> = (0..n).collect();
+    let mut queries = 0u64;
+    let mut digest = Digest::new();
+    for (oracle_seed, rng_seed) in rep_seeds(0xA1, reps) {
+        let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
+        let winner = max_prob(
+            &items,
+            &params,
+            &mut ValueCmp::new(&mut oracle),
+            &mut StdRng::seed_from_u64(rng_seed),
+        );
+        queries += oracle.queries();
+        digest.list(winner.as_slice());
+    }
 
     WorkloadReport {
         name: format!("count_max_prob_n{n}"),
         n,
         reps,
-        baseline_ms,
-        optimized_ms,
-        queries,
         threads: 1,
-        optimization: "none: both configurations run the serial scoring rounds",
-        outputs_match: serial_winners == opt_winners && queries == opt_queries,
+        wall_ms: ms(start),
+        queries,
+        answer_digest: digest.0,
+        config: "serial Count-Max-Prob scoring rounds",
+        outputs_match: None,
         detail: None,
     }
 }
 
 // ---------------------------------------------------------------------
-// Workloads 2 & 3: farthest/nearest neighbour searches (128-d and 64-d).
+// Farthest/nearest neighbour searches (128-d and 64-d).
 // ---------------------------------------------------------------------
-
-fn neighbor_searches<O: nco_oracle::QuadrupletOracle>(
-    oracle: &mut O,
-    n: usize,
-    searches: usize,
-    params: &AdvParams,
-    rng_seed: u64,
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(2 * searches);
-    let mut rng = StdRng::seed_from_u64(rng_seed);
-    for s in 0..searches {
-        let q = (s * 97) % n;
-        out.push(farthest_adv(oracle, q, params, &mut rng).expect("n >= 2"));
-        out.push(nearest_adv(oracle, q, params, &mut rng).expect("n >= 2"));
-    }
-    out
-}
 
 fn run_neighbor(
     name_prefix: &str,
@@ -199,320 +219,152 @@ fn run_neighbor(
     searches: usize,
     workload_seed: (u64, u64),
 ) -> WorkloadReport {
-    let metric = mixture_points(n, dim, 16, workload_seed.0);
+    let start = Instant::now();
+    // The searches are anchored at a handful of query points, so only
+    // ~searches * n of the n^2/2 pairs are ever touched; the DistCache
+    // evaluates each once and every later round reads the table.
+    let metric = CachedMetric::new(mixture_points(n, dim, 16, workload_seed.0));
     let params = AdvParams::with_confidence(0.1);
     let (oracle_seed, rng_seed) = rep_seeds(workload_seed.1, 1)[0];
-
-    // Baseline: every query re-computes two `dim`-d distances.
-    let start = Instant::now();
-    let mut oracle = Counting::new(ProbQuadOracle::new(metric.clone(), 0.15, oracle_seed));
-    let base_out = neighbor_searches(&mut oracle, n, searches, &params, rng_seed);
-    let queries = oracle.queries();
-    let baseline_ms = ms(start);
-
-    // Optimized: DistCache — the searches are anchored at a handful of
-    // query points, so only ~searches * n of the n^2/2 pairs are ever
-    // touched; each is evaluated once and every le_batch round after that
-    // is table lookups + noise hashes. (PR 2 materialised the full
-    // condensed matrix here; the cache replaces ~n^2/2 eager evaluations
-    // with only the touched ones, which is where the PR 3 speedup on this
-    // workload comes from.)
-    let start = Instant::now();
-    let cached = CachedMetric::new(metric);
-    let mut oracle = Counting::new(ProbQuadOracle::new(&cached, 0.15, oracle_seed));
-    let opt_out = neighbor_searches(&mut oracle, n, searches, &params, rng_seed);
-    let optimized_ms = ms(start);
+    let mut oracle = Counting::new(ProbQuadOracle::new(&metric, 0.15, oracle_seed));
+    let mut rng = StdRng::seed_from_u64(rng_seed);
+    let mut digest = Digest::new();
+    for s in 0..searches {
+        let q = (s * 97) % n;
+        digest.word(farthest_adv(&mut oracle, q, &params, &mut rng).expect("n >= 2"));
+        digest.word(nearest_adv(&mut oracle, q, &params, &mut rng).expect("n >= 2"));
+    }
 
     WorkloadReport {
         name: format!("{name_prefix}_n{n}"),
         n,
         reps: searches,
-        baseline_ms,
-        optimized_ms,
-        queries,
         threads: 1,
-        optimization: "DistCache: touched-pair distance memoisation behind batched oracle rounds",
-        outputs_match: base_out == opt_out && queries == oracle.queries(),
+        wall_ms: ms(start),
+        queries: oracle.queries(),
+        answer_digest: digest.0,
+        config: "DistCache: touched-pair distance memoisation behind batched oracle rounds",
+        outputs_match: None,
         detail: None,
     }
 }
 
 // ---------------------------------------------------------------------
-// Workload 4: SLINK agglomeration (serial engine, dense materialisation).
+// Hierarchies: single and complete linkage on the merge plane, with and
+// without the shared scaffold, and single linkage under the crowd oracle.
 // ---------------------------------------------------------------------
+
+/// One hierarchy over `n` mixture points in `dim` dimensions behind a
+/// `DistCache`, persistent `p = 0.05`; `seeds` are (metric, workload).
+fn run_hierarchy(
+    name: String,
+    n: usize,
+    dim: usize,
+    params: HierParams,
+    seeds: (u64, u64),
+    config: &'static str,
+) -> WorkloadReport {
+    let start = Instant::now();
+    let metric = CachedMetric::new(mixture_points(n, dim, 8, seeds.0));
+    let (oracle_seed, rng_seed) = rep_seeds(seeds.1, 1)[0];
+    let mut oracle = Counting::new(ProbQuadOracle::new(&metric, 0.05, oracle_seed));
+    let (dendrogram, stats) =
+        hier_oracle_stats(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
+    let mut digest = Digest::new();
+    digest.dendrogram(&dendrogram);
+
+    WorkloadReport {
+        name,
+        n,
+        reps: 1,
+        threads: 1,
+        wall_ms: ms(start),
+        queries: oracle.queries(),
+        answer_digest: digest.0,
+        config,
+        outputs_match: None,
+        detail: params.scaffold.then(|| {
+            format!(
+                "scaffold_hits={} repair_contests={} repair_fallbacks={}",
+                stats.scaffold_hits, stats.repair_contests, stats.repair_fallbacks,
+            )
+        }),
+    }
+}
 
 fn run_slink(n: usize) -> WorkloadReport {
-    let dim = 128;
-    let metric = mixture_points(n, dim, 8, 0x511A);
-    let params = HierParams::experimental(Linkage::Single);
-    let (oracle_seed, rng_seed) = rep_seeds(0x51, 1)[0];
-
-    let start = Instant::now();
-    let mut oracle = Counting::new(ProbQuadOracle::new(metric.clone(), 0.05, oracle_seed));
-    let base: Dendrogram = hier_oracle(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
-    let queries = oracle.queries();
-    let baseline_ms = ms(start);
-
-    let start = Instant::now();
-    let dense = SquareMetric::from_metric(&metric);
-    let mut oracle = Counting::new(ProbQuadOracle::new(dense, 0.05, oracle_seed));
-    let opt = hier_oracle(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
-    let optimized_ms = ms(start);
-
-    WorkloadReport {
-        name: format!("slink_n{n}"),
+    run_hierarchy(
+        format!("slink_n{n}"),
         n,
-        reps: 1,
-        baseline_ms,
-        optimized_ms,
-        queries,
-        threads: 1,
-        optimization: "full-grid materialisation (both configs run the incremental merge plane)",
-        outputs_match: base == opt && queries == oracle.queries(),
-        detail: None,
-    }
+        128,
+        HierParams::experimental(Linkage::Single),
+        (0x511A, 0x51),
+        "incremental merge plane over a DistCache",
+    )
 }
 
-// ---------------------------------------------------------------------
-// Workload 5: single-linkage SLINK on the shared-scaffold search plane.
-// ---------------------------------------------------------------------
-
+/// One bucket deal and one persistent sample shared by every
+/// row-anchored search (initial pointers and pointer repairs alike).
 fn run_slink_scaffold(n: usize) -> WorkloadReport {
-    let dim = 64;
-    let metric = mixture_points(n, dim, 8, 0x511B);
-    // PR 10: both configurations run on the shared-scaffold search plane —
-    // one bucket deal + one persistent sample shared by all row-anchored
-    // searches (initial pointers and pointer repairs alike).
-    let params = HierParams::experimental(Linkage::Single).scaffolded();
-    let (oracle_seed, rng_seed) = rep_seeds(0x52, 1)[0];
-    let dense = SquareMetric::from_metric(&metric);
-
-    // Baseline: the from-scratch reference — identical structure
-    // evolution, but every sweep replays every bucket duel and re-asks
-    // every pool pair instead of reading the caches. Under persistent
-    // noise the two are decision-identical by construction, which is what
-    // `outputs_match` verifies below.
-    let start = Instant::now();
-    let mut oracle = Counting::new(ProbQuadOracle::new(dense.clone(), 0.05, oracle_seed));
-    let base = hier_oracle_scratch(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
-    let scratch_queries = oracle.queries();
-    let baseline_ms = ms(start);
-
-    // Optimized: the cached scaffold (row sweeps reuse bracket winners,
-    // pair outcomes and Count-Min scores; merges dirty only the touched
-    // buckets).
-    let start = Instant::now();
-    let mut oracle = Counting::new(ProbQuadOracle::new(dense, 0.05, oracle_seed));
-    let (opt, stats) =
-        hier_oracle_stats(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
-    let optimized_ms = ms(start);
-
-    WorkloadReport {
-        name: format!("slink_n{n}"),
+    run_hierarchy(
+        format!("slink_n{n}"),
         n,
-        reps: 1,
-        baseline_ms,
-        optimized_ms,
-        // Report the *optimized* tally (the number worth guarding); the
-        // from-scratch baseline deliberately issues more — the saving is
-        // the PR 10 optimization.
-        queries: oracle.queries(),
-        threads: 1,
-        optimization: "shared-scaffold search plane: cached row sweeps (PR 10)",
-        outputs_match: base == opt && oracle.queries() <= scratch_queries,
-        detail: Some(format!(
-            "scratch_queries={scratch_queries} scaffold_hits={} repair_contests={} \
-             repair_fallbacks={}",
-            stats.scaffold_hits, stats.repair_contests, stats.repair_fallbacks,
-        )),
-    }
+        64,
+        HierParams::experimental(Linkage::Single).scaffolded(),
+        (0x511B, 0x52),
+        "shared-scaffold search plane: cached row sweeps (PR 10)",
+    )
 }
 
-// ---------------------------------------------------------------------
-// Workload 6: complete-linkage SLINK — from-scratch sweep vs the
-// incremental merge plane (the PR 5 tentpole, measured head to head).
-// ---------------------------------------------------------------------
-
+/// Complete linkage recomputes every stale pointer after every merge, so
+/// its repairs dominate the bill; the scaffold turns each repair into a
+/// dirty-set re-contest over cached winner structure.
 fn run_slink_complete(n: usize) -> WorkloadReport {
-    let dim = 64;
-    let metric = mixture_points(n, dim, 8, 0x511C);
-    // PR 10: complete linkage recomputes every stale pointer after every
-    // merge, so its repairs dominate the query bill — the scaffold turns
-    // each repair into a dirty-set re-contest over cached winner
-    // structure (with a full-row fallback on a dirty majority).
-    let params = HierParams::experimental(Linkage::Complete).scaffolded();
-    let (oracle_seed, rng_seed) = rep_seeds(0x53, 1)[0];
-    let dense = SquareMetric::from_metric(&metric);
-
-    // Baseline: the from-scratch reference — every merge re-runs the full
-    // closest-pair sweep over the (persistent-random) winner structure
-    // and every pointer repair replays its full row.
-    let start = Instant::now();
-    let mut oracle = Counting::new(ProbQuadOracle::new(dense.clone(), 0.05, oracle_seed));
-    let base = hier_oracle_scratch(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
-    let scratch_queries = oracle.queries();
-    let baseline_ms = ms(start);
-
-    // Optimized: the incremental merge plane (only dirty candidates
-    // re-contest the cached incumbent structure) + the cached scaffold
-    // for every pointer repair.
-    let start = Instant::now();
-    let mut oracle = Counting::new(ProbQuadOracle::new(dense, 0.05, oracle_seed));
-    let (opt, stats) =
-        hier_oracle_stats(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
-    let optimized_ms = ms(start);
-
-    WorkloadReport {
-        name: format!("slink_complete_n{n}"),
+    run_hierarchy(
+        format!("slink_complete_n{n}"),
         n,
-        reps: 1,
-        baseline_ms,
-        optimized_ms,
-        // Report the *optimized* tally (the number worth guarding); the
-        // from-scratch baseline deliberately issues more — the saving is
-        // the optimization. outputs_match is the decision-identity check.
-        queries: oracle.queries(),
-        threads: 1,
-        optimization:
-            "incremental merge plane + scaffolded pointer repair vs from-scratch sweep (PR 5, PR 10)",
-        outputs_match: base == opt && oracle.queries() <= scratch_queries,
-        detail: Some(format!(
-            "scratch_queries={scratch_queries} scaffold_hits={} repair_contests={} \
-             repair_fallbacks={}",
-            stats.scaffold_hits, stats.repair_contests, stats.repair_fallbacks,
-        )),
-    }
+        64,
+        HierParams::experimental(Linkage::Complete).scaffolded(),
+        (0x511C, 0x53),
+        "incremental merge plane + scaffolded pointer repair (PR 5, PR 10)",
+    )
 }
-
-// ---------------------------------------------------------------------
-// Workload 7: SLINK under the crowd oracle — scalar committee loop vs
-// the `le_batch` override's batched committee rounds.
-// ---------------------------------------------------------------------
-
-/// Defeats an oracle's `le_batch` override: only `le` is forwarded, so
-/// rounds fall back to the trait's scalar loop — the pre-override shape.
-struct ScalarRounds<O>(O);
-
-impl<O: nco_oracle::QuadrupletOracle> nco_oracle::QuadrupletOracle for ScalarRounds<O> {
-    fn n(&self) -> usize {
-        self.0.n()
-    }
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.0.le(a, b, c, d)
-    }
-}
-
-impl<O: nco_oracle::PersistentNoise> nco_oracle::PersistentNoise for ScalarRounds<O> {}
 
 fn run_slink_crowd(n: usize) -> WorkloadReport {
     use nco_oracle::crowd::{AccuracyProfile, CrowdQuadOracle};
-    let dim = 128;
+    let start = Instant::now();
     // Deliberately lazy distances: every committee decision re-derives its
-    // two 128-d distances unless the round amortises them, which is
-    // exactly what the override is for.
-    let metric = mixture_points(n, dim, 8, 0x511D);
-    let params = HierParams::experimental(Linkage::Single);
+    // two 128-d distances unless the round amortises them, which is what
+    // the crowd oracle's `le_batch` override does.
+    let metric = mixture_points(n, 128, 8, 0x511D);
     let (oracle_seed, rng_seed) = rep_seeds(0x54, 1)[0];
     let profile = AccuracyProfile::caltech_like();
-
-    // Baseline: the scalar committee loop (override defeated).
-    let start = Instant::now();
-    let mut oracle = Counting::new(ScalarRounds(CrowdQuadOracle::new(
-        metric.clone(),
-        profile,
-        3,
-        oracle_seed,
-    )));
-    let base = hier_oracle(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
-    let queries = oracle.queries();
-    let baseline_ms = ms(start);
-
-    // Optimized: the crowd `le_batch` override — per-round distance dedup
-    // and committee-answer dedup, worker draws in serial query order.
-    let start = Instant::now();
     let mut oracle = Counting::new(CrowdQuadOracle::new(metric, profile, 3, oracle_seed));
-    let opt = hier_oracle(&params, &mut oracle, &mut StdRng::seed_from_u64(rng_seed));
-    let optimized_ms = ms(start);
+    let dendrogram = hier_oracle(
+        &HierParams::experimental(Linkage::Single),
+        &mut oracle,
+        &mut StdRng::seed_from_u64(rng_seed),
+    );
+    let mut digest = Digest::new();
+    digest.dendrogram(&dendrogram);
 
     WorkloadReport {
         name: format!("slink_crowd_n{n}"),
         n,
         reps: 1,
-        baseline_ms,
-        optimized_ms,
-        queries,
         threads: 1,
-        optimization: "crowd le_batch override: per-round distance + committee-answer dedup",
-        outputs_match: base == opt && queries == oracle.queries(),
+        wall_ms: ms(start),
+        queries: oracle.queries(),
+        answer_digest: digest.0,
+        config: "crowd le_batch override: per-round distance + committee-answer dedup",
+        outputs_match: None,
         detail: None,
     }
 }
 
 // ---------------------------------------------------------------------
-// Workload 6: greedy k-center under adversarial noise.
-// ---------------------------------------------------------------------
-
-fn run_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
-    let dim = 128;
-    let metric = mixture_points(n, dim, k, 0x6C3E);
-    let seeds = rep_seeds(0x6C, reps);
-
-    let start = Instant::now();
-    let mut queries = 0u64;
-    let mut base_out = Vec::with_capacity(reps);
-    for &(_, rng_seed) in &seeds {
-        let mut oracle = Counting::new(AdversarialQuadOracle::new(
-            metric.clone(),
-            0.2,
-            InvertAdversary,
-        ));
-        let c = kcenter_adv(
-            &KCenterAdvParams::experimental(k),
-            &mut oracle,
-            &mut StdRng::seed_from_u64(rng_seed),
-        );
-        queries += oracle.queries();
-        base_out.push((c.centers, c.assignment));
-    }
-    let baseline_ms = ms(start);
-
-    // Optimized: one DistCache shared across the reps (the realistic
-    // shape — many clustering requests over one corpus). The queries only
-    // touch (point, center) pairs, a small slice of the triangle PR 2
-    // paid n^2/2 eager evaluations to materialise.
-    let start = Instant::now();
-    let cached = CachedMetric::new(metric);
-    let mut opt_queries = 0u64;
-    let mut opt_out = Vec::with_capacity(reps);
-    for &(_, rng_seed) in &seeds {
-        let mut oracle = Counting::new(AdversarialQuadOracle::new(&cached, 0.2, InvertAdversary));
-        let c = kcenter_adv(
-            &KCenterAdvParams::experimental(k),
-            &mut oracle,
-            &mut StdRng::seed_from_u64(rng_seed),
-        );
-        opt_queries += oracle.queries();
-        opt_out.push((c.centers, c.assignment));
-    }
-    let optimized_ms = ms(start);
-
-    WorkloadReport {
-        name: format!("kcenter_n{n}"),
-        n,
-        reps,
-        baseline_ms,
-        optimized_ms,
-        queries,
-        threads: 1,
-        optimization: "DistCache shared across reps: touched (point, center) pairs only",
-        outputs_match: base_out == opt_out && queries == opt_queries,
-        detail: None,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Workload 7: the same greedy k-center routed through the facade's
-// `Session` front door — the zero-overhead proof for the engine API.
+// Greedy k-center under adversarial noise, called directly and through
+// the facade's `Session` front door.
 // ---------------------------------------------------------------------
 
 /// Direct and `Session` passes alternate this many times; the report
@@ -521,41 +373,68 @@ const SESSION_KCENTER_PAIRS: usize = 7;
 
 type KCenterOut = Vec<(Vec<usize>, Vec<usize>)>;
 
+fn kcenter_digest(digest: &mut Digest, out: &KCenterOut) {
+    for (centers, assignment) in out {
+        digest.list(centers);
+        digest.list(assignment);
+    }
+}
+
+/// Greedy k-center once per seed over one fresh `DistCache` shared across
+/// the reps (the realistic shape: many clustering requests over one
+/// corpus). The queries touch only (point, center) pairs.
+fn kcenter_direct(metric: &EuclideanMetric, k: usize, seeds: &[(u64, u64)]) -> (KCenterOut, u64) {
+    let cached = CachedMetric::new(metric.clone());
+    let mut queries = 0u64;
+    let mut out = Vec::with_capacity(seeds.len());
+    for &(_, rng_seed) in seeds {
+        let mut oracle = Counting::new(AdversarialQuadOracle::new(&cached, 0.2, InvertAdversary));
+        let c = kcenter_adv(
+            &KCenterAdvParams::experimental(k),
+            &mut oracle,
+            &mut StdRng::seed_from_u64(rng_seed),
+        );
+        queries += oracle.queries();
+        out.push((c.centers, c.assignment));
+    }
+    (out, queries)
+}
+
+fn run_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
+    let start = Instant::now();
+    let metric = mixture_points(n, 128, k, 0x6C3E);
+    let (out, queries) = kcenter_direct(&metric, k, &rep_seeds(0x6C, reps));
+    let mut digest = Digest::new();
+    kcenter_digest(&mut digest, &out);
+
+    WorkloadReport {
+        name: format!("kcenter_n{n}"),
+        n,
+        reps,
+        threads: 1,
+        wall_ms: ms(start),
+        queries,
+        answer_digest: digest.0,
+        config: "DistCache shared across reps: touched (point, center) pairs only",
+        outputs_match: None,
+        detail: None,
+    }
+}
+
 fn run_session_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
     use noisy_oracle::data::AnyMetric;
     use noisy_oracle::{Engine, Noise, Session, Task};
 
-    let dim = 128;
-    let metric = mixture_points(n, dim, k, 0x6C3E);
-    // Same rep seeds as `kcenter_n1024`: this workload's baseline is
-    // exactly that workload's optimized configuration, so its query
-    // count must reproduce bit-for-bit across the two reports.
+    let start = Instant::now();
+    let metric = mixture_points(n, 128, k, 0x6C3E);
+    // Same rep seeds as `kcenter_n1024`: the direct arm is exactly that
+    // workload, so its query count must reproduce bit-for-bit across the
+    // two reports.
     let seeds = rep_seeds(0x6C, reps);
 
-    // Baseline: the direct call over a fresh DistCache shared across the
-    // reps (PR 3's optimized shape of the kcenter workload).
-    let direct = || -> (KCenterOut, u64) {
-        let cached = CachedMetric::new(metric.clone());
-        let mut queries = 0u64;
-        let mut out = Vec::with_capacity(reps);
-        for &(_, rng_seed) in &seeds {
-            let mut oracle =
-                Counting::new(AdversarialQuadOracle::new(&cached, 0.2, InvertAdversary));
-            let c = kcenter_adv(
-                &KCenterAdvParams::experimental(k),
-                &mut oracle,
-                &mut StdRng::seed_from_u64(rng_seed),
-            );
-            queries += oracle.queries();
-            out.push((c.centers, c.assignment));
-        }
-        (out, queries)
-    };
-
-    // "Optimized": the identical runs through `Session::run` on a fresh
-    // shared `Engine`. The facade must add nothing — same answers, same
-    // query counts (checked below via outputs_match), wall time within
-    // noise of the direct loop.
+    // The identical runs through `Session::run` on a fresh shared
+    // `Engine`. The facade must add nothing — same answers, same query
+    // counts, wall time within noise of the direct loop.
     let facade = || -> (KCenterOut, u64) {
         let engine = Engine::from_metric(AnyMetric::Euclidean(metric.clone()), true);
         let mut queries = 0u64;
@@ -582,59 +461,63 @@ fn run_session_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
     };
 
     // Interleave the two so a drift in host speed hits both alike.
-    let mut base_ms = Vec::with_capacity(SESSION_KCENTER_PAIRS);
-    let mut opt_ms = Vec::with_capacity(SESSION_KCENTER_PAIRS);
+    let mut direct_ms = Vec::with_capacity(SESSION_KCENTER_PAIRS);
+    let mut session_ms = Vec::with_capacity(SESSION_KCENTER_PAIRS);
     let mut outputs_match = true;
     let mut queries = 0;
+    let mut digest = Digest::new();
     for _ in 0..SESSION_KCENTER_PAIRS {
-        let start = Instant::now();
-        let (base_out, base_queries) = direct();
-        base_ms.push(ms(start));
-        let start = Instant::now();
-        let (opt_out, opt_queries) = facade();
-        opt_ms.push(ms(start));
-        outputs_match &= base_out == opt_out && base_queries == opt_queries;
-        queries = base_queries;
+        let pair_start = Instant::now();
+        let (direct_out, direct_queries) = kcenter_direct(&metric, k, &seeds);
+        direct_ms.push(ms(pair_start));
+        let pair_start = Instant::now();
+        let (session_out, session_queries) = facade();
+        session_ms.push(ms(pair_start));
+        outputs_match &= direct_out == session_out && direct_queries == session_queries;
+        kcenter_digest(&mut digest, &direct_out);
+        kcenter_digest(&mut digest, &session_out);
+        queries = direct_queries;
     }
-    let mut ratios: Vec<f64> = base_ms.iter().zip(&opt_ms).map(|(b, o)| b / o).collect();
+    let mut ratios: Vec<f64> = direct_ms
+        .iter()
+        .zip(&session_ms)
+        .map(|(d, s)| d / s)
+        .collect();
     let ratio_median = median(&mut ratios);
 
     WorkloadReport {
         name: format!("session_kcenter_n{n}"),
         n,
         reps,
-        baseline_ms: median(&mut base_ms),
-        optimized_ms: median(&mut opt_ms),
-        queries,
         threads: 1,
-        optimization: "Session front door over a shared Engine (zero-overhead facade check)",
-        outputs_match,
+        wall_ms: ms(start),
+        queries,
+        answer_digest: digest.0,
+        config: "Session front door over a shared Engine (zero-overhead facade check)",
+        outputs_match: Some(outputs_match),
         detail: Some(format!(
-            "walls are medians of {SESSION_KCENTER_PAIRS} interleaved direct/Session pairs; \
-             per-pair speedup median {ratio_median:.3} min {:.3} max {:.3}",
+            "medians of {SESSION_KCENTER_PAIRS} interleaved pairs: direct_ms={:.3} \
+             session_ms={:.3}; per-pair direct/session median {ratio_median:.3} \
+             min {:.3} max {:.3}",
+            median(&mut direct_ms),
+            median(&mut session_ms),
             ratios[0],
             ratios[ratios.len() - 1]
         )),
     }
 }
 
-/// Sorts `xs` and returns its middle element.
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 // ---------------------------------------------------------------------
-// Workload 10: the concurrent serving plane under a sustained mixed
-// request stream (the PR 6 tentpole, measured head to head).
+// The serving plane: a sustained mixed request stream, then the same
+// plane under a seeded fault storm.
 // ---------------------------------------------------------------------
 
 fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
     use noisy_oracle::data::AnyMetric;
     use noisy_oracle::{Engine, Noise, Request, Server, Session, Task};
 
-    let dim = 64;
-    let metric = mixture_points(n, dim, 8, 0x5E12);
+    let start = Instant::now();
+    let metric = mixture_points(n, 64, 8, 0x5E12);
     let noise = Noise::Probabilistic {
         p: 0.1,
         seed: 0x5EED,
@@ -663,12 +546,12 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
         })
         .collect();
 
-    // Baseline: the pre-serving shape — each request is a solo
+    // Arm A: the pre-serving shape — each request is a solo
     // `Session::run`, sequentially, over one shared engine.
-    let start = Instant::now();
+    let solo_start = Instant::now();
     let engine = Engine::from_metric(AnyMetric::Euclidean(metric.clone()), true);
     let mut solo = Vec::with_capacity(requests.len());
-    let mut base_walls = Vec::with_capacity(requests.len());
+    let mut solo_walls = Vec::with_capacity(requests.len());
     for r in &requests {
         let outcome = Session::builder()
             .engine(engine.clone())
@@ -678,22 +561,19 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
             .expect("valid session configuration")
             .run(r.task)
             .expect("unbudgeted run cannot fail");
-        base_walls.push(outcome.report.wall.as_secs_f64() * 1e3);
+        solo_walls.push(outcome.report.wall.as_secs_f64() * 1e3);
         solo.push(outcome);
     }
-    let baseline_ms = ms(start);
+    let solo_ms = ms(solo_start);
     let queries: u64 = solo.iter().map(|o| o.report.queries).sum();
 
-    // Optimized: the same stream submitted up front to the serving
-    // plane — a worker pool over one memoised backend. Per-request
-    // answers and bills stay bit-identical to the solo runs (checked
-    // below); the backend answers every cross-request repeat from the
-    // shared memo. Worker pool scaled to the host (like every fan-out
-    // workload): on a single-core host one worker drains the stream and
-    // the win is the shared backend memo alone; with real cores the pool
-    // overlaps requests.
+    // Arm B: the same stream submitted up front to the serving plane — a
+    // worker pool over one memoised backend, which answers every
+    // cross-request repeat from the shared memo. The pool is scaled to
+    // the host: on one core a single worker drains the stream and the
+    // win is the shared memo alone.
     let workers = host_logical_cores().min(4);
-    let start = Instant::now();
+    let served_start = Instant::now();
     let template = Session::builder()
         .engine(Engine::from_metric(AnyMetric::Euclidean(metric), true))
         .noise(noise)
@@ -713,7 +593,7 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
         .map(|h| h.join().expect("unbudgeted request cannot fail"))
         .collect();
     let stats = server.shutdown();
-    let optimized_ms = ms(start);
+    let served_ms = ms(served_start);
 
     let identical = requests.len() == served.len()
         && solo.iter().zip(&served).all(|(s, o)| {
@@ -721,13 +601,17 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
                 && s.report.queries == o.report.queries
                 && s.report.rounds == o.report.rounds
         });
+    let mut digest = Digest::new();
+    for outcome in solo.iter().chain(&served) {
+        digest.answer(&outcome.answer);
+    }
 
-    let mut serve_walls: Vec<f64> = served
+    let mut served_walls: Vec<f64> = served
         .iter()
         .map(|o| o.report.wall.as_secs_f64() * 1e3)
         .collect();
-    serve_walls.sort_by(f64::total_cmp);
-    base_walls.sort_by(f64::total_cmp);
+    served_walls.sort_by(f64::total_cmp);
+    solo_walls.sort_by(f64::total_cmp);
     let pct = |sorted: &[f64], q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
     let per_request = |total: u64| total as f64 / requests.len() as f64;
 
@@ -735,11 +619,11 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
         name: format!("serve_mixed_n{n}"),
         n,
         reps: requests.len(),
-        baseline_ms,
-        optimized_ms,
-        queries,
         threads: workers,
-        optimization: if workers > 1 {
+        wall_ms: ms(start),
+        queries,
+        answer_digest: digest.0,
+        config: if workers > 1 {
             "concurrent serving plane: worker pool + shared-memo backend"
         } else {
             "serving plane on one worker: shared-memo backend (pool overlap needs >1 core)"
@@ -748,15 +632,17 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
         // computes or is billed — and the shared backend must actually
         // save work on the wire (strictly fewer oracle queries than the
         // requests' solo bills sum to).
-        outputs_match: identical && stats.backend_queries < queries,
+        outputs_match: Some(identical && stats.backend_queries < queries),
         detail: Some(format!(
-            "solo_p50_ms={:.3} solo_p99_ms={:.3} served_p50_ms={:.3} served_p99_ms={:.3} \
+            "solo_ms={solo_ms:.3} served_ms={served_ms:.3} solo/served={:.3} \
+             solo_p50_ms={:.3} solo_p99_ms={:.3} served_p50_ms={:.3} served_p99_ms={:.3} \
              queries_per_request_solo={:.1} queries_per_request_backend={:.1} \
              backend_memo_hits={}",
-            pct(&base_walls, 0.50),
-            pct(&base_walls, 0.99),
-            pct(&serve_walls, 0.50),
-            pct(&serve_walls, 0.99),
+            solo_ms / served_ms,
+            pct(&solo_walls, 0.50),
+            pct(&solo_walls, 0.99),
+            pct(&served_walls, 0.50),
+            pct(&served_walls, 0.99),
             per_request(queries),
             per_request(stats.backend_queries),
             stats.memo_hits,
@@ -764,20 +650,12 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Workload 11: the serving plane under a seeded fault storm (PR 7).
-// ---------------------------------------------------------------------
-
 fn run_serve_faulty(n: usize, batches: usize) -> WorkloadReport {
     use noisy_oracle::data::AnyMetric;
     use noisy_oracle::{Engine, FaultPlan, Noise, Request, RetryPolicy, Server, Session, Task};
 
-    let dim = 64;
-    let metric = mixture_points(n, dim, 8, 0xFA17);
-    let noise = Noise::Probabilistic {
-        p: 0.1,
-        seed: 0xFEED,
-    };
+    let start = Instant::now();
+    let metric = mixture_points(n, 64, 8, 0xFA17);
     let requests: Vec<Request> = (0..batches)
         .flat_map(|b| {
             let seed = 300 + (b % 3) as u64;
@@ -794,93 +672,75 @@ fn run_serve_faulty(n: usize, batches: usize) -> WorkloadReport {
         })
         .collect();
 
-    let serve = |plan: Option<FaultPlan>| {
-        let mut builder = Session::builder()
-            .engine(Engine::from_metric(
-                AnyMetric::Euclidean(metric.clone()),
-                true,
-            ))
-            .noise(noise);
-        if let Some(plan) = plan {
-            builder = builder.fault_plan(plan).retry_policy(RetryPolicy::new(12));
-        }
-        let template = builder.build().expect("valid session configuration");
-        let server = Server::builder(template)
-            .workers(host_logical_cores().min(4))
-            .queue(requests.len())
-            .build()
-            .expect("valid server configuration");
-        let handles: Vec<_> = requests
-            .iter()
-            .map(|&r| server.submit(r).expect("queue sized to the stream"))
-            .collect();
-        let outcomes: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("masked faults cannot fail a request"))
-            .collect();
-        (outcomes, server.shutdown())
-    };
-
-    // Baseline: the fault-free serving plane from workload 10.
-    let start = Instant::now();
-    let (clean, clean_stats) = serve(None);
-    let baseline_ms = ms(start);
-    let queries: u64 = clean.iter().map(|o| o.report.queries).sum();
-
-    // Optimized configuration (here: the *robust* configuration): the
-    // same stream under a seeded storm of transients, stalls, burst
-    // outages and dead worker lanes, every fault masked by bounded
-    // retry. The acceptance check is the PR 7 guarantee — answers stay
-    // bit-identical to the fault-free run, and the storm genuinely
-    // exercised the retry path.
+    // A seeded storm of transients, stalls, burst outages and dead worker
+    // lanes, every fault masked by bounded retry.
     let plan = FaultPlan::new(0xFA57)
         .transient(0.04)
         .stalls(0.02, 200)
         .outages(2048, 3)
         .dead_workers(16, 1);
-    let start = Instant::now();
-    let (faulty, faulty_stats) = serve(Some(plan));
-    let optimized_ms = ms(start);
-
-    let identical =
-        clean.len() == faulty.len() && clean.iter().zip(&faulty).all(|(c, f)| c.answer == f.answer);
-    let masked = faulty_stats.retries > 0
-        && faulty_stats.faults_masked > 0
-        && faulty_stats.panics == 0
-        && faulty_stats.deadline_kills == 0;
-    let faulty_bill: u64 = faulty.iter().map(|o| o.report.queries).sum();
+    let template = Session::builder()
+        .engine(Engine::from_metric(AnyMetric::Euclidean(metric), true))
+        .noise(Noise::Probabilistic {
+            p: 0.1,
+            seed: 0xFEED,
+        })
+        .fault_plan(plan)
+        .retry_policy(RetryPolicy::new(12))
+        .build()
+        .expect("valid session configuration");
+    let workers = host_logical_cores().min(4);
+    let server = Server::builder(template)
+        .workers(workers)
+        .queue(requests.len())
+        .build()
+        .expect("valid server configuration");
+    let handles: Vec<_> = requests
+        .iter()
+        .map(|&r| server.submit(r).expect("queue sized to the stream"))
+        .collect();
+    let outcomes: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("masked faults cannot fail a request"))
+        .collect();
+    let stats = server.shutdown();
+    let mut digest = Digest::new();
+    for outcome in &outcomes {
+        digest.answer(&outcome.answer);
+    }
 
     WorkloadReport {
         name: format!("serve_faulty_n{n}"),
         n,
         reps: requests.len(),
-        baseline_ms,
-        optimized_ms,
-        queries,
-        threads: host_logical_cores().min(4),
-        optimization:
-            "fault plane: seeded injection fully masked by bounded retry, answers bit-identical",
-        outputs_match: identical && masked && faulty_bill >= queries,
+        threads: workers,
+        wall_ms: ms(start),
+        queries: outcomes.iter().map(|o| o.report.queries).sum(),
+        answer_digest: digest.0,
+        config: "fault plane: seeded injection fully masked by bounded retry",
+        // The storm must genuinely exercise the retry path, and every
+        // fault must be masked: no panic, no deadline kill.
+        outputs_match: Some(
+            stats.retries > 0
+                && stats.faults_masked > 0
+                && stats.panics == 0
+                && stats.deadline_kills == 0,
+        ),
         detail: Some(format!(
-            "retries={} faults_masked={} bill_clean={} bill_faulty={} \
-             backend_queries_clean={} backend_queries_faulty={}",
-            faulty_stats.retries,
-            faulty_stats.faults_masked,
-            queries,
-            faulty_bill,
-            clean_stats.backend_queries,
-            faulty_stats.backend_queries,
+            "retries={} faults_masked={} backend_queries_faulty={}",
+            stats.retries, stats.faults_masked, stats.backend_queries,
         )),
     }
 }
 
 // ---------------------------------------------------------------------
-// Workload 12: the adaptive noise plane under a misspecified rate (PR 8).
+// The adaptive noise plane under a misspecified rate (PR 8).
 // ---------------------------------------------------------------------
 
 fn run_adaptive_noise(n: usize, reps: usize) -> WorkloadReport {
     use noisy_oracle::{AdaptPolicy, NcoError, Noise, Session, Task};
 
+    let start = Instant::now();
     let values: Vec<f64> = (1..=n).map(|i| i as f64).collect();
     let p = 0.40; // the real (persistent) flip rate
     let assumed = 0.20; // the rate every session's parameters are derived for
@@ -905,36 +765,38 @@ fn run_adaptive_noise(n: usize, reps: usize) -> WorkloadReport {
     };
     let deficit = |item: usize| n - 1 - item;
 
-    // Baseline: silently misspecified fixed-rate sessions. They
-    // complete — on repetition parameters derived for half the real
-    // rate — and never learn anything is wrong.
-    let start = Instant::now();
-    let mut fixed = Vec::with_capacity(reps);
-    for &(noise_seed, rng_seed) in &seeds {
-        let o = build(noise_seed, rng_seed, None, false)
-            .run(Task::Max)
-            .expect("unguarded run cannot fail");
-        fixed.push(o);
-    }
-    let baseline_ms = ms(start);
+    // Arm A: silently misspecified fixed-rate sessions. They complete —
+    // on repetition parameters derived for half the real rate — and
+    // never learn anything is wrong.
+    let fixed_start = Instant::now();
+    let fixed: Vec<_> = seeds
+        .iter()
+        .map(|&(noise_seed, rng_seed)| {
+            build(noise_seed, rng_seed, None, false)
+                .run(Task::Max)
+                .expect("unguarded run cannot fail")
+        })
+        .collect();
+    let fixed_ms = ms(fixed_start);
     let fixed_deficit: usize = fixed
         .iter()
         .map(|o| deficit(o.answer.item().expect("Max returns an item")))
         .sum();
 
-    // Robust configuration: billed probe triangles estimate the live
-    // rate, the guard detects the misspecification, and `Escalate`
-    // re-derives the parameters and re-runs on the spot. The overhead of
-    // probing + the escalated attempt is the measurement.
-    let start = Instant::now();
-    let mut adaptive = Vec::with_capacity(reps);
-    for &(noise_seed, rng_seed) in &seeds {
-        let o = build(noise_seed, rng_seed, Some(0.10), true)
-            .run(Task::Max)
-            .expect("adaptive run recovers instead of failing");
-        adaptive.push(o);
-    }
-    let optimized_ms = ms(start);
+    // Arm B: billed probe triangles estimate the live rate, the guard
+    // detects the misspecification, and `Escalate` re-derives the
+    // parameters and re-runs on the spot. The overhead of probing + the
+    // escalated attempt is the measurement.
+    let adaptive_start = Instant::now();
+    let adaptive: Vec<_> = seeds
+        .iter()
+        .map(|&(noise_seed, rng_seed)| {
+            build(noise_seed, rng_seed, Some(0.10), true)
+                .run(Task::Max)
+                .expect("adaptive run recovers instead of failing")
+        })
+        .collect();
+    let adaptive_ms = ms(adaptive_start);
     let adaptive_deficit: usize = adaptive
         .iter()
         .map(|o| deficit(o.answer.item().expect("Max returns an item")))
@@ -945,16 +807,16 @@ fn run_adaptive_noise(n: usize, reps: usize) -> WorkloadReport {
         .iter()
         .all(|o| o.report.adaptations == 1 && o.report.probes.is_some_and(|b| b > 0));
 
-    // Acceptance 1: the same probed configuration without the adaptive
-    // policy must detect the 2x misspecification and fail typed.
+    // Check 1: the same probed configuration without the adaptive policy
+    // must detect the 2x misspecification and fail typed.
     let (noise_seed, rng_seed) = seeds[0];
     let guard_fires = matches!(
         build(noise_seed, rng_seed, Some(0.10), false).run(Task::Max),
         Err(NcoError::NoiseMisspecified { .. })
     );
 
-    // Acceptance 2: `probe_noise(0.0)` is bit-identical to never
-    // enabling the layer — same answers, same query/round meters.
+    // Check 2: `probe_noise(0.0)` is bit-identical to never enabling the
+    // layer — same answers, same query/round meters.
     let probe_off = build(noise_seed, rng_seed, Some(0.0), false)
         .run(Task::Max)
         .expect("probe-off run cannot fail");
@@ -963,136 +825,70 @@ fn run_adaptive_noise(n: usize, reps: usize) -> WorkloadReport {
         && probe_off.report.rounds == fixed[0].report.rounds
         && probe_off.report.probes.is_none();
 
+    let mut digest = Digest::new();
+    for outcome in fixed.iter().chain(&adaptive).chain([&probe_off]) {
+        digest.answer(&outcome.answer);
+    }
+
     WorkloadReport {
         name: format!("adaptive_noise_n{n}"),
         n,
         reps,
-        baseline_ms,
-        optimized_ms,
-        queries,
         threads: 1,
-        optimization:
-            "online probe estimation + misspecification guard + Escalate re-derivation (PR 8)",
-        outputs_match: adapted && guard_fires && probe_off_identical,
+        wall_ms: ms(start),
+        queries,
+        answer_digest: digest.0,
+        config: "online probe estimation + misspecification guard + Escalate re-derivation (PR 8)",
+        outputs_match: Some(adapted && guard_fires && probe_off_identical),
         detail: Some(format!(
             "true_p={p} assumed_p={assumed} probes={probes} \
-             fixed_rank_deficit={fixed_deficit} adaptive_rank_deficit={adaptive_deficit}",
+             fixed_rank_deficit={fixed_deficit} adaptive_rank_deficit={adaptive_deficit} \
+             fixed_ms={fixed_ms:.3} adaptive_ms={adaptive_ms:.3}",
         )),
     }
 }
 
 // ---------------------------------------------------------------------
-// Workloads 13 & 14: the ordering subsystem (PR 9) — the same engine
-// driven scalar (one oracle query per pair) vs through le_batch rounds.
+// The ordering subsystem (PR 9): sort and k-th selection through
+// le_batch rounds.
 // ---------------------------------------------------------------------
 
-/// A deliberately unbatched value comparator: every pair reaches the
-/// oracle through scalar `le`, one query at a time (the trait-default
-/// `le_round` loop). The `le_batch` contract pins batched answers to the
-/// scalar sequence, so the optimized run must match bit-for-bit in both
-/// outputs and query counts.
-struct ScalarValueCmp<'a, O> {
-    oracle: &'a mut O,
-}
-
-impl<O: nco_oracle::ComparisonOracle> Comparator<usize> for ScalarValueCmp<'_, O> {
-    fn le(&mut self, a: usize, b: usize) -> bool {
-        self.oracle.le(a, b)
-    }
-    fn doomed(&self) -> bool {
-        self.oracle.doomed()
-    }
-}
-
-fn shuffled_values(n: usize, seed: u64) -> Vec<f64> {
-    use rand::seq::SliceRandom;
-    let mut values: Vec<f64> = (1..=n).map(|i| i as f64).collect();
-    values.shuffle(&mut StdRng::seed_from_u64(seed));
-    values
-}
-
 fn run_sort(n: usize, reps: usize) -> WorkloadReport {
+    let start = Instant::now();
     let values = shuffled_values(n, 0x50F7);
     let params = OrderProbParams::experimental();
-    let seeds = rep_seeds(0x50, reps);
     let items: Vec<usize> = (0..n).collect();
-
-    // Baseline: scalar comparator loop.
-    let start = Instant::now();
     let mut queries = 0u64;
-    let mut scalar_orders = Vec::with_capacity(reps);
-    for &(oracle_seed, _) in &seeds {
+    let mut digest = Digest::new();
+    for (oracle_seed, _) in rep_seeds(0x50, reps) {
         let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
-        let order = sort_prob(
-            &items,
-            &params,
-            &mut ScalarValueCmp {
-                oracle: &mut oracle,
-            },
-        );
+        digest.list(&sort_prob(&items, &params, &mut ValueCmp::new(&mut oracle)));
         queries += oracle.queries();
-        scalar_orders.push(order);
     }
-    let baseline_ms = ms(start);
-
-    // Optimized: the same engine through le_batch rounds.
-    let start = Instant::now();
-    let mut opt_queries = 0u64;
-    let mut opt_orders = Vec::with_capacity(reps);
-    for &(oracle_seed, _) in &seeds {
-        let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
-        let order = sort_prob(&items, &params, &mut ValueCmp::new(&mut oracle));
-        opt_queries += oracle.queries();
-        opt_orders.push(order);
-    }
-    let optimized_ms = ms(start);
 
     WorkloadReport {
         name: format!("sort_n{n}"),
         n,
         reps,
-        baseline_ms,
-        optimized_ms,
-        queries,
         threads: 1,
-        optimization: "wave binary-search steps + polish scoring coalesced into le_batch rounds",
-        outputs_match: scalar_orders == opt_orders && queries == opt_queries,
+        wall_ms: ms(start),
+        queries,
+        answer_digest: digest.0,
+        config: "wave binary-search steps + polish scoring coalesced into le_batch rounds",
+        outputs_match: None,
         detail: None,
     }
 }
 
 fn run_select(n: usize, reps: usize) -> WorkloadReport {
+    let start = Instant::now();
     let values = shuffled_values(n, 0x5E1E);
     let k = n / 8;
     let params = OrderProbParams::experimental();
-    let seeds = rep_seeds(0x51, reps);
     let items: Vec<usize> = (0..n).collect();
-
-    // Baseline: scalar comparator loop.
-    let start = Instant::now();
     let mut queries = 0u64;
-    let mut scalar_picks = Vec::with_capacity(reps);
-    for &(oracle_seed, rng_seed) in &seeds {
-        let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
-        let pick = select_prob(
-            &items,
-            k,
-            &params,
-            &mut ScalarValueCmp {
-                oracle: &mut oracle,
-            },
-            &mut StdRng::seed_from_u64(rng_seed),
-        );
-        queries += oracle.queries();
-        scalar_picks.push(pick);
-    }
-    let baseline_ms = ms(start);
-
-    // Optimized: the same engine through le_batch rounds.
-    let start = Instant::now();
-    let mut opt_queries = 0u64;
-    let mut opt_picks = Vec::with_capacity(reps);
-    for &(oracle_seed, rng_seed) in &seeds {
+    let mut digest = Digest::new();
+    for (oracle_seed, rng_seed) in rep_seeds(0x51, reps) {
         let mut oracle = Counting::new(ProbValueOracle::new(values.clone(), 0.2, oracle_seed));
         let pick = select_prob(
             &items,
@@ -1101,73 +897,56 @@ fn run_select(n: usize, reps: usize) -> WorkloadReport {
             &mut ValueCmp::new(&mut oracle),
             &mut StdRng::seed_from_u64(rng_seed),
         );
-        opt_queries += oracle.queries();
-        opt_picks.push(pick);
+        digest.list(pick.as_slice());
+        queries += oracle.queries();
     }
-    let optimized_ms = ms(start);
 
     WorkloadReport {
         name: format!("select_n{n}"),
         n,
         reps,
-        baseline_ms,
-        optimized_ms,
-        queries,
         threads: 1,
-        optimization: "sample scoring + resolving scan coalesced into le_batch rounds",
-        outputs_match: scalar_picks == opt_picks && queries == opt_queries,
+        wall_ms: ms(start),
+        queries,
+        answer_digest: digest.0,
+        config: "sample scoring + resolving scan coalesced into le_batch rounds",
+        outputs_match: None,
         detail: Some(format!("k={k}")),
     }
 }
 
 fn write_json(path: &str, mode: &str, reports: &[WorkloadReport]) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"nco-perfsuite/v4\",\n");
-    s.push_str("  \"pr\": \"PR15\",\n");
-    s.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    s.push_str(&format!(
-        "  \"host_logical_cores\": {},\n",
-        host_logical_cores()
-    ));
-    s.push_str("  \"workloads\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        s.push_str(&format!("      \"n\": {},\n", r.n));
-        s.push_str(&format!("      \"reps\": {},\n", r.reps));
-        s.push_str(&format!("      \"threads\": {},\n", r.threads));
-        s.push_str(&format!(
-            "      \"baseline_wall_ms\": {:.3},\n",
-            r.baseline_ms
-        ));
-        s.push_str(&format!(
-            "      \"optimized_wall_ms\": {:.3},\n",
-            r.optimized_ms
-        ));
-        s.push_str(&format!("      \"speedup\": {:.3},\n", r.speedup()));
-        s.push_str(&format!("      \"queries\": {},\n", r.queries));
-        s.push_str(&format!(
-            "      \"optimization\": \"{}\",\n",
-            r.optimization
-        ));
-        if let Some(detail) = &r.detail {
-            s.push_str(&format!("      \"detail\": \"{detail}\",\n"));
-        }
-        s.push_str(&format!("      \"outputs_match\": {}\n", r.outputs_match));
-        s.push_str(if i + 1 == reports.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"total_queries\": {}\n",
+    let workloads: Vec<String> = reports
+        .iter()
+        .map(|r| {
+            let mut fields = vec![
+                format!("\"name\": \"{}\"", r.name),
+                format!("\"n\": {}", r.n),
+                format!("\"reps\": {}", r.reps),
+                format!("\"threads\": {}", r.threads),
+                format!("\"wall_ms\": {:.3}", r.wall_ms),
+                format!("\"queries\": {}", r.queries),
+                format!("\"answer_digest\": \"{:016x}\"", r.answer_digest),
+                format!("\"config\": \"{}\"", r.config),
+            ];
+            if let Some(detail) = &r.detail {
+                fields.push(format!("\"detail\": \"{detail}\""));
+            }
+            if let Some(ok) = r.outputs_match {
+                fields.push(format!("\"outputs_match\": {ok}"));
+            }
+            format!("    {{\n      {}\n    }}", fields.join(",\n      "))
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"schema\": \"nco-perfsuite/v5\",\n  \"mode\": \"{mode}\",\n  \
+         \"host_logical_cores\": {},\n  \"workloads\": [\n{}\n  ],\n  \
+         \"total_queries\": {}\n}}\n",
+        host_logical_cores(),
+        workloads.join(",\n"),
         reports.iter().map(|r| r.queries).sum::<u64>()
-    ));
-    s.push_str("}\n");
-    std::fs::write(path, s)
+    );
+    std::fs::write(path, json)
 }
 
 /// Logical cores of the host — recorded in the JSON so bench trajectories
@@ -1181,7 +960,7 @@ fn host_logical_cores() -> usize {
 /// Pulls `(name, n, queries)` triples out of a perfsuite JSON file using
 /// plain string scanning — the file format is our own, and the binary
 /// must stay dependency-free (no serde in the offline build). Works for
-/// every schema version, v1 to v4 (the scanned fields are common to all).
+/// every schema version, v1 to v5 (the scanned fields are common to all).
 fn extract_workloads(json: &str) -> Vec<(String, u64, u64)> {
     fn field_u64(segment: &str, key: &str) -> Option<u64> {
         let at = segment.find(&format!("\"{key}\":"))?;
@@ -1243,7 +1022,7 @@ fn check_baseline(path: &str, reports: &[WorkloadReport]) -> Result<(), String> 
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_PR18.json");
+    let mut out_path = String::from("BENCH_PR19.json");
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -1309,27 +1088,24 @@ fn main() {
 
     let mut ok = true;
     for r in &reports {
+        let check = match r.outputs_match {
+            Some(true) => "  check=pass",
+            Some(false) => "  check=FAIL",
+            None => "",
+        };
         eprintln!(
-            "  {:22} n={:5} reps={:2} threads={:2}  baseline {:9.2} ms  optimized {:9.2} ms  \
-             speedup {:5.2}x  queries {:>10}  match={}",
-            r.name,
-            r.n,
-            r.reps,
-            r.threads,
-            r.baseline_ms,
-            r.optimized_ms,
-            r.speedup(),
-            r.queries,
-            r.outputs_match
+            "  {:22} n={:5} reps={:2} threads={:2}  wall {:9.2} ms  queries {:>10}  \
+             digest {:016x}{check}",
+            r.name, r.n, r.reps, r.threads, r.wall_ms, r.queries, r.answer_digest,
         );
-        ok &= r.outputs_match;
+        ok &= r.outputs_match != Some(false);
     }
 
     write_json(&out_path, mode, &reports).expect("cannot write BENCH json");
     eprintln!("perfsuite: wrote {out_path}");
 
     if !ok {
-        eprintln!("perfsuite: FAILED — an optimized configuration changed outputs or counts");
+        eprintln!("perfsuite: FAILED — an in-run comparison or check did not hold");
         std::process::exit(1);
     }
     if let Some(path) = baseline_path {

@@ -286,8 +286,7 @@ where
 /// replays every bucket and re-asks every pool pair instead of reusing
 /// the cached incumbent state. Under persistent noise the two are
 /// decision-identical by construction; this entry point exists so the
-/// equivalence suite and the perf baseline can hold the incremental plane
-/// to that contract.
+/// equivalence suites can hold the incremental plane to that contract.
 ///
 /// # Panics
 /// Panics if `oracle.n() < 2`.

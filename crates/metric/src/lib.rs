@@ -33,10 +33,7 @@ pub mod tree;
 
 pub use cache::{CachedMetric, DistCache};
 pub use euclidean::EuclideanMetric;
-pub use matrix::{
-    materialize, materialize_if_small, MaterializedMetric, MatrixMetric, SquareMetric,
-    CACHE_TAKEOVER_MAX_POINTS, DEFAULT_MATERIALIZE_CUTOFF,
-};
+pub use matrix::MatrixMetric;
 pub use tree::{TreeMetric, TreeMetricBuilder};
 
 /// A finite metric space over points indexed `0..len()`.

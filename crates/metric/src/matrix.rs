@@ -104,140 +104,6 @@ impl Metric for MatrixMetric {
     }
 }
 
-/// A full `n x n` distance grid — the locality-optimised materialisation
-/// for **anchored** query patterns.
-///
-/// Twice the memory of the condensed triangle, but `dist(i, j)` is a
-/// single load with no index canonicalisation, and every query anchored
-/// at record `i` (nearest/farthest rows, SLINK's per-row pointer
-/// searches) reads the contiguous `8n`-byte row `i`, which stays
-/// L1/L2-resident across the whole search instead of hopping around a
-/// multi-megabyte triangle. Each distance is evaluated once (upper
-/// triangle) and mirrored, so the stored values are the source metric's
-/// own `f64`s — bit-identical to lazy evaluation under every noise model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SquareMetric {
-    n: usize,
-    grid: Vec<f64>,
-}
-
-impl SquareMetric {
-    /// Materialises any metric into the full grid (`O(n^2)` memory,
-    /// `n (n - 1) / 2` distance evaluations).
-    pub fn from_metric<M: Metric>(m: &M) -> Self {
-        let n = m.len();
-        let mut grid = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = m.dist(i, j);
-                grid[i * n + j] = d;
-                grid[j * n + i] = d;
-            }
-        }
-        Self { n, grid }
-    }
-}
-
-impl Metric for SquareMetric {
-    #[inline]
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn dist(&self, i: usize, j: usize) -> f64 {
-        self.grid[i * self.n + j]
-    }
-}
-
-/// A metric that is an up-front condensed matrix, a lazily filling
-/// [`crate::DistCache`] over the original implementation, or the original
-/// left untouched — the return type of [`materialize_if_small`].
-#[derive(Debug, Clone)]
-pub enum MaterializedMetric<M> {
-    /// All `n (n - 1) / 2` distances were evaluated once and stored.
-    Dense(MatrixMetric),
-    /// Above the eager cutoff: distances are evaluated on first touch and
-    /// memoised, so only the pairs an algorithm actually queries are paid
-    /// for (same table footprint as `Dense`, lazy evaluation).
-    Cached(crate::CachedMetric<M>),
-    /// Past [`CACHE_TAKEOVER_MAX_POINTS`] even the empty table would be
-    /// prohibitive; distances stay fully lazy.
-    Lazy(M),
-}
-
-impl<M: Metric> MaterializedMetric<M> {
-    /// `true` when the matrix was eagerly materialised.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, Self::Dense(_))
-    }
-}
-
-impl<M: Metric> Metric for MaterializedMetric<M> {
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Self::Dense(m) => m.len(),
-            Self::Cached(m) => m.len(),
-            Self::Lazy(m) => m.len(),
-        }
-    }
-
-    #[inline]
-    fn dist(&self, i: usize, j: usize) -> f64 {
-        match self {
-            Self::Dense(m) => m.dist(i, j),
-            Self::Cached(m) => m.dist(i, j),
-            Self::Lazy(m) => m.dist(i, j),
-        }
-    }
-}
-
-/// Default `max_points` cutoff for [`materialize`]: the pre-PR3 callers'
-/// setting (every perf-suite workload materialised eagerly at its full
-/// size, the largest being `n = 2048`; a 2048-point condensed triangle is
-/// ~16 MiB, a sane eager ceiling).
-pub const DEFAULT_MATERIALIZE_CUTOFF: usize = 2048;
-
-/// Largest `n` for which [`materialize_if_small`] allocates a
-/// [`crate::DistCache`] above the eager cutoff: the cache pays its
-/// `n (n - 1) / 2 * 8` byte table up front (16384 points ≈ 1 GiB), so
-/// past this point the metric is returned untouched instead of trading a
-/// slowdown for an allocation that may not fit at all.
-pub const CACHE_TAKEOVER_MAX_POINTS: usize = 16_384;
-
-/// Materialises `metric` into a condensed [`MatrixMetric`] when it has at
-/// most `max_points` points, wraps it in a lazily filling
-/// [`crate::DistCache`] up to [`CACHE_TAKEOVER_MAX_POINTS`], and returns
-/// it unchanged beyond that.
-///
-/// `O(n^2)`-query algorithms (SLINK agglomeration, k-center refinement)
-/// revisit every pairwise distance many times; paying each distinct
-/// evaluation once and answering every subsequent oracle query with a
-/// table lookup is strictly faster whenever the algorithm's query count
-/// exceeds the touched-pair count. Below the cutoff the whole triangle is
-/// evaluated eagerly (best constant factor); above it the `Cached` arm
-/// takes over transparently, evaluating only the pairs actually queried —
-/// the right shape for sub-quadratic query patterns like batched
-/// neighbour searches. In both arms the stored distances are the
-/// bit-exact `f64`s the lazy metric produces, so persistent-noise
-/// oracles built over the result answer every query identically.
-pub fn materialize_if_small<M: Metric>(metric: M, max_points: usize) -> MaterializedMetric<M> {
-    if metric.len() <= max_points {
-        MaterializedMetric::Dense(MatrixMetric::from_metric(&metric))
-    } else if metric.len() <= CACHE_TAKEOVER_MAX_POINTS {
-        MaterializedMetric::Cached(crate::CachedMetric::new(metric))
-    } else {
-        MaterializedMetric::Lazy(metric)
-    }
-}
-
-/// [`materialize_if_small`] with the documented default cutoff
-/// [`DEFAULT_MATERIALIZE_CUTOFF`].
-pub fn materialize<M: Metric>(metric: M) -> MaterializedMetric<M> {
-    materialize_if_small(metric, DEFAULT_MATERIALIZE_CUTOFF)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,59 +165,6 @@ mod tests {
     fn from_full_rejects_negative_in_single_pass() {
         let full = [0.0, -1.0, -1.0, 0.0];
         let _ = MatrixMetric::from_full(&full, 2);
-    }
-
-    #[test]
-    fn materialize_if_small_is_exact_and_respects_cap() {
-        let e = crate::EuclideanMetric::from_points(
-            &(0..10)
-                .map(|i| vec![i as f64 * 0.3, (i * i) as f64 * 0.1])
-                .collect::<Vec<_>>(),
-        );
-        let dense = materialize_if_small(e.clone(), 10);
-        assert!(dense.is_dense());
-        let cached = materialize_if_small(e.clone(), 9);
-        assert!(!cached.is_dense());
-        for i in 0..10 {
-            for j in 0..10 {
-                // Bit-exact agreement, not just approximate: persistent
-                // noise built over the dense metric must not change.
-                assert_eq!(dense.dist(i, j), e.dist(i, j));
-                assert_eq!(cached.dist(i, j), e.dist(i, j));
-            }
-        }
-        assert_eq!(dense.len(), 10);
-        assert_eq!(cached.len(), 10);
-        // Above the cutoff the DistCache arm took over and is now full.
-        match cached {
-            MaterializedMetric::Cached(c) => assert_eq!(c.cache().filled(), 45),
-            _ => panic!("expected the cached arm"),
-        }
-    }
-
-    /// A `Metric` whose points vastly exceed the cache-takeover bound but
-    /// whose distances are cheap to fake — the `Lazy` arm must kick in
-    /// without allocating a table.
-    #[test]
-    fn past_the_cache_bound_the_metric_stays_lazy() {
-        struct Huge;
-        impl Metric for Huge {
-            fn len(&self) -> usize {
-                CACHE_TAKEOVER_MAX_POINTS + 1
-            }
-            fn dist(&self, i: usize, j: usize) -> f64 {
-                (i as f64 - j as f64).abs()
-            }
-        }
-        let m = materialize_if_small(Huge, 4);
-        assert!(matches!(m, MaterializedMetric::Lazy(_)));
-        assert_eq!(m.dist(3, 7), 4.0);
-    }
-
-    #[test]
-    fn materialize_uses_the_documented_default_cutoff() {
-        let e = crate::EuclideanMetric::from_points(&[vec![0.0], vec![1.0]]);
-        assert!(materialize(e).is_dense());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! and `y` may be adversarial when `|x - y| <= theta`. The paper notes its
 //! algorithms also apply under this model (Theorem 3.10's reduction turns
 //! PairwiseComp answers into an additive-band oracle with `theta = 2*alpha`),
-//! so we ship it for both oracle kinds — it is also the model used by the
-//! farthest-point analysis tests.
+//! so we ship it for both oracle kinds.
 
 use crate::adversarial::Adversary;
 use crate::{ComparisonOracle, QuadrupletOracle};

@@ -361,6 +361,69 @@ mod batch_equivalence {
         }
     }
 
+    /// Runs `engine` over a fresh oracle from `make` twice, once through
+    /// `ScalarOnly(ValueCmp)` and once through `ValueCmp`'s batched
+    /// rounds, and asserts equal outputs and equal metered query totals.
+    fn assert_value_engine_matches_scalar<O, T>(
+        make: impl Fn() -> O,
+        engine: impl Fn(&mut dyn Comparator<usize>) -> T,
+        label: &str,
+    ) where
+        O: ComparisonOracle,
+        T: PartialEq + std::fmt::Debug,
+    {
+        let mut scalar_oracle = Counting::new(make());
+        let mut batched_oracle = Counting::new(make());
+        let scalar = engine(&mut ScalarOnly(ValueCmp::new(&mut scalar_oracle)));
+        let batched = engine(&mut ValueCmp::new(&mut batched_oracle));
+        assert_eq!(scalar, batched, "{label}: outputs differ");
+        assert_eq!(
+            scalar_oracle.queries(),
+            batched_oracle.queries(),
+            "{label}: query totals differ"
+        );
+    }
+
+    /// The ordering engines answer and bill through `ValueCmp`'s batched
+    /// rounds exactly what they answer and bill through the scalar
+    /// comparator loop: `sort_prob` and `select_prob` under persistent
+    /// probabilistic noise, `sort_adv` and `partition_adv` under a
+    /// persistent random adversary, across 20 seeds.
+    #[test]
+    fn order_engines_batched_match_scalar_across_20_seeds() {
+        use nco_core::order::{
+            partition_adv, select_prob, sort_adv, sort_prob, OrderAdvParams, OrderProbParams,
+        };
+        let scenario = ValueScenario::shuffled_linear(160, 19);
+        let items: Vec<usize> = (0..scenario.n()).collect();
+        let prob = OrderProbParams::experimental();
+        let adv = OrderAdvParams::experimental();
+        for seed in 0..20u64 {
+            let noisy = || scenario.probabilistic_oracle(0.2, 400 + seed);
+            assert_value_engine_matches_scalar(
+                noisy,
+                |mut cmp| sort_prob(&items, &prob, &mut cmp),
+                &format!("sort_prob seed {seed}"),
+            );
+            assert_value_engine_matches_scalar(
+                noisy,
+                |mut cmp| select_prob(&items, 20, &prob, &mut cmp, &mut rng(seed)),
+                &format!("select_prob seed {seed}"),
+            );
+            let adversarial = || scenario.adversarial_random_oracle(0.3, 500 + seed);
+            assert_value_engine_matches_scalar(
+                adversarial,
+                |mut cmp| sort_adv(&items, &adv, &mut cmp),
+                &format!("sort_adv seed {seed}"),
+            );
+            assert_value_engine_matches_scalar(
+                adversarial,
+                |mut cmp| partition_adv(&items, 20, &adv, &mut cmp, &mut rng(seed)),
+                &format!("partition_adv seed {seed}"),
+            );
+        }
+    }
+
     /// Scores and billed queries of `count_scores` through the shared
     /// pair-distance comparator with key `key`, batched vs `ScalarOnly`,
     /// in the max, `Rev` and `Rev(Rev(..))` orientations (the double
