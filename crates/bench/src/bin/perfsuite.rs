@@ -13,7 +13,7 @@
 //! | `slink_n2048` | the same at 2048 points |
 //! | `slink_complete_n1024` | complete linkage on the **incremental merge plane with scaffolded pointer repair** (PR 5, PR 10) |
 //! | `slink_complete_n2048` | the same at 2048 points |
-//! | `slink_crowd_n512` | single linkage under the 3-worker crowd oracle's batched committee rounds (PR 5), lazy 128-d distances |
+//! | `slink_crowd_n512` | single linkage under the 3-worker crowd oracle, lazy 128-d distances: a round reads a repeated right-hand pair's distance once |
 //! | `kcenter_n1024` | Algorithm 6 greedy 32-center over 1024 128-d points, adversarial `mu = 0.2`, one `DistCache` across reps |
 //! | `session_kcenter_n1024` | **A/B:** the same k-center called directly vs through the facade's `Session` front door (7 interleaved pairs) |
 //! | `serve_mixed_n512` | **A/B:** a mixed request stream as sequential solo sessions vs the concurrent serving plane (PR 6) |
@@ -41,7 +41,7 @@
 //! ```
 //!
 //! `--smoke` shrinks every workload (~16x fewer queries) for CI;
-//! `--out` defaults to `BENCH_PR19.json` in the current directory;
+//! `--out` defaults to `BENCH_PR21.json` in the current directory;
 //! `--check-baseline` compares this run's query counts against a
 //! committed baseline JSON and exits non-zero on any regression
 //! (count > baseline) — the CI guard for the pinned workloads.
@@ -333,9 +333,9 @@ fn run_slink_complete(n: usize) -> WorkloadReport {
 fn run_slink_crowd(n: usize) -> WorkloadReport {
     use nco_oracle::crowd::{AccuracyProfile, CrowdQuadOracle};
     let start = Instant::now();
-    // Deliberately lazy distances: every committee decision re-derives its
-    // two 128-d distances unless the round amortises them, which is what
-    // the crowd oracle's `le_batch` override does.
+    // Deliberately lazy distances: every committee decision derives its
+    // two 128-d distances, except a right-hand pair repeated from the
+    // round's previous query, whose distance the round reuses.
     let metric = mixture_points(n, 128, 8, 0x511D);
     let (oracle_seed, rng_seed) = rep_seeds(0x54, 1)[0];
     let profile = AccuracyProfile::caltech_like();
@@ -356,7 +356,7 @@ fn run_slink_crowd(n: usize) -> WorkloadReport {
         wall_ms: ms(start),
         queries: oracle.queries(),
         answer_digest: digest.0,
-        config: "crowd le_batch override: per-round distance + committee-answer dedup",
+        config: "crowd rounds: one-entry right-hand distance memo",
         outputs_match: None,
         detail: None,
     }
@@ -1022,7 +1022,7 @@ fn check_baseline(path: &str, reports: &[WorkloadReport]) -> Result<(), String> 
 
 fn main() {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_PR19.json");
+    let mut out_path = String::from("BENCH_PR21.json");
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -6,11 +6,11 @@
 //! and `y` may be adversarial when `|x - y| <= theta`. The paper notes its
 //! algorithms also apply under this model (Theorem 3.10's reduction turns
 //! PairwiseComp answers into an additive-band oracle with `theta = 2*alpha`),
-//! so we ship it for both oracle kinds.
+//! so we ship it: as the [`Additive`] band of
+//! [`AdversarialOracle`], for both query shapes.
 
-use crate::adversarial::Adversary;
-use crate::{ComparisonOracle, QuadrupletOracle};
-use nco_metric::Metric;
+use crate::adversarial::{AdversarialOracle, Adversary, Band};
+use crate::source::{Distances, Sealed, Source, Values};
 
 /// Is `|x - y| <= theta` (the additive confusion band)?
 #[inline]
@@ -18,108 +18,44 @@ pub fn in_additive_band(x: f64, y: f64, theta: f64) -> bool {
     (x - y).abs() <= theta
 }
 
-/// Additive-band adversarial comparison oracle over hidden values.
-#[derive(Debug, Clone)]
-pub struct AdditiveValueOracle<A> {
-    values: Vec<f64>,
+/// The additive band `|x - y| <= theta` ([`in_additive_band`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Additive {
     theta: f64,
-    adversary: A,
 }
 
-impl<A: Adversary> AdditiveValueOracle<A> {
+impl Sealed for Additive {}
+
+impl Band for Additive {
+    #[inline]
+    fn contains(&self, x: f64, y: f64) -> bool {
+        in_additive_band(x, y, self.theta)
+    }
+}
+
+/// Additive-band adversarial comparison oracle over hidden values.
+pub type AdditiveValueOracle<A> = AdversarialOracle<Values, A, Additive>;
+
+/// Additive-band adversarial quadruplet oracle over a hidden metric.
+pub type AdditiveQuadOracle<M, A> = AdversarialOracle<Distances<M>, A, Additive>;
+
+impl<S: Source, A: Adversary> AdversarialOracle<S, A, Additive> {
     /// Builds the oracle with additive slack `theta >= 0`.
     ///
     /// # Panics
     /// Panics if `theta` is negative/non-finite or values are non-finite.
-    pub fn new(values: Vec<f64>, theta: f64, adversary: A) -> Self {
+    pub fn new(hidden: S::Hidden, theta: f64, adversary: A) -> Self {
         assert!(theta >= 0.0 && theta.is_finite());
-        assert!(values.iter().all(|v| v.is_finite()));
         Self {
-            values,
-            theta,
+            source: S::new(hidden),
+            band: Additive { theta },
             adversary,
         }
     }
 
     /// The band width `theta`.
     pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// Ground-truth values (evaluation only).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl<A: Adversary> ComparisonOracle for AdditiveValueOracle<A> {
-    fn n(&self) -> usize {
-        self.values.len()
-    }
-
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        let (vi, vj) = (self.values[i], self.values[j]);
-        if !in_additive_band(vi, vj, self.theta) {
-            vi <= vj
-        } else {
-            self.adversary.decide(&[i as u64], &[j as u64], vi, vj)
-        }
-    }
-}
-
-/// Additive-band adversarial quadruplet oracle over a hidden metric.
-#[derive(Debug, Clone)]
-pub struct AdditiveQuadOracle<M, A> {
-    metric: M,
-    theta: f64,
-    adversary: A,
-}
-
-impl<M: Metric, A: Adversary> AdditiveQuadOracle<M, A> {
-    /// Builds the oracle with additive slack `theta >= 0`.
-    pub fn new(metric: M, theta: f64, adversary: A) -> Self {
-        assert!(theta >= 0.0 && theta.is_finite());
-        Self {
-            metric,
-            theta,
-            adversary,
-        }
-    }
-
-    /// The band width `theta`.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// The hidden metric (evaluation only).
-    pub fn metric(&self) -> &M {
-        &self.metric
-    }
-}
-
-impl<M: Metric, A: Adversary> QuadrupletOracle for AdditiveQuadOracle<M, A> {
-    fn n(&self) -> usize {
-        self.metric.len()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        let d1 = self.metric.dist(a, b);
-        let d2 = self.metric.dist(c, d);
-        if !in_additive_band(d1, d2, self.theta) {
-            d1 <= d2
-        } else {
-            let p1 = if a <= b {
-                [a as u64, b as u64]
-            } else {
-                [b as u64, a as u64]
-            };
-            let p2 = if c <= d {
-                [c as u64, d as u64]
-            } else {
-                [d as u64, c as u64]
-            };
-            self.adversary.decide(&p1, &p2, d1, d2)
-        }
+        self.band.theta
     }
 }
 
@@ -127,6 +63,7 @@ impl<M: Metric, A: Adversary> QuadrupletOracle for AdditiveQuadOracle<M, A> {
 mod tests {
     use super::*;
     use crate::adversarial::InvertAdversary;
+    use crate::{ComparisonOracle, QuadrupletOracle};
     use nco_metric::EuclideanMetric;
 
     #[test]

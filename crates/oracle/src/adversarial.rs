@@ -12,9 +12,8 @@
 //! ([`ConsistentAdversary`]).
 
 use crate::persistent::PersistentNoise;
-use crate::{ComparisonOracle, QuadrupletOracle};
+use crate::source::{absorb, Distances, Operand, Query, Sealed, Source, Values};
 use nco_metric::hashing;
-use nco_metric::Metric;
 
 /// Is `x/y` inside the multiplicative `(1+mu)` noise band?
 ///
@@ -79,6 +78,8 @@ impl PersistentRandomAdversary {
 }
 
 impl Adversary for PersistentRandomAdversary {
+    /// A fair coin over both keys' words in canonical key order:
+    /// `bernoulli(seed, &[a, b].concat(), 0.5)`, absorbed word by word.
     fn decide(&self, left_key: &[u64], right_key: &[u64], _l: f64, _r: f64) -> bool {
         let swapped = left_key > right_key;
         let (a, b) = if swapped {
@@ -86,11 +87,8 @@ impl Adversary for PersistentRandomAdversary {
         } else {
             (left_key, right_key)
         };
-        let mut words = Vec::with_capacity(a.len() + b.len());
-        words.extend_from_slice(a);
-        words.extend_from_slice(b);
-        let ans = hashing::bernoulli(self.seed, &words, 0.5);
-        ans ^ swapped
+        let h = absorb(absorb(hashing::mix_seed(self.seed), a), b);
+        (hashing::unit_f64(h) < 0.5) ^ swapped
     }
 }
 
@@ -170,163 +168,98 @@ impl Adversary for PromoteTargetAdversary {
     }
 }
 
-/// Adversarial-noise comparison oracle over hidden values (Section 2.2).
-#[derive(Debug, Clone)]
-pub struct AdversarialValueOracle<A> {
-    values: Vec<f64>,
-    mu: f64,
-    adversary: A,
+/// Which queries the adversary answers: those whose two magnitudes fall
+/// inside the band.
+pub trait Band: Sealed {
+    /// Is the pair `(x, y)` inside the band?
+    fn contains(&self, x: f64, y: f64) -> bool;
 }
 
-impl<A: Adversary> AdversarialValueOracle<A> {
+/// The multiplicative `(1 + mu)` band of Section 2.2 ([`in_band`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Multiplicative {
+    mu: f64,
+}
+
+impl Sealed for Multiplicative {}
+
+impl Band for Multiplicative {
+    #[inline]
+    fn contains(&self, x: f64, y: f64) -> bool {
+        in_band(x, y, self.mu)
+    }
+}
+
+/// Adversarial-noise oracle over hidden values or a hidden metric
+/// (Section 2.2): truthful outside the band `B`, the adversary `A`
+/// inside it. Identical operands are always in band, so the adversary
+/// answers them too.
+#[derive(Debug, Clone)]
+pub struct AdversarialOracle<S, A, B = Multiplicative> {
+    pub(crate) source: S,
+    pub(crate) band: B,
+    pub(crate) adversary: A,
+}
+
+/// Adversarial-noise comparison oracle over hidden values.
+pub type AdversarialValueOracle<A> = AdversarialOracle<Values, A>;
+
+/// Adversarial-noise quadruplet oracle over a hidden metric.
+pub type AdversarialQuadOracle<M, A> = AdversarialOracle<Distances<M>, A>;
+
+impl<S: Source, A: Adversary> AdversarialOracle<S, A> {
     /// Builds the oracle with error parameter `mu >= 0` and an in-band
     /// strategy.
     ///
     /// # Panics
     /// Panics if `mu` is negative/non-finite or any value is negative or
     /// non-finite (the multiplicative band needs magnitudes).
-    pub fn new(values: Vec<f64>, mu: f64, adversary: A) -> Self {
+    pub fn new(hidden: S::Hidden, mu: f64, adversary: A) -> Self {
         assert!(
             mu >= 0.0 && mu.is_finite(),
             "mu must be a non-negative constant"
         );
+        let source = S::new(hidden);
         assert!(
-            values.iter().all(|v| v.is_finite() && *v >= 0.0),
+            source.nonnegative(),
             "values must be non-negative and finite for the multiplicative band"
         );
         Self {
-            values,
-            mu,
+            source,
+            band: Multiplicative { mu },
             adversary,
         }
     }
 
     /// The band parameter `mu`.
     pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Ground-truth values (evaluation only).
-    pub fn values(&self) -> &[f64] {
-        &self.values
+        self.band.mu
     }
 }
 
-impl<A: Adversary> ComparisonOracle for AdversarialValueOracle<A> {
-    fn n(&self) -> usize {
-        self.values.len()
-    }
-
+impl<S: Source, A: Adversary, B: Band> AdversarialOracle<S, A, B> {
     #[inline]
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        let (vi, vj) = (self.values[i], self.values[j]);
-        if !in_band(vi, vj, self.mu) {
-            vi <= vj
+    fn answer(&self, q: S::Query, right: &mut S::Right) -> bool {
+        let (l, r) = q.operands();
+        let (ml, mr) = self.source.magnitudes(l, r, right);
+        if !self.band.contains(ml, mr) {
+            ml <= mr
         } else {
-            self.adversary.decide(&[i as u64], &[j as u64], vi, vj)
+            let (kl, kr) = (l.words(), r.words());
+            self.adversary.decide(kl.as_ref(), kr.as_ref(), ml, mr)
         }
     }
 }
 
-impl<A: Adversary> PersistentNoise for AdversarialValueOracle<A> {}
+noise_traits!(AdversarialOracle[A: Adversary, B: Band]);
 
-/// Adversarial-noise quadruplet oracle over a hidden metric (Section 2.2).
-#[derive(Debug, Clone)]
-pub struct AdversarialQuadOracle<M, A> {
-    metric: M,
-    mu: f64,
-    adversary: A,
-}
-
-impl<M: Metric, A: Adversary> AdversarialQuadOracle<M, A> {
-    /// Builds the oracle with error parameter `mu >= 0` and an in-band
-    /// strategy.
-    pub fn new(metric: M, mu: f64, adversary: A) -> Self {
-        assert!(
-            mu >= 0.0 && mu.is_finite(),
-            "mu must be a non-negative constant"
-        );
-        Self {
-            metric,
-            mu,
-            adversary,
-        }
-    }
-
-    /// The band parameter `mu`.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// The hidden metric (evaluation only).
-    pub fn metric(&self) -> &M {
-        &self.metric
-    }
-}
-
-impl<M: Metric, A: Adversary> QuadrupletOracle for AdversarialQuadOracle<M, A> {
-    fn n(&self) -> usize {
-        self.metric.len()
-    }
-
-    #[inline]
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        // Distances are read through the canonicalised pairs — exactly
-        // what `le_batch`'s memo reads — so the two paths agree even for
-        // a metric whose `dist(i, j)` were not bit-symmetric.
-        let p1 = if a <= b { (a, b) } else { (b, a) };
-        let p2 = if c <= d { (c, d) } else { (d, c) };
-        let d1 = self.metric.dist(p1.0, p1.1);
-        let d2 = self.metric.dist(p2.0, p2.1);
-        if !in_band(d1, d2, self.mu) {
-            d1 <= d2
-        } else {
-            let k1 = [p1.0 as u64, p1.1 as u64];
-            let k2 = [p2.0 as u64, p2.1 as u64];
-            self.adversary.decide(&k1, &k2, d1, d2)
-        }
-    }
-
-    /// Batched round with a one-entry memo for the *second* pair: the
-    /// dominant round shape (k-center committee scoring, Count-Max scans
-    /// against a fixed pivot) repeats one pair across the whole round, so
-    /// its distance is fetched once per run instead of once per query.
-    /// Both this path and [`Self::le`] read distances through the
-    /// canonicalised pairs, and the adversary is consulted with the same
-    /// canonical keys in the same serial order — answers are identical to
-    /// the scalar loop by construction, not by metric bit-symmetry.
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        out.reserve(queries.len());
-        let mut memo: Option<((usize, usize), f64)> = None;
-        for &[a, b, c, d] in queries {
-            let p2 = if c <= d { (c, d) } else { (d, c) };
-            let d2 = match memo {
-                Some((p, v)) if p == p2 => v,
-                _ => {
-                    let v = self.metric.dist(p2.0, p2.1);
-                    memo = Some((p2, v));
-                    v
-                }
-            };
-            let p1 = if a <= b { (a, b) } else { (b, a) };
-            let d1 = self.metric.dist(p1.0, p1.1);
-            let ans = if !in_band(d1, d2, self.mu) {
-                d1 <= d2
-            } else {
-                let k1 = [p1.0 as u64, p1.1 as u64];
-                let k2 = [p2.0 as u64, p2.1 as u64];
-                self.adversary.decide(&k1, &k2, d1, d2)
-            };
-            out.push(ans);
-        }
-    }
-}
-
-impl<M: Metric, A: Adversary> PersistentNoise for AdversarialQuadOracle<M, A> {}
+/// An [`Adversary`] decides as a pure function of the query.
+impl<S, A: Adversary, B> PersistentNoise for AdversarialOracle<S, A, B> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ComparisonOracle, QuadrupletOracle};
     use nco_metric::EuclideanMetric;
 
     #[test]

@@ -15,9 +15,8 @@
 //! see [`AccuracyProfile::degraded`]).
 
 use crate::persistent::PersistentNoise;
-use crate::{ComparisonOracle, QuadrupletOracle};
+use crate::source::{absorb, Distances, Operand, Query, Source, Values};
 use nco_metric::hashing;
-use nco_metric::Metric;
 
 /// Accuracy of a single annotator as a function of the distance ratio
 /// `rho = max(d1, d2) / min(d1, d2) >= 1`.
@@ -125,38 +124,56 @@ impl AccuracyProfile {
     }
 }
 
-/// A quadruplet oracle answered by a majority vote over `workers` persistent
+/// An oracle answered by a majority vote over `workers` persistent
 /// simulated crowd annotators whose per-query accuracy follows an
-/// [`AccuracyProfile`].
+/// [`AccuracyProfile`] of the ratio between the two compared quantities.
+///
+/// The paper's crowd experiments are all quadruplet-based; the value
+/// shape exists so the facade's `Session` can run maximum / top-k tasks
+/// under the crowd noise model with the exact same worker simulation.
 #[derive(Debug, Clone)]
-pub struct CrowdQuadOracle<M> {
-    metric: M,
+pub struct CrowdOracle<S> {
+    source: S,
     profile: AccuracyProfile,
     workers: u32,
-    seed: u64,
+    /// Precomputed seed-absorption round ([`hashing::mix_seed`]).
+    seed_h: u64,
 }
 
-impl<M: Metric> CrowdQuadOracle<M> {
+/// A quadruplet oracle answered by the simulated crowd.
+pub type CrowdQuadOracle<M> = CrowdOracle<Distances<M>>;
+
+/// A comparison oracle answered by the simulated crowd.
+pub type CrowdValueOracle = CrowdOracle<Values>;
+
+impl<S: Source> CrowdOracle<S> {
     /// Builds the oracle; the paper's user study uses `workers = 3`.
     ///
     /// # Panics
-    /// Panics if `workers` is even or zero (majority must be decisive).
-    pub fn new(metric: M, profile: AccuracyProfile, workers: u32, seed: u64) -> Self {
+    /// Panics if `workers` is even or zero (majority must be decisive), or
+    /// any value is negative or non-finite (the accuracy curve needs
+    /// magnitude ratios).
+    pub fn new(hidden: S::Hidden, profile: AccuracyProfile, workers: u32, seed: u64) -> Self {
         assert!(
             workers % 2 == 1,
             "need an odd number of workers, got {workers}"
         );
+        let source = S::new(hidden);
+        assert!(
+            source.nonnegative(),
+            "values must be non-negative and finite for the accuracy-ratio curve"
+        );
         Self {
-            metric,
+            source,
             profile,
             workers,
-            seed,
+            seed_h: hashing::mix_seed(seed),
         }
     }
 
     /// Single-annotator variant used to model the trained classifier.
-    pub fn classifier(metric: M, profile: AccuracyProfile, seed: u64) -> Self {
-        Self::new(metric, profile, 1, seed)
+    pub fn classifier(hidden: S::Hidden, profile: AccuracyProfile, seed: u64) -> Self {
+        Self::new(hidden, profile, 1, seed)
     }
 
     /// The accuracy profile in use.
@@ -164,100 +181,51 @@ impl<M: Metric> CrowdQuadOracle<M> {
         &self.profile
     }
 
-    /// The hidden metric (evaluation only).
-    pub fn metric(&self) -> &M {
-        &self.metric
-    }
-}
-
-impl<M: Metric> QuadrupletOracle for CrowdQuadOracle<M> {
-    fn n(&self) -> usize {
-        self.metric.len()
-    }
-
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.answer(a, b, c, d)
-    }
-
-    /// Batched committee round: worker draws are simulated across the
-    /// whole batch in serial query order — each answer is a pure function
-    /// of its canonical query, so the transcript is bit-identical to the
-    /// scalar loop — while the round's distance work is amortised: each
-    /// **distinct record pair**'s distance is evaluated once per round
-    /// (the paper's rounds re-touch the same few rep pairs many times —
-    /// a Count-Max pool of `p` contestants asks `p(p-1)/2` queries over
-    /// only `p` distinct pairs). Keys are packed pair indices hashed with
-    /// the splitmix mixer, so a cache probe stays far below one lazy
-    /// distance evaluation.
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        use nco_metric::hashing::MixBuildHasher;
-        use std::collections::HashMap;
-        debug_assert!(self.metric.len() <= u32::MAX as usize, "packed pair keys");
-        let mut dists: HashMap<u64, f64, MixBuildHasher> =
-            HashMap::with_capacity_and_hasher(64, MixBuildHasher);
-        let metric = &self.metric;
-        let mut dist_of = |p: (usize, usize)| -> f64 {
-            *dists
-                .entry(((p.0 as u64) << 32) | p.1 as u64)
-                .or_insert_with(|| metric.dist(p.0, p.1))
+    /// The committee's majority over the ordered operands `a < b`,
+    /// mirrored back. Worker `w` is correct on a seeded coin over
+    /// `[w, a's words.., b's words..]`, so the answer is persistent;
+    /// identical operands are a truthful tie, answered `Yes`.
+    #[inline]
+    fn answer(&self, q: S::Query, right: &mut S::Right) -> bool {
+        let Some((l, r)) = q.split() else {
+            return true;
         };
-        out.reserve(queries.len());
-        for &[a, b, c, d] in queries {
-            let Some((q1, q2, swapped)) = Self::canonical(a, b, c, d) else {
-                out.push(true);
-                continue;
-            };
-            let d1 = dist_of(q1);
-            let d2 = dist_of(q2);
-            let ans = decide(&self.profile, self.workers, self.seed, q1, q2, d1, d2);
-            out.push(ans ^ swapped);
-        }
+        // Read in query order, so the round's memo holds the query's
+        // right-hand pair: committee rounds repeat it, and over lazy
+        // distances every read saved is a full evaluation.
+        let (ml, mr) = self.source.magnitudes(l, r, right);
+        let swapped = l > r;
+        let (a, b, d1, d2) = if swapped {
+            (r, l, mr, ml)
+        } else {
+            (l, r, ml, mr)
+        };
+        let rho = if d1.min(d2) <= 0.0 {
+            f64::INFINITY
+        } else {
+            d1.max(d2) / d1.min(d2)
+        };
+        let acc = self.profile.accuracy(rho);
+        let (wa, wb) = (a.words(), b.words());
+        let correct = majority(self.workers, |w| {
+            let h = absorb(hashing::splitmix64(self.seed_h ^ u64::from(w)), wa.as_ref());
+            hashing::unit_f64(absorb(h, wb.as_ref())) < acc
+        });
+        ((d1 <= d2) == correct) ^ swapped
     }
 }
+
+noise_traits!(CrowdOracle[]);
 
 /// Workers are seeded hashes of the canonical query — a pure function —
 /// so the majority answer is persistent.
-impl<M: Metric> PersistentNoise for CrowdQuadOracle<M> {}
-
-impl<M: Metric> CrowdQuadOracle<M> {
-    /// Canonicalises a query: ordered pairs, ordered pair-of-pairs, and
-    /// whether the answer must be mirrored. `None` means the two pairs are
-    /// identical (a truthful tie, answered `Yes`).
-    #[inline]
-    #[allow(clippy::type_complexity)]
-    fn canonical(
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-    ) -> Option<((usize, usize), (usize, usize), bool)> {
-        let p1 = if a <= b { (a, b) } else { (b, a) };
-        let p2 = if c <= d { (c, d) } else { (d, c) };
-        if p1 == p2 {
-            return None;
-        }
-        let swapped = p1 > p2;
-        let (q1, q2) = if swapped { (p2, p1) } else { (p1, p2) };
-        Some((q1, q2, swapped))
-    }
-
-    fn answer(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        let Some((q1, q2, swapped)) = Self::canonical(a, b, c, d) else {
-            return true;
-        };
-        let d1 = self.metric.dist(q1.0, q1.1);
-        let d2 = self.metric.dist(q2.0, q2.1);
-        decide(&self.profile, self.workers, self.seed, q1, q2, d1, d2) ^ swapped
-    }
-}
+impl<S> PersistentNoise for CrowdOracle<S> {}
 
 /// Majority vote of a `workers`-sized committee whose member `w` answers
 /// correctly when `coin(w)` is `true`. Worker coins are independent
 /// seeded hashes, so the vote may stop as soon as either side reaches a
-/// majority — the outcome is identical to polling every worker. Shared
-/// by the quadruplet and value committees so their vote semantics can
-/// never drift apart.
-fn majority_correct(workers: u32, mut coin: impl FnMut(u32) -> bool) -> bool {
+/// majority — the outcome is identical to polling every worker.
+fn majority(workers: u32, mut coin: impl FnMut(u32) -> bool) -> bool {
     let majority = workers / 2 + 1;
     let mut correct_votes = 0u32;
     let mut wrong_votes = 0u32;
@@ -277,150 +245,11 @@ fn majority_correct(workers: u32, mut coin: impl FnMut(u32) -> bool) -> bool {
     correct_votes >= majority
 }
 
-/// Majority decision of one committee over a canonical query: `true`
-/// encodes `Yes` ("`d1 <= d2`").
-fn decide(
-    profile: &AccuracyProfile,
-    workers: u32,
-    seed: u64,
-    q1: (usize, usize),
-    q2: (usize, usize),
-    d1: f64,
-    d2: f64,
-) -> bool {
-    let truth = d1 <= d2;
-    let rho = if d1.min(d2) <= 0.0 {
-        f64::INFINITY
-    } else {
-        d1.max(d2) / d1.min(d2)
-    };
-    let acc = profile.accuracy(rho);
-    truth
-        == majority_correct(workers, |w| {
-            hashing::bernoulli(
-                seed,
-                &[w as u64, q1.0 as u64, q1.1 as u64, q2.0 as u64, q2.1 as u64],
-                acc,
-            )
-        })
-}
-
-/// A comparison oracle answered by the same simulated crowd: worker
-/// accuracy is a function of the ratio between the two compared hidden
-/// *values*, majority over `workers` persistent annotators.
-///
-/// The paper's crowd experiments are all quadruplet-based; this value
-/// twin exists so the facade's `Session` can run maximum / top-k tasks
-/// under the crowd noise model with the exact same worker simulation.
-#[derive(Debug, Clone)]
-pub struct CrowdValueOracle {
-    values: Vec<f64>,
-    profile: AccuracyProfile,
-    workers: u32,
-    seed: u64,
-}
-
-impl CrowdValueOracle {
-    /// Builds the oracle; the paper's user study uses `workers = 3`.
-    ///
-    /// # Panics
-    /// Panics if `workers` is even or zero, or any value is negative or
-    /// non-finite (the accuracy curve needs magnitude ratios).
-    pub fn new(values: Vec<f64>, profile: AccuracyProfile, workers: u32, seed: u64) -> Self {
-        assert!(
-            workers % 2 == 1,
-            "need an odd number of workers, got {workers}"
-        );
-        assert!(
-            values.iter().all(|v| v.is_finite() && *v >= 0.0),
-            "values must be non-negative and finite for the accuracy-ratio curve"
-        );
-        Self {
-            values,
-            profile,
-            workers,
-            seed,
-        }
-    }
-
-    /// The accuracy profile in use.
-    pub fn profile(&self) -> &AccuracyProfile {
-        &self.profile
-    }
-
-    /// Ground-truth values (evaluation only).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Majority decision over the canonical pair `a < b` — the value twin
-    /// of the quadruplet committee, through the same shared vote.
-    fn decide(&self, a: usize, b: usize) -> bool {
-        let (va, vb) = (self.values[a], self.values[b]);
-        let truth = va <= vb;
-        let (lo, hi) = if va <= vb { (va, vb) } else { (vb, va) };
-        let rho = if lo <= 0.0 { f64::INFINITY } else { hi / lo };
-        let acc = self.profile.accuracy(rho);
-        truth
-            == majority_correct(self.workers, |w| {
-                hashing::bernoulli(self.seed, &[w as u64, a as u64, b as u64], acc)
-            })
-    }
-
-    fn answer(&self, i: usize, j: usize) -> bool {
-        if i == j {
-            return true;
-        }
-        let swapped = i > j;
-        let (a, b) = if swapped { (j, i) } else { (i, j) };
-        self.decide(a, b) ^ swapped
-    }
-}
-
-impl ComparisonOracle for CrowdValueOracle {
-    fn n(&self) -> usize {
-        self.values.len()
-    }
-
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        self.answer(i, j)
-    }
-
-    /// Batched committee round: each **distinct canonical pair**'s
-    /// committee is simulated once per round and repeats are served from
-    /// the round answer cache — answers are pure functions of the pair,
-    /// so the transcript is bit-identical to the scalar loop in serial
-    /// query order.
-    fn le_batch(&mut self, queries: &[(usize, usize)], out: &mut Vec<bool>) {
-        use nco_metric::hashing::MixBuildHasher;
-        use std::collections::HashMap;
-        debug_assert!(self.values.len() <= u32::MAX as usize, "packed pair keys");
-        let mut answers: HashMap<u64, bool, MixBuildHasher> =
-            HashMap::with_capacity_and_hasher(64, MixBuildHasher);
-        out.reserve(queries.len());
-        for &(i, j) in queries {
-            if i == j {
-                out.push(true);
-                continue;
-            }
-            let swapped = i > j;
-            let (a, b) = if swapped { (j, i) } else { (i, j) };
-            let ans = *answers
-                .entry(((a as u64) << 32) | b as u64)
-                .or_insert_with(|| self.decide(a, b));
-            out.push(ans ^ swapped);
-        }
-    }
-}
-
-/// Workers are seeded hashes of the canonical query — a pure function —
-/// so the majority answer is persistent.
-impl PersistentNoise for CrowdValueOracle {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nco_metric::EuclideanMetric;
+    use crate::{ComparisonOracle, QuadrupletOracle};
+    use nco_metric::{EuclideanMetric, Metric};
 
     #[test]
     fn cliff_profile_shape() {

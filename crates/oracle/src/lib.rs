@@ -19,20 +19,23 @@
 //! code. Only the memo table and key and the probe-triangle draw depend
 //! on the shape.
 //!
-//! Three noise regimes (Section 2.2), each available for both interfaces:
+//! Three noise regimes (Section 2.2), each written once over an operand
+//! [`Source`] — hidden [`Values`] for comparisons, hidden [`Distances`]
+//! for quadruplets — and so available for both interfaces (the
+//! `*ValueOracle` / `*QuadOracle` names are the two instances):
 //!
-//! * **exact** ([`value::TrueValueOracle`], [`quadruplet::TrueQuadOracle`]) —
-//!   always correct; the `mu = 0` / `p = 0` degenerate case;
-//! * **adversarial** ([`adversarial`]) — answers may be arbitrarily wrong
-//!   whenever the two compared quantities are within a multiplicative
-//!   `(1 + mu)` band (an additive-band variant lives in [`additive`]); the
-//!   in-band behaviour is delegated to a pluggable, possibly stateful
+//! * **exact** ([`value::TrueOracle`]) — always correct; the `mu = 0` /
+//!   `p = 0` degenerate case;
+//! * **adversarial** ([`adversarial::AdversarialOracle`]) — answers may be
+//!   arbitrarily wrong whenever the two compared quantities are within a
+//!   multiplicative `(1 + mu)` band (the additive band lives in
+//!   [`additive`]); the in-band behaviour is delegated to a pluggable
 //!   [`adversarial::Adversary`] strategy;
-//! * **probabilistic persistent** ([`probabilistic`]) — each distinct query
-//!   is wrong with probability `p < 1/2`, and *re-asking it returns the same
-//!   answer*, so repetition cannot boost confidence.
+//! * **probabilistic persistent** ([`probabilistic::ProbOracle`]) — each
+//!   distinct query is wrong with probability `p < 1/2`, and *re-asking it
+//!   returns the same answer*, so repetition cannot boost confidence.
 //!
-//! [`crowd`] simulates the paper's AMT user study (Section 6.2): worker
+//! [`crowd::CrowdOracle`] simulates the paper's AMT user study (Section 6.2): worker
 //! accuracy is a function of the ratio between the compared distances, and a
 //! majority over three persistent workers answers each query. It also stands
 //! in for the actively-trained classifier the paper uses at scale.
@@ -95,6 +98,9 @@ macro_rules! shape_traits {
     };
 }
 
+#[macro_use]
+mod source;
+
 pub mod additive;
 pub mod adversarial;
 pub mod budget;
@@ -116,6 +122,7 @@ pub use memo::MemoOracle;
 pub use persistent::PersistentNoise;
 pub use probe::{NoiseEstimate, ProbeOracle, ProbePlan, ProbeStats};
 pub use quadruplet::TrueQuadOracle;
+pub use source::{Distances, Source, Values};
 pub use value::TrueValueOracle;
 
 /// A (possibly noisy) comparison oracle over records with hidden values
@@ -215,11 +222,11 @@ pub trait QuadrupletOracle {
     /// appending one answer per query to `out` in query order.
     ///
     /// Same contract as [`ComparisonOracle::le_batch`]: bit-identical to
-    /// the scalar loop, which the default is. Distance-backed oracles
-    /// override this to evaluate each distinct record pair's distance once
-    /// per round (distances are pure functions of the pair, so deduplicating
-    /// them cannot change a truth bit), while noise coins are drawn in
-    /// serial query order so transcripts are unchanged.
+    /// the scalar loop, which the default is. The noise models override
+    /// this to read a right-hand pair's distance once while it repeats
+    /// across the round (distances are pure functions of the pair, so
+    /// reusing one cannot change a truth bit), while noise coins are
+    /// drawn in serial query order so transcripts are unchanged.
     fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
         scalar_round(queries, out, |[a, b, c, d]| self.le(a, b, c, d));
     }

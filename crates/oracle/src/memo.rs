@@ -30,6 +30,7 @@
 //! and hashes each miss once with `splitmix64`.
 
 use crate::persistent::PersistentNoise;
+use crate::source::Query;
 use crate::{Layer, Oracle, Reply};
 use nco_metric::hashing::splitmix64;
 
@@ -280,9 +281,9 @@ impl<O: PersistentNoise> MemoOracle<O> {
 
 /// The shape-specific half of [`MemoOracle`]: the cell of a query, the
 /// table it lives in and its miss list in a round.
-pub(crate) trait MemoShape: Copy {
+pub(crate) trait MemoShape: Query {
     /// The table cell of this query over `n` records, or `None` for a
-    /// degenerate query, which is forwarded uncached.
+    /// degenerate query (identical operands), which is forwarded uncached.
     fn key(self, n: usize) -> Option<u64>;
 
     /// Reads a cell, allocating this shape's table on first use.
@@ -299,10 +300,7 @@ pub(crate) trait MemoShape: Copy {
 impl MemoShape for (usize, usize) {
     #[inline]
     fn key(self, n: usize) -> Option<u64> {
-        let (i, j) = self;
-        if i == j {
-            return None;
-        }
+        let (i, j) = self.split()?;
         let forward = i < j;
         let (lo, hi) = if forward { (i, j) } else { (j, i) };
         // Release-mode guard: an index at or past `n` lands on another
@@ -351,13 +349,8 @@ impl MemoShape for [usize; 4] {
             n <= 1 << 16,
             "quadruplet memoisation packs indices into 16 bits (n = {n})"
         );
-        let [a, b, c, d] = self;
-        let p1 = if a <= b { (a, b) } else { (b, a) };
-        let p2 = if c <= d { (c, d) } else { (d, c) };
-        if p1 == p2 {
-            return None;
-        }
-        Some(((p1.0 as u64) << 48) | ((p1.1 as u64) << 32) | ((p2.0 as u64) << 16) | p2.1 as u64)
+        let ((a, b), (c, d)) = self.split()?;
+        Some(((a as u64) << 48) | ((b as u64) << 32) | ((c as u64) << 16) | d as u64)
     }
 
     #[inline]

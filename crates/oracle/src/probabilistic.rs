@@ -15,37 +15,37 @@
 //!   wrong) belief about each unordered comparison.
 
 use crate::persistent::PersistentNoise;
-use crate::{ComparisonOracle, QuadrupletOracle};
+use crate::source::{absorb, Distances, Operand, Query, Source, Values};
 use nco_metric::hashing;
-use nco_metric::Metric;
 
-fn validate_p(p: f64) {
-    assert!(
-        (0.0..0.5).contains(&p),
-        "error probability p = {p} must lie in [0, 0.5)"
-    );
-}
-
-/// Persistent probabilistic comparison oracle over hidden values.
+/// Persistent probabilistic oracle over hidden values or a hidden metric.
 #[derive(Debug, Clone)]
-pub struct ProbValueOracle {
-    values: Vec<f64>,
+pub struct ProbOracle<S> {
+    source: S,
     p: f64,
     /// Precomputed seed-absorption round ([`hashing::mix_seed`]) — one
     /// splitmix round saved on every coin, digest-identical.
     seed_h: u64,
 }
 
-impl ProbValueOracle {
+/// Persistent probabilistic comparison oracle over hidden values.
+pub type ProbValueOracle = ProbOracle<Values>;
+
+/// Persistent probabilistic quadruplet oracle over a hidden metric.
+pub type ProbQuadOracle<M> = ProbOracle<Distances<M>>;
+
+impl<S: Source> ProbOracle<S> {
     /// Builds the oracle with per-query error probability `p in [0, 0.5)`.
     ///
     /// # Panics
     /// Panics if `p` is out of range or any value is non-finite.
-    pub fn new(values: Vec<f64>, p: f64, seed: u64) -> Self {
-        validate_p(p);
-        assert!(values.iter().all(|v| v.is_finite()));
+    pub fn new(hidden: S::Hidden, p: f64, seed: u64) -> Self {
+        assert!(
+            (0.0..0.5).contains(&p),
+            "error probability p = {p} must lie in [0, 0.5)"
+        );
         Self {
-            values,
+            source: S::new(hidden),
             p,
             seed_h: hashing::mix_seed(seed),
         }
@@ -56,127 +56,34 @@ impl ProbValueOracle {
         self.p
     }
 
-    /// Ground-truth values (evaluation only).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl ComparisonOracle for ProbValueOracle {
-    fn n(&self) -> usize {
-        self.values.len()
-    }
-
+    /// Orders the two operands `a < b`, flips the truth between them with
+    /// a coin over their words (`bernoulli(seed, &[a.., b..], p)`), and
+    /// mirrors the answer back. Identical operands tie: trivially `Yes`.
     #[inline]
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        if i == j {
-            return true; // degenerate self-comparison: trivially Yes
-        }
-        let swapped = i > j;
-        let (a, b) = if swapped { (j, i) } else { (i, j) };
-        let truth = self.values[a] <= self.values[b];
-        // `mix2_from` is the unrolled, digest-identical form of
-        // `bernoulli(seed, &[a, b], p)` — this is the hottest line in the
-        // probabilistic workloads.
-        let flip = hashing::unit_f64(hashing::mix2_from(self.seed_h, a as u64, b as u64)) < self.p;
-        (truth ^ flip) ^ swapped
+    fn answer(&self, q: S::Query, right: &mut S::Right) -> bool {
+        let Some((l, r)) = q.split() else {
+            return true;
+        };
+        let swapped = l > r;
+        let (a, b) = if swapped { (r, l) } else { (l, r) };
+        // Read in canonical order: on the value source, the hottest path,
+        // reading in query order and swapping after measured ~15% slower.
+        let (ma, mb) = self.source.magnitudes(a, b, right);
+        let truth = ma <= mb;
+        let h = absorb(absorb(self.seed_h, a.words().as_ref()), b.words().as_ref());
+        (truth ^ (hashing::unit_f64(h) < self.p)) ^ swapped
     }
 }
 
-impl PersistentNoise for ProbValueOracle {}
+noise_traits!(ProbOracle[]);
 
-/// Persistent probabilistic quadruplet oracle over a hidden metric.
-#[derive(Debug, Clone)]
-pub struct ProbQuadOracle<M> {
-    metric: M,
-    p: f64,
-    /// Precomputed seed-absorption round ([`hashing::mix_seed`]) — one
-    /// splitmix round saved on every coin, digest-identical.
-    seed_h: u64,
-}
-
-impl<M: Metric> ProbQuadOracle<M> {
-    /// Builds the oracle with per-query error probability `p in [0, 0.5)`.
-    pub fn new(metric: M, p: f64, seed: u64) -> Self {
-        validate_p(p);
-        Self {
-            metric,
-            p,
-            seed_h: hashing::mix_seed(seed),
-        }
-    }
-
-    /// The error probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// The hidden metric (evaluation only).
-    pub fn metric(&self) -> &M {
-        &self.metric
-    }
-}
-
-impl<M: Metric> QuadrupletOracle for ProbQuadOracle<M> {
-    fn n(&self) -> usize {
-        self.metric.len()
-    }
-
-    #[inline]
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.answer(a, b, c, d)
-    }
-
-    /// Batched round: the split between distance evaluation and noise
-    /// coins is architectural — truth bits come from `Metric::dist`, which
-    /// is where batching/sharing lives (wrap the metric in
-    /// `nco_metric::DistCache` and one evaluation serves every query of
-    /// every round touching the pair, including the sequential tournament
-    /// duels no round can batch), while the coins are derived here in
-    /// serial query order, so the answer transcript is bit-identical to
-    /// the scalar loop. A per-round dedup map was measured at this layer
-    /// and rejected: over a cached metric a probe costs more than the
-    /// lookup it saves, and over a lazy metric it cannot help the duels.
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        out.reserve(queries.len());
-        for &[a, b, c, d] in queries {
-            let ans = self.answer(a, b, c, d);
-            out.push(ans);
-        }
-    }
-}
-
-impl<M: Metric> ProbQuadOracle<M> {
-    /// Canonicalise each unordered pair, order the two pairs, and answer —
-    /// the pure-function core shared by `le` and `le_batch`.
-    #[inline]
-    fn answer(&self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        let p1 = if a <= b { (a, b) } else { (b, a) };
-        let p2 = if c <= d { (c, d) } else { (d, c) };
-        if p1 == p2 {
-            return true; // identical pairs tie: trivially Yes
-        }
-        let swapped = p1 > p2;
-        let (q1, q2) = if swapped { (p2, p1) } else { (p1, p2) };
-        let truth = self.metric.dist(q1.0, q1.1) <= self.metric.dist(q2.0, q2.1);
-        // Unrolled, digest-identical form of `bernoulli(seed, &[..4], p)`.
-        let flip = hashing::unit_f64(hashing::mix4_from(
-            self.seed_h,
-            q1.0 as u64,
-            q1.1 as u64,
-            q2.0 as u64,
-            q2.1 as u64,
-        )) < self.p;
-        (truth ^ flip) ^ swapped
-    }
-}
-
-impl<M: Metric> PersistentNoise for ProbQuadOracle<M> {}
+impl<S> PersistentNoise for ProbOracle<S> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nco_metric::EuclideanMetric;
+    use crate::{ComparisonOracle, QuadrupletOracle};
+    use nco_metric::{EuclideanMetric, Metric};
 
     #[test]
     fn zero_noise_is_exact() {

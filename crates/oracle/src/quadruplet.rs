@@ -1,60 +1,16 @@
 //! The exact quadruplet oracle over a hidden metric space.
 
-use crate::persistent::PersistentNoise;
-use crate::QuadrupletOracle;
-use nco_metric::Metric;
+use crate::source::Distances;
+use crate::value::TrueOracle;
 
 /// A perfect quadruplet oracle: compares true pairwise distances.
-#[derive(Debug, Clone)]
-pub struct TrueQuadOracle<M> {
-    metric: M,
-}
-
-impl<M: Metric> TrueQuadOracle<M> {
-    /// Builds an oracle over the given hidden metric.
-    pub fn new(metric: M) -> Self {
-        Self { metric }
-    }
-
-    /// The hidden metric (for evaluators and tests only).
-    pub fn metric(&self) -> &M {
-        &self.metric
-    }
-
-    /// Consumes the oracle, returning the metric.
-    pub fn into_metric(self) -> M {
-        self.metric
-    }
-}
-
-impl<M: Metric> QuadrupletOracle for TrueQuadOracle<M> {
-    fn n(&self) -> usize {
-        self.metric.len()
-    }
-
-    #[inline]
-    fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
-        self.metric.dist(a, b) <= self.metric.dist(c, d)
-    }
-
-    /// Batched round. Distance sharing lives one layer down (wrap the
-    /// metric in `nco_metric::DistCache`); this loop keeps the answer
-    /// sequence trivially identical to the scalar path.
-    fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
-        out.reserve(queries.len());
-        for &[a, b, c, d] in queries {
-            let ans = self.metric.dist(a, b) <= self.metric.dist(c, d);
-            out.push(ans);
-        }
-    }
-}
-
-impl<M: Metric> PersistentNoise for TrueQuadOracle<M> {}
+pub type TrueQuadOracle<M> = TrueOracle<Distances<M>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nco_metric::EuclideanMetric;
+    use crate::QuadrupletOracle;
+    use nco_metric::{EuclideanMetric, Metric};
 
     #[test]
     fn compares_true_distances() {

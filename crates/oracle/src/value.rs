@@ -1,58 +1,65 @@
-//! The exact comparison oracle over hidden scalar values.
+//! The exact oracle, over hidden values or a hidden metric.
 
 use crate::persistent::PersistentNoise;
-use crate::ComparisonOracle;
+use crate::source::{Distances, Query, Source, Values};
+use nco_metric::Metric;
 
-/// A perfect comparison oracle: answers every query truthfully.
+/// A perfect oracle: answers every query truthfully.
 ///
 /// This is the `mu = 0` / `p = 0` case of the noise models and the ground
 /// truth that every noisy oracle in this crate wraps.
 #[derive(Debug, Clone)]
-pub struct TrueValueOracle {
-    values: Vec<f64>,
+pub struct TrueOracle<S> {
+    source: S,
 }
 
-impl TrueValueOracle {
-    /// Builds an oracle over the given hidden values.
+/// The exact comparison oracle over hidden values.
+pub type TrueValueOracle = TrueOracle<Values>;
+
+impl<S: Source> TrueOracle<S> {
+    /// Builds an oracle over hidden values or a hidden metric.
     ///
     /// # Panics
     /// Panics if any value is non-finite (the paper assumes a total order).
-    pub fn new(values: Vec<f64>) -> Self {
-        assert!(
-            values.iter().all(|v| v.is_finite()),
-            "hidden values must be finite"
-        );
-        Self { values }
+    pub fn new(hidden: S::Hidden) -> Self {
+        Self {
+            source: S::new(hidden),
+        }
     }
 
-    /// Ground-truth values (for evaluators and tests only — algorithms must
-    /// never read these).
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// Identical operands tie, so they are answered `Yes` like any tie.
+    #[inline]
+    fn answer(&self, q: S::Query, right: &mut S::Right) -> bool {
+        let Some((l, r)) = q.split() else {
+            return true;
+        };
+        let (ml, mr) = self.source.magnitudes(l, r, right);
+        ml <= mr
     }
+}
 
+impl TrueValueOracle {
     /// Ground-truth value of a single record.
     pub fn value(&self, i: usize) -> f64 {
-        self.values[i]
+        self.source.0[i]
     }
 }
 
-impl ComparisonOracle for TrueValueOracle {
-    fn n(&self) -> usize {
-        self.values.len()
-    }
-
-    #[inline]
-    fn le(&mut self, i: usize, j: usize) -> bool {
-        self.values[i] <= self.values[j]
+impl<M: Metric> TrueOracle<Distances<M>> {
+    /// Consumes the oracle, returning the metric.
+    pub fn into_metric(self) -> M {
+        self.source.0
     }
 }
 
-impl PersistentNoise for TrueValueOracle {}
+noise_traits!(TrueOracle[]);
+
+impl<S> PersistentNoise for TrueOracle<S> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ComparisonOracle;
 
     #[test]
     fn answers_truthfully() {

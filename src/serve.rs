@@ -74,14 +74,21 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use nco_oracle::adversarial::{AdversarialOracle, InvertAdversary};
 use nco_oracle::budget::{BudgetPool, Budgeted, OVER_BUDGET_ANSWER};
+use nco_oracle::crowd::CrowdOracle;
 use nco_oracle::fault::{FaultPlan, FaultyOracle, QueryFault, Retrying};
 use nco_oracle::persistent::PersistentNoise;
-use nco_oracle::{Counting, MemoOracle, Oracle, ProbeOracle};
+use nco_oracle::probabilistic::ProbOracle;
+use nco_oracle::value::TrueOracle;
+use nco_oracle::{Counting, Distances, MemoOracle, Oracle, ProbeOracle, Values};
 
 use crate::error::NcoError;
 use crate::report::Outcome;
-use crate::session::{AttemptResult, CancelToken, Config, Engines, Meters, RunCtx, Session};
+use crate::session::{
+    with_raw_noise, AttemptResult, CancelToken, Config, EngineMetric, Engines, Meters, Noise,
+    RunCtx, Session,
+};
 use crate::task::Task;
 
 /// Locks a mutex, recovering from poisoning: a request that panicked
@@ -109,7 +116,7 @@ fn panic_reason(payload: &(dyn Any + Send)) -> String {
 /// The shared backend's raw oracle. It must be `'static` (it outlives any
 /// request), so the session's noise oracle is built boxed over an engine
 /// handle. The `PersistentNoise` impl is sound because the box only ever
-/// holds the shipped persistent models (`Session::boxed_*_backend`).
+/// holds the shipped persistent models (`with_raw_noise!`).
 struct Boxed<Q>(Box<dyn Oracle<Q> + Send>);
 
 impl<Q: Copy> Oracle<Q> for Boxed<Q> {
@@ -578,12 +585,18 @@ impl ServerBuilder {
                 engine.n()
             )));
         }
-        let plane: Box<dyn ServingPlane> = if engine.has_values() {
-            let raw = self.template.boxed_cmp_backend();
-            Box::new(Plane::new(raw, cfg, self.pool_budget))
-        } else {
-            let raw = self.template.boxed_quad_backend();
-            Box::new(Plane::new(raw, cfg, self.pool_budget))
+        let plane: Box<dyn ServingPlane> = match engine.values() {
+            Some(values) => {
+                let raw: Box<dyn Oracle<_> + Send> =
+                    with_raw_noise!(cfg.noise, Values, values.to_vec(), |raw| Box::new(raw));
+                Box::new(Plane::new(raw, cfg, self.pool_budget))
+            }
+            None => {
+                let metric = EngineMetric::new(engine.clone());
+                let raw: Box<dyn Oracle<_> + Send> =
+                    with_raw_noise!(cfg.noise, Distances<_>, metric, |raw| Box::new(raw));
+                Box::new(Plane::new(raw, cfg, self.pool_budget))
+            }
         };
         let shared = Arc::new(ServerShared {
             template: self.template,
@@ -661,6 +674,13 @@ pub struct ServeStats {
     /// Injected faults the retry layer absorbed: queries that faulted at
     /// least once but returned a usable (persistent, bit-identical)
     /// answer within the policy's attempt bound.
+    ///
+    /// Not reproducible across same-seed runs with more than one worker:
+    /// the fault plan is a function of the global attempt index, and
+    /// which query draws which attempt depends on how requests
+    /// interleave. [`Self::retries`] and [`Self::backend_queries`] do
+    /// not vary: the run ends at the attempt that answers the last
+    /// distinct memo miss, whichever query each attempt served.
     pub faults_masked: u64,
     /// Requests killed by their per-request deadline or cancel token
     /// ([`NcoError::DeadlineExceeded`]).

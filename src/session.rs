@@ -65,15 +65,16 @@ use nco_core::order::{
 };
 use nco_data::{AnyMetric, Dataset};
 use nco_metric::{CachedMetric, EuclideanMetric, Metric};
-use nco_oracle::adversarial::{AdversarialQuadOracle, AdversarialValueOracle, InvertAdversary};
+use nco_oracle::adversarial::{AdversarialOracle, InvertAdversary};
 use nco_oracle::budget::Budgeted;
-use nco_oracle::crowd::{AccuracyProfile, CrowdQuadOracle, CrowdValueOracle};
+use nco_oracle::crowd::{AccuracyProfile, CrowdOracle};
 use nco_oracle::fault::{FaultPlan, FaultyOracle, RetryPolicy, Retrying};
 use nco_oracle::persistent::PersistentNoise;
-use nco_oracle::probabilistic::{ProbQuadOracle, ProbValueOracle};
+use nco_oracle::probabilistic::ProbOracle;
+use nco_oracle::value::TrueOracle;
 use nco_oracle::{
-    ComparisonOracle, MemoOracle, NoiseEstimate, Oracle, ProbeOracle, ProbePlan, QuadrupletOracle,
-    TrueQuadOracle, TrueValueOracle,
+    ComparisonOracle, Distances, MemoOracle, NoiseEstimate, ProbeOracle, ProbePlan,
+    QuadrupletOracle, Values,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,6 +82,41 @@ use rand::SeedableRng;
 use crate::error::NcoError;
 use crate::report::{Outcome, RunReport};
 use crate::task::{Answer, PartialOutcome, Task};
+
+/// Evaluates `$body` with `$raw` bound to the session's noise model, a
+/// raw oracle over operand source `$src` built from `$hidden` — the one
+/// place a [`Noise`] becomes an oracle, for solo runs and the serving
+/// plane's backend alike. A macro rather than a function returning one
+/// enum over the four models: each model runs `$body` monomorphised, so
+/// the chain above the raw oracle inlines into the engines per model
+/// and no query pays a dispatch on the model.
+macro_rules! with_raw_noise {
+    ($noise:expr, $src:ty, $hidden:expr, |$raw:ident| $body:expr) => {
+        match $noise {
+            Noise::Exact => {
+                let $raw = TrueOracle::<$src>::new($hidden);
+                $body
+            }
+            Noise::Adversarial { mu } => {
+                let $raw = AdversarialOracle::<$src, _>::new($hidden, mu, InvertAdversary);
+                $body
+            }
+            Noise::Probabilistic { p, seed } => {
+                let $raw = ProbOracle::<$src>::new($hidden, p, seed);
+                $body
+            }
+            Noise::Crowd {
+                profile,
+                workers,
+                seed,
+            } => {
+                let $raw = CrowdOracle::<$src>::new($hidden, profile, workers, seed);
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_raw_noise;
 
 /// Salt XORed into the session seed to derive the probe plane's own
 /// deterministic stream, so probes and the engine rng stay decoupled.
@@ -875,10 +911,25 @@ impl Session {
     pub fn run(&self, task: Task) -> Result<Outcome, NcoError> {
         let ctx = RunCtx::begin(&self.engine);
         self.validate(task)?;
+        // The value oracles own their `Vec<f64>`, so each run copies the
+        // engine's values once — O(n), dwarfed by the O(n polylog) query
+        // work of every value task. The metric oracles borrow.
+        type V = (usize, usize);
+        type Q = [usize; 4];
         self.drive(ctx, |scale, budget| match &self.engine.source {
-            Source::Values(values) => self.run_value(task, values, scale, budget, &ctx),
-            Source::Metric(MetricStore::Plain(m)) => self.run_metric(task, m, scale, budget, &ctx),
-            Source::Metric(MetricStore::Cached(c)) => self.run_metric(task, c, scale, budget, &ctx),
+            Source::Values(v) => with_raw_noise!(self.cfg.noise, Values, v.to_vec(), |raw| {
+                self.attempt::<V, _>(task, raw, scale, budget, &ctx)
+            }),
+            Source::Metric(MetricStore::Plain(m)) => {
+                with_raw_noise!(self.cfg.noise, Distances<_>, m, |raw| {
+                    self.attempt::<Q, _>(task, raw, scale, budget, &ctx)
+                })
+            }
+            Source::Metric(MetricStore::Cached(c)) => {
+                with_raw_noise!(self.cfg.noise, Distances<_>, c, |raw| {
+                    self.attempt::<Q, _>(task, raw, scale, budget, &ctx)
+                })
+            }
         })
     }
 
@@ -983,91 +1034,6 @@ impl Session {
         Ok(())
     }
 
-    // -----------------------------------------------------------------
-    // Value tasks (comparison oracles).
-    //
-    // The value oracles own their Vec<f64>, so each run copies the
-    // engine's values once — O(n), dwarfed by the O(n polylog) query
-    // work of every value task. (The quadruplet oracles are generic
-    // over `M: Metric` and borrow instead; giving the value oracles
-    // the same shape is the clean fix if value corpora ever grow past
-    // the point where the copy shows up.)
-    // -----------------------------------------------------------------
-
-    fn run_value(
-        &self,
-        task: Task,
-        values: &[f64],
-        scale: f64,
-        budget: Option<u64>,
-        ctx: &RunCtx,
-    ) -> AttemptResult {
-        type Q = (usize, usize);
-        let values = values.to_vec();
-        match self.cfg.noise {
-            Noise::Exact => {
-                self.attempt::<Q, _>(task, TrueValueOracle::new(values), scale, budget, ctx)
-            }
-            Noise::Adversarial { mu } => {
-                let raw = AdversarialValueOracle::new(values, mu, InvertAdversary);
-                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
-            }
-            Noise::Probabilistic { p, seed } => {
-                let raw = ProbValueOracle::new(values, p, seed);
-                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
-            }
-            Noise::Crowd {
-                profile,
-                workers,
-                seed,
-            } => {
-                let raw = CrowdValueOracle::new(values, profile, workers, seed);
-                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
-            }
-        }
-    }
-
-    /// The same noise-model dispatch as [`Self::run_value`], but boxed
-    /// and owning its data — the `'static` backend oracle the serving
-    /// plane shares (behind its own memo/meter chain) across requests.
-    pub(crate) fn boxed_cmp_backend(&self) -> Box<dyn Oracle<(usize, usize)> + Send> {
-        let values = self
-            .engine
-            .values()
-            .expect("caller gated on Engine::has_values")
-            .to_vec();
-        match self.cfg.noise {
-            Noise::Exact => Box::new(TrueValueOracle::new(values)),
-            Noise::Adversarial { mu } => {
-                Box::new(AdversarialValueOracle::new(values, mu, InvertAdversary))
-            }
-            Noise::Probabilistic { p, seed } => Box::new(ProbValueOracle::new(values, p, seed)),
-            Noise::Crowd {
-                profile,
-                workers,
-                seed,
-            } => Box::new(CrowdValueOracle::new(values, profile, workers, seed)),
-        }
-    }
-
-    /// Quadruplet twin of [`Self::boxed_cmp_backend`], built over an
-    /// [`EngineMetric`] handle so it hits the engine's `DistCache`.
-    pub(crate) fn boxed_quad_backend(&self) -> Box<dyn Oracle<[usize; 4]> + Send> {
-        let metric = EngineMetric::new(self.engine.clone());
-        match self.cfg.noise {
-            Noise::Exact => Box::new(TrueQuadOracle::new(metric)),
-            Noise::Adversarial { mu } => {
-                Box::new(AdversarialQuadOracle::new(metric, mu, InvertAdversary))
-            }
-            Noise::Probabilistic { p, seed } => Box::new(ProbQuadOracle::new(metric, p, seed)),
-            Noise::Crowd {
-                profile,
-                workers,
-                seed,
-            } => Box::new(CrowdQuadOracle::new(metric, profile, workers, seed)),
-        }
-    }
-
     /// Runs `attempt` — one engine pass at a repetition scale on a budget
     /// — and folds its meters into the outcome. Shared with the serving
     /// plane, whose attempts run over the shared backend instead.
@@ -1156,42 +1122,6 @@ impl Session {
             merge_plane: plane,
         };
         Ok((answer, m, partial))
-    }
-
-    // -----------------------------------------------------------------
-    // Metric tasks (quadruplet oracles).
-    // -----------------------------------------------------------------
-
-    fn run_metric<M: Metric>(
-        &self,
-        task: Task,
-        metric: M,
-        scale: f64,
-        budget: Option<u64>,
-        ctx: &RunCtx,
-    ) -> AttemptResult {
-        type Q = [usize; 4];
-        match self.cfg.noise {
-            Noise::Exact => {
-                self.attempt::<Q, _>(task, TrueQuadOracle::new(metric), scale, budget, ctx)
-            }
-            Noise::Adversarial { mu } => {
-                let raw = AdversarialQuadOracle::new(metric, mu, InvertAdversary);
-                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
-            }
-            Noise::Probabilistic { p, seed } => {
-                let raw = ProbQuadOracle::new(metric, p, seed);
-                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
-            }
-            Noise::Crowd {
-                profile,
-                workers,
-                seed,
-            } => {
-                let raw = CrowdQuadOracle::new(metric, profile, workers, seed);
-                self.attempt::<Q, _>(task, raw, scale, budget, ctx)
-            }
-        }
     }
 
     // -----------------------------------------------------------------

@@ -218,40 +218,52 @@ fn served_fault_storm_is_masked_with_identical_answers() {
         })
         .collect();
     // The same requests through a server whose shared backend rides a
-    // fault storm behind a retry layer.
-    let template = Session::builder()
-        .points(&points)
-        .noise(noise)
-        .fault_plan(masked_plan(13))
-        .retry_policy(RetryPolicy::new(12))
-        .build()
-        .unwrap();
-    let server = Server::builder(template).workers(3).build().unwrap();
-    let handles: Vec<_> = (0..6u64)
-        .map(|seed| {
-            server
-                .submit(Request {
-                    task: Task::KCenter { k: 3 },
-                    seed,
-                })
-                .unwrap()
-        })
-        .collect();
-    for (seed, h) in handles.into_iter().enumerate() {
-        let outcome = h
-            .join()
-            .unwrap_or_else(|e| panic!("served request {seed} was not masked: {e}"));
-        assert_eq!(
-            outcome.answer, solo[seed],
-            "served answer diverged under masked faults (seed {seed})"
-        );
-    }
-    let stats = server.shutdown();
-    assert_eq!(stats.completed, 6);
-    assert!(stats.retries > 0, "the storm never forced a retry");
-    assert!(stats.faults_masked > 0);
-    assert_eq!(stats.panics, 0);
-    assert_eq!(stats.deadline_kills, 0);
+    // fault storm behind a retry layer, served by three workers and by
+    // one.
+    let storm = |workers: usize| {
+        let template = Session::builder()
+            .points(&points)
+            .noise(noise)
+            .fault_plan(masked_plan(13))
+            .retry_policy(RetryPolicy::new(12))
+            .build()
+            .unwrap();
+        let server = Server::builder(template).workers(workers).build().unwrap();
+        let handles: Vec<_> = (0..6u64)
+            .map(|seed| {
+                server
+                    .submit(Request {
+                        task: Task::KCenter { k: 3 },
+                        seed,
+                    })
+                    .unwrap()
+            })
+            .collect();
+        for (seed, h) in handles.into_iter().enumerate() {
+            let outcome = h
+                .join()
+                .unwrap_or_else(|e| panic!("served request {seed} was not masked: {e}"));
+            assert_eq!(
+                outcome.answer, solo[seed],
+                "served answer diverged under masked faults (seed {seed}, {workers} workers)"
+            );
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.completed, 6);
+        assert!(stats.retries > 0, "the storm never forced a retry");
+        assert!(stats.faults_masked > 0);
+        assert_eq!(stats.panics, 0);
+        assert_eq!(stats.deadline_kills, 0);
+        stats
+    };
+    let (pooled, serial) = (storm(3), storm(1));
+    // The fault plan is a function of the global attempt index, and the
+    // run ends at the attempt that answers the last distinct memo miss:
+    // the retry and backend bills cannot depend on how requests
+    // interleave. Which query a faulted attempt hit, and so
+    // `faults_masked`, can.
+    assert_eq!(pooled.retries, serial.retries);
+    assert_eq!(pooled.backend_queries, serial.backend_queries);
 }
 
 #[test]

@@ -278,10 +278,10 @@ mod batch_equivalence {
         assert_eq!(adv_scalar.queries(), adv_batch.queries());
     }
 
-    /// The PR 5 crowd `le_batch` override (per-round distance dedup +
-    /// committee-answer dedup + short-circuited majority votes) is
-    /// bit-identical to the scalar committee loop on repeat-heavy rounds,
-    /// for both cliff and flat accuracy profiles, across 20 seeds.
+    /// The crowd `le_batch` round (a repeated right-hand pair's distance
+    /// read once + short-circuited majority votes) is bit-identical to
+    /// the scalar committee loop on repeat-heavy rounds, for both cliff
+    /// and flat accuracy profiles, across 20 seeds.
     #[test]
     fn crowd_quad_le_batch_override_matches_scalar_across_20_seeds() {
         let scenario = MetricScenario::separated_blobs(4, 12, 30.0, 41);
@@ -323,8 +323,8 @@ mod batch_equivalence {
         }
     }
 
-    /// The value-oracle twin: `CrowdValueOracle::le_batch` serves repeated
-    /// canonical pairs from the round answer cache, bit-identically.
+    /// The value shape: `CrowdValueOracle::le_batch` answers repeated
+    /// canonical pairs bit-identically to the scalar loop.
     #[test]
     fn crowd_value_le_batch_override_matches_scalar_across_20_seeds() {
         use nco_oracle::crowd::CrowdValueOracle;
