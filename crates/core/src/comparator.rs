@@ -64,6 +64,79 @@ pub trait Comparator<I: Copy> {
 /// buffers stay a few cache-resident KiB however large the list is.
 pub(crate) const ROUND_CAP: usize = 4096;
 
+/// Reusable buffers for a wave of independent committees: each item of
+/// the wave (a point's center scan, a pair's vote, a candidate's probe
+/// scores) asks its own list of queries, and no item's queries depend on
+/// another item's answers. [`Committees::ask`] packs whole committees, in
+/// item order, into oracle rounds of at most [`ROUND_CAP`] queries, so the
+/// wave asks exactly the queries of one round per item, in the same
+/// order, in far fewer rounds.
+#[derive(Debug)]
+pub(crate) struct Committees<T, Q> {
+    queries: Vec<Q>,
+    answers: Vec<bool>,
+    /// Each queued item and the end of its committee in `queries`.
+    ends: Vec<(T, usize)>,
+}
+
+impl<T, Q> Default for Committees<T, Q> {
+    fn default() -> Self {
+        Self {
+            queries: Vec::new(),
+            answers: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy, Q: Copy> Committees<T, Q> {
+    /// Appends each item's committee to the round with `build`, asks the
+    /// rounds with `ask` (one oracle round per call, never an empty one)
+    /// and hands each item its answers, in query order, with `take`, in
+    /// item order. A committee larger than [`ROUND_CAP`] is asked alone.
+    pub(crate) fn ask(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut build: impl FnMut(T, &mut Vec<Q>),
+        mut ask: impl FnMut(&[Q], &mut Vec<bool>),
+        mut take: impl FnMut(T, &[bool]),
+    ) {
+        self.queries.clear();
+        self.ends.clear();
+        for item in items {
+            let start = self.queries.len();
+            build(item, &mut self.queries);
+            if self.queries.len() > ROUND_CAP && start > 0 {
+                self.flush(start, &mut ask, &mut take);
+            }
+            self.ends.push((item, self.queries.len()));
+        }
+        self.flush(self.queries.len(), &mut ask, &mut take);
+    }
+
+    /// Asks the queued committees, which fill `queries[..len]`, hands out
+    /// their answers and keeps the queries past `len` for the next round.
+    fn flush(
+        &mut self,
+        len: usize,
+        ask: &mut impl FnMut(&[Q], &mut Vec<bool>),
+        take: &mut impl FnMut(T, &[bool]),
+    ) {
+        self.answers.clear();
+        if len > 0 {
+            ask(&self.queries[..len], &mut self.answers);
+        }
+        debug_assert_eq!(self.answers.len(), len);
+        let mut from = 0;
+        for &(item, end) in &self.ends {
+            take(item, &self.answers[from..end]);
+            from = end;
+        }
+        self.ends.clear();
+        self.queries.drain(..len);
+    }
+}
+
 impl<I: Copy, C: Comparator<I> + ?Sized> Comparator<I> for &mut C {
     fn le(&mut self, a: I, b: I) -> bool {
         (**self).le(a, b)
@@ -276,5 +349,41 @@ mod tests {
             c.le(0, 1)
         }
         assert!(generic(&mut &mut c));
+    }
+
+    #[test]
+    fn committees_pack_whole_committees_into_capped_rounds() {
+        // Committee sizes: item `i` asks `sizes[i]` queries `(i, j)`.
+        let sizes = [3000, 1000, 96, 1, 0, 5000, 2, 4096, 0];
+        let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
+        let mut got: Vec<(usize, Vec<bool>)> = Vec::new();
+        Committees::default().ask(
+            0..sizes.len(),
+            |i, queries| queries.extend((0..sizes[i]).map(|j| (i, j))),
+            |round, answers| {
+                rounds.push(round.to_vec());
+                answers.extend(round.iter().map(|&(i, j)| (i + j) % 3 == 0));
+            },
+            |i, answers| got.push((i, answers.to_vec())),
+        );
+        // Every item gets its own answers, in item order.
+        assert_eq!(got.len(), sizes.len());
+        for (k, (i, answers)) in got.iter().enumerate() {
+            assert_eq!(*i, k);
+            let expect: Vec<bool> = (0..sizes[k]).map(|j| (k + j) % 3 == 0).collect();
+            assert_eq!(*answers, expect, "item {k}");
+        }
+        // The rounds hold the queries in item order, split only between
+        // committees, at most ROUND_CAP each unless one committee is
+        // larger, and none is empty.
+        let flat: Vec<(usize, usize)> = rounds.iter().flatten().copied().collect();
+        let expect: Vec<(usize, usize)> = sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &len)| (0..len).map(move |j| (i, j)))
+            .collect();
+        assert_eq!(flat, expect);
+        let lens: Vec<usize> = rounds.iter().map(Vec::len).collect();
+        assert_eq!(lens, [4096, 1, 5000, 2, 4096]);
     }
 }

@@ -18,7 +18,7 @@
 //! queries for `mu < 1/18` (Theorem 4.2).
 
 use super::Clustering;
-use crate::comparator::PairDistCmp;
+use crate::comparator::{Committees, PairDistCmp};
 use crate::maxfind::{max_adv, AdvParams};
 use nco_oracle::QuadrupletOracle;
 use rand::Rng;
@@ -121,11 +121,10 @@ where
     if !oracle.doomed() {
         *clean = 1; // the first center needs no queries
     }
-    // mcount[v][j]: how many centers v's MCount deems farther than center j.
-    let mut mcount: Vec<Vec<u32>> = vec![vec![0]; n];
-    // Per-point committee-scoring round, hoisted out of both loops.
-    let mut round: Vec<[usize; 4]> = Vec::new();
-    let mut answers: Vec<bool> = Vec::new();
+    // mcount[v * k + j]: how many centers v's MCount deems farther than
+    // center j (rows of centers are unused).
+    let mut mcount: Vec<u32> = vec![0; n * k];
+    let mut waves: Committees<usize, [usize; 4]> = Committees::default();
 
     while centers.len() < k {
         // Approx-Farthest over all non-center points.
@@ -141,43 +140,41 @@ where
 
         // Assign: extend each point's MCount with the new center — one
         // query per (point, existing center) — and re-take the argmax.
-        // Each point's committee scan goes out as one batched round (the
-        // oracle then evaluates d(far, v) once per point, not once per
-        // query), and the argmax is maintained *incrementally*: counts
-        // only ever grow, and the rescan's tie-break (highest count, then
-        // oldest center) is preserved by never replacing the incumbent on
-        // a tie with a newer center — so the assignment is exactly the
-        // full rescan's.
-        for v in 0..n {
-            if is_center[v] {
-                mcount[v].push(0); // keep vector lengths aligned; unused
-                continue;
-            }
-            round.clear();
-            answers.clear();
+        // The points' committee scans are independent, so the whole wave
+        // goes out as rounds of whole scans (the oracle then evaluates
+        // d(far, v) once per point, not once per query), and the argmax
+        // is maintained *incrementally*: counts only ever grow, and the
+        // rescan's tie-break (highest count, then oldest center) is
+        // preserved by never replacing the incumbent on a tie with a
+        // newer center — so the assignment is exactly the full rescan's.
+        waves.ask(
+            items.iter().copied().filter(|&v| v != far),
             // O((s_j, v), (far, v)) == Yes  <=>  d(s_j, v) <= d(far, v).
-            round.extend(centers[..new_pos].iter().map(|&sj| [sj, v, far, v]));
-            oracle.le_batch(&round, &mut answers);
-            let mut new_wins = 0u32;
-            let (mut best, mut best_count) = (assignment[v], mcount[v][assignment[v]]);
-            for (j, &yes) in answers.iter().enumerate() {
-                if yes {
-                    mcount[v][j] += 1;
-                    let c = mcount[v][j];
-                    if c > best_count || (c == best_count && j < best) {
-                        best = j;
-                        best_count = c;
+            |v, round| round.extend(centers[..new_pos].iter().map(|&sj| [sj, v, far, v])),
+            |round, answers| oracle.le_batch(round, answers),
+            |v, answers| {
+                let row = &mut mcount[v * k..v * k + new_pos + 1];
+                let mut new_wins = 0u32;
+                let (mut best, mut best_count) = (assignment[v], row[assignment[v]]);
+                for (j, &yes) in answers.iter().enumerate() {
+                    if yes {
+                        row[j] += 1;
+                        let c = row[j];
+                        if c > best_count || (c == best_count && j < best) {
+                            best = j;
+                            best_count = c;
+                        }
+                    } else {
+                        new_wins += 1;
                     }
-                } else {
-                    new_wins += 1;
                 }
-            }
-            mcount[v].push(new_wins);
-            if new_wins > best_count {
-                best = new_pos;
-            }
-            assignment[v] = best;
-        }
+                row[new_pos] = new_wins;
+                if new_wins > best_count {
+                    best = new_pos;
+                }
+                assignment[v] = best;
+            },
+        );
         if !oracle.doomed() {
             *clean = centers.len();
         }

@@ -23,7 +23,7 @@
 //! queries.
 
 use super::Clustering;
-use crate::comparator::Comparator;
+use crate::comparator::{Committees, Comparator};
 use crate::maxfind::{max_adv, AdvParams};
 use crate::neighbor::{MAJORITY_THRESHOLD, PAIRWISE_THRESHOLD};
 use nco_oracle::QuadrupletOracle;
@@ -137,41 +137,46 @@ impl Default for KCenterProbParams {
 /// Algorithm 9 — Identify-Core: the `size` cluster members with the highest
 /// "closer to the center than others" Count scores, best first.
 ///
-/// The whole `|C|²` committee election goes out as one batched round: every
-/// query is anchored at the center, so the oracle's `le_batch` evaluates
-/// each `d(center, x)` once for the entire election.
+/// The whole `|C|²` committee election goes out as one batched round on
+/// the reused `waves` buffers: every query is anchored at the center, so
+/// the oracle's `le_batch` evaluates each `d(center, x)` once for the
+/// entire election.
 fn identify_core<O: QuadrupletOracle>(
     oracle: &mut O,
     cluster: &[usize],
     center: usize,
     size: usize,
+    waves: &mut Committees<usize, [usize; 4]>,
 ) -> Vec<usize> {
     debug_assert!(cluster.contains(&center));
     // Count(u) = #{x in C : O(center, x, center, u) == No}
     //          = #{x : the oracle deems x farther from the center}.
-    let mut round: Vec<[usize; 4]> = Vec::new();
-    for &u in cluster {
-        round.extend(
-            cluster
-                .iter()
-                .filter(|&&x| x != u)
-                .map(|&x| [center, x, center, u]),
-        );
-    }
-    let mut answers = Vec::with_capacity(round.len());
-    oracle.le_batch(&round, &mut answers);
-    let mut answers = answers.iter();
-    let mut scored: Vec<(usize, u32)> = cluster
-        .iter()
-        .map(|&u| {
-            let c = cluster
-                .iter()
-                .filter(|&&x| x != u)
-                .filter(|_| !*answers.next().expect("one answer per query"))
-                .count() as u32;
-            (u, c)
-        })
-        .collect();
+    let mut scored: Vec<(usize, u32)> = Vec::with_capacity(cluster.len());
+    waves.ask(
+        [center],
+        |center, round| {
+            for &u in cluster {
+                round.extend(
+                    cluster
+                        .iter()
+                        .filter(|&&x| x != u)
+                        .map(|&x| [center, x, center, u]),
+                );
+            }
+        },
+        |round, answers| oracle.le_batch(round, answers),
+        |_, answers| {
+            let mut answers = answers.iter();
+            scored.extend(cluster.iter().map(|&u| {
+                let c = cluster
+                    .iter()
+                    .filter(|&&x| x != u)
+                    .filter(|_| !*answers.next().expect("one answer per query"))
+                    .count() as u32;
+                (u, c)
+            }));
+        },
+    );
     scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     scored.truncate(size.min(scored.len()).max(1));
     scored.into_iter().map(|(u, _)| u).collect()
@@ -191,33 +196,56 @@ struct ClusterCmp<'a, O> {
     rtildes: &'a [Vec<usize>],
     membership: &'a [usize],
     threshold: f64,
-    /// Reused committee-round buffers (one vote = one batched round).
-    round: Vec<[usize; 4]>,
-    answers: Vec<bool>,
+    /// Reused committee-round buffers.
+    votes: Committees<(usize, usize), [usize; 4]>,
+}
+
+impl<O: QuadrupletOracle> ClusterCmp<'_, O> {
+    /// Votes on every pair of `round`, handing each verdict to `emit` in
+    /// round order. The pairs' committees (or committee products) are
+    /// independent, so they go out together as rounds of whole committees:
+    /// d(u, x) / d(v, y) evaluations are shared across each round by the
+    /// oracle.
+    fn vote(&mut self, round: &[(usize, usize)], mut emit: impl FnMut(bool)) {
+        let Self {
+            oracle,
+            cores,
+            rtildes,
+            membership,
+            threshold,
+            votes,
+        } = self;
+        votes.ask(
+            round.iter().copied(),
+            |(u, v), queries| {
+                let (cu, cv) = (membership[u], membership[v]);
+                if cu == cv {
+                    queries.extend(cores[cu].iter().map(|&x| [u, x, v, x]));
+                } else {
+                    for &x in &rtildes[cu] {
+                        queries.extend(rtildes[cv].iter().map(|&y| [u, x, v, y]));
+                    }
+                }
+            },
+            |queries, answers| oracle.le_batch(queries, answers),
+            |_, answers| {
+                let fcount = answers.iter().filter(|&&yes| yes).count();
+                emit(fcount as f64 >= *threshold * answers.len() as f64);
+            },
+        );
+    }
 }
 
 impl<O: QuadrupletOracle> Comparator<usize> for ClusterCmp<'_, O> {
     fn le(&mut self, u: usize, v: usize) -> bool {
-        let (cu, cv) = (self.membership[u], self.membership[v]);
-        // Each ClusterComp vote is one batched round over its committee
-        // (or committee product): d(u, x) / d(v, y) evaluations are shared
-        // across the round by the oracle.
-        self.round.clear();
-        self.answers.clear();
-        let comparisons = if cu == cv {
-            let core = &self.cores[cu];
-            self.round.extend(core.iter().map(|&x| [u, x, v, x]));
-            core.len()
-        } else {
-            let (ra, rb) = (&self.rtildes[cu], &self.rtildes[cv]);
-            for &x in ra {
-                self.round.extend(rb.iter().map(|&y| [u, x, v, y]));
-            }
-            ra.len() * rb.len()
-        };
-        self.oracle.le_batch(&self.round, &mut self.answers);
-        let fcount = self.answers.iter().filter(|&&yes| yes).count();
-        fcount as f64 >= self.threshold * comparisons as f64
+        let mut verdict = false;
+        self.vote(&[(u, v)], |yes| verdict = yes);
+        verdict
+    }
+
+    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
+        out.reserve(round.len());
+        self.vote(round, |yes| out.push(yes));
     }
 
     fn doomed(&self) -> bool {
@@ -225,25 +253,29 @@ impl<O: QuadrupletOracle> Comparator<usize> for ClusterCmp<'_, O> {
     }
 }
 
-/// ACount vote (Algorithm 8 / Assign-Final): does `u` look closer to the
-/// prospective center `cand` than to the committee `core` of its current
-/// cluster? One batched round per vote — `d(u, cand)` is evaluated once
-/// for the whole committee — with caller-provided round buffers so the
-/// Assign / Assign-Final loops vote allocation-free.
-fn acount_with<O: QuadrupletOracle>(
+/// ACount votes (Algorithm 8 / Assign-Final): how strongly does each
+/// point `u` of `points` look closer to the prospective center `cand` than
+/// to the committee `core_of(u)` of its current cluster? The votes are
+/// independent, so whole committees are packed into rounds on the reused
+/// `waves` buffers (`d(u, cand)` is evaluated once per committee);
+/// `share` gets each point with its Yes share, in point order.
+fn acount_votes<'c, O: QuadrupletOracle>(
     oracle: &mut O,
-    u: usize,
+    points: impl IntoIterator<Item = usize>,
     cand: usize,
-    core: &[usize],
-    round: &mut Vec<[usize; 4]>,
-    answers: &mut Vec<bool>,
-) -> f64 {
-    round.clear();
-    answers.clear();
-    round.extend(core.iter().map(|&x| [u, cand, u, x]));
-    oracle.le_batch(round, answers);
-    let yes = answers.iter().filter(|&&a| a).count();
-    yes as f64 / core.len() as f64
+    core_of: impl Fn(usize) -> &'c [usize],
+    waves: &mut Committees<usize, [usize; 4]>,
+    mut share: impl FnMut(usize, f64),
+) {
+    waves.ask(
+        points,
+        |u, round| round.extend(core_of(u).iter().map(|&x| [u, cand, u, x])),
+        |round, answers| oracle.le_batch(round, answers),
+        |u, answers| {
+            let yes = answers.iter().filter(|&&a| a).count();
+            share(u, yes as f64 / answers.len() as f64);
+        },
+    );
 }
 
 /// Algorithm 7: k-center under probabilistic persistent noise.
@@ -321,16 +353,23 @@ where
     for &u in &sampled {
         membership[u] = 0;
     }
-    let mut cores: Vec<Vec<usize>> = vec![identify_core(oracle, &clusters[0], first, core_size)];
+    // Committee-round buffers reused by every election and ACount wave.
+    let mut waves: Committees<usize, [usize; 4]> = Committees::default();
+    let mut cores: Vec<Vec<usize>> = vec![identify_core(
+        oracle,
+        &clusters[0],
+        first,
+        core_size,
+        &mut waves,
+    )];
     let mut rtildes: Vec<Vec<usize>> = vec![rtilde(&cores[0])];
     let mut is_center = vec![false; n];
     is_center[first] = true;
     if !oracle.doomed() {
         *clean = 1; // first center + core committed on real answers
     }
-    // Committee-vote round buffers reused by every ClusterComp / ACount.
-    let mut vote_round: Vec<[usize; 4]> = Vec::new();
-    let mut vote_answers: Vec<bool> = Vec::new();
+    // Committee-round buffers reused by every ClusterComp.
+    let mut votes: Committees<(usize, usize), [usize; 4]> = Committees::default();
 
     for _ in 1..k {
         // Approx-Farthest via Max-Adv + ClusterComp.
@@ -342,13 +381,11 @@ where
                 rtildes: &rtildes,
                 membership: &membership,
                 threshold: params.threshold,
-                round: std::mem::take(&mut vote_round),
-                answers: std::mem::take(&mut vote_answers),
+                votes: std::mem::take(&mut votes),
             };
             let far = max_adv(&items, &params.farthest, &mut cmp, rng)
                 .expect("sample guaranteed to exceed k points");
-            vote_round = cmp.round;
-            vote_answers = cmp.answers;
+            votes = cmp.votes;
             far
         };
 
@@ -368,20 +405,25 @@ where
         // wrong cluster for good (they can never out-vote their own
         // committee seat), which breaks the Theorem 4.4 objective even
         // under an exact oracle.
+        // Every member's vote is independent of the others', so the
+        // whole wave is asked as rounds of whole committees.
         let mut moves: Vec<usize> = Vec::new();
-        for j in 0..new_pos {
-            let core = &cores[j];
-            for &u in &clusters[j] {
-                if is_center[u] {
-                    continue;
-                }
-                if acount_with(oracle, u, far, core, &mut vote_round, &mut vote_answers)
-                    > params.threshold
-                {
+        acount_votes(
+            oracle,
+            clusters[..new_pos]
+                .iter()
+                .flatten()
+                .copied()
+                .filter(|&u| !is_center[u]),
+            far,
+            |u| &cores[membership[u]],
+            &mut waves,
+            |u, share| {
+                if share > params.threshold {
                     moves.push(u);
                 }
-            }
-        }
+            },
+        );
         let mut stale_cores: Vec<bool> = vec![false; new_pos];
         for &u in &moves {
             let from = membership[u];
@@ -396,12 +438,18 @@ where
         // re-elect it from the surviving membership.
         for (j, stale) in stale_cores.iter().enumerate() {
             if *stale {
-                cores[j] = identify_core(oracle, &clusters[j], centers[j], core_size);
+                cores[j] = identify_core(oracle, &clusters[j], centers[j], core_size, &mut waves);
                 rtildes[j] = rtilde(&cores[j]);
             }
         }
 
-        cores.push(identify_core(oracle, &clusters[new_pos], far, core_size));
+        cores.push(identify_core(
+            oracle,
+            &clusters[new_pos],
+            far,
+            core_size,
+            &mut waves,
+        ));
         rtildes.push(rtilde(&cores[new_pos]));
         if !oracle.doomed() {
             *clean = centers.len();
@@ -422,19 +470,23 @@ where
         if *slot != usize::MAX {
             continue;
         }
+        // Each vote's committee depends on the previous verdict, so the
+        // votes go out one round each.
         let mut cur = 0usize;
         for (t, &cand) in centers.iter().enumerate().skip(1) {
-            if acount_with(
+            let core = &cores[cur];
+            acount_votes(
                 oracle,
-                u,
+                [u],
                 cand,
-                &cores[cur],
-                &mut vote_round,
-                &mut vote_answers,
-            ) >= params.threshold
-            {
-                cur = t;
-            }
+                |_| core,
+                &mut waves,
+                |_, share| {
+                    if share >= params.threshold {
+                        cur = t;
+                    }
+                },
+            );
         }
         *slot = cur;
     }
@@ -497,7 +549,7 @@ mod tests {
         let m = EuclideanMetric::from_points(&(0..12).map(|i| vec![i as f64]).collect::<Vec<_>>());
         let mut o = TrueQuadOracle::new(m);
         let cluster: Vec<usize> = (0..12).collect();
-        let core = identify_core(&mut o, &cluster, 0, 4);
+        let core = identify_core(&mut o, &cluster, 0, 4, &mut Committees::default());
         assert_eq!(core, vec![0, 1, 2, 3]);
     }
 

@@ -12,6 +12,7 @@
 //! each other, so the top-`size` set lands in the true near-neighbourhood
 //! w.h.p.
 
+use crate::comparator::Committees;
 use nco_oracle::QuadrupletOracle;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -19,8 +20,9 @@ use rand::Rng;
 /// Builds a core of `size` records (noisily) closest to `q`.
 ///
 /// Scores every candidate against a probe set of `probes` random
-/// candidates (`candidates.len() * probes` oracle queries) and returns the
-/// `size` best, best first. The query itself is excluded.
+/// candidates (at most `candidates.len() * probes` oracle queries, asked
+/// as batched rounds of at most 4096 queries, candidate by candidate) and
+/// returns the `size` best, best first. The query itself is excluded.
 ///
 /// # Panics
 /// Panics if `size == 0` or there are no candidates besides `q`.
@@ -47,17 +49,18 @@ where
     probe_set.shuffle(rng);
     probe_set.truncate(probes);
 
-    let mut scored: Vec<(usize, u32)> = pool
-        .iter()
-        .map(|&x| {
-            let score = probe_set
-                .iter()
-                .filter(|&&y| y != x && oracle.le(q, x, q, y))
-                .count() as u32;
-            (x, score)
-        })
-        .collect();
-    //
+    // Every candidate's probe scan is independent of the others', so the
+    // whole scoring wave goes out as rounds of whole scans, in the order
+    // of the candidate-by-candidate loop.
+    let mut scored: Vec<(usize, u32)> = Vec::with_capacity(pool.len());
+    Committees::default().ask(
+        pool.iter().copied(),
+        |x, round| {
+            round.extend(probe_set.iter().filter(|&&y| y != x).map(|&y| [q, x, q, y]));
+        },
+        |round, answers| oracle.le_batch(round, answers),
+        |x, answers| scored.push((x, answers.iter().filter(|&&yes| yes).count() as u32)),
+    );
 
     // Highest score first; stable on ties via the record index.
     scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));

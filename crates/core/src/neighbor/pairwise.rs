@@ -14,7 +14,7 @@
 //! guarantee is one-sided (see the lemma), which is all the Count-based
 //! consumers need.
 
-use crate::comparator::Comparator;
+use crate::comparator::{Committees, Comparator};
 use nco_oracle::QuadrupletOracle;
 
 /// The paper's FCount acceptance threshold (`0.3 <= (1-p)/2` for
@@ -47,29 +47,9 @@ pub fn pairwise_closer<O: QuadrupletOracle>(
     core: &[usize],
     threshold: f64,
 ) -> bool {
-    let mut round = Vec::with_capacity(core.len());
-    let mut answers = Vec::with_capacity(core.len());
-    pairwise_closer_with(oracle, vi, vj, core, threshold, &mut round, &mut answers)
-}
-
-/// [`pairwise_closer`] with caller-provided round buffers — the
-/// allocation-free form for comparators that vote repeatedly.
-fn pairwise_closer_with<O: QuadrupletOracle>(
-    oracle: &mut O,
-    vi: usize,
-    vj: usize,
-    core: &[usize],
-    threshold: f64,
-    round: &mut Vec<[usize; 4]>,
-    answers: &mut Vec<bool>,
-) -> bool {
-    assert!(!core.is_empty(), "PairwiseComp needs a non-empty core");
-    round.clear();
-    answers.clear();
-    round.extend(core.iter().map(|&x| [x, vi, x, vj]));
-    oracle.le_batch(round, answers);
-    let fcount = answers.iter().filter(|&&yes| yes).count();
-    fcount as f64 >= threshold * core.len() as f64
+    let mut cmp = PairwiseCmp::new(oracle, core);
+    cmp.threshold = threshold;
+    cmp.le(vi, vj)
 }
 
 /// Comparator lifting [`pairwise_closer`]: items are record indices, keys
@@ -80,9 +60,8 @@ pub struct PairwiseCmp<'a, O> {
     oracle: &'a mut O,
     core: &'a [usize],
     threshold: f64,
-    /// Reused committee-round buffers (one vote = one batched round).
-    round: Vec<[usize; 4]>,
-    answers: Vec<bool>,
+    /// Reused committee-round buffers.
+    votes: Committees<(usize, usize), [usize; 4]>,
 }
 
 impl<'a, O: QuadrupletOracle> PairwiseCmp<'a, O> {
@@ -98,8 +77,7 @@ impl<'a, O: QuadrupletOracle> PairwiseCmp<'a, O> {
             oracle,
             core,
             threshold: MAJORITY_THRESHOLD,
-            round: Vec::with_capacity(core.len()),
-            answers: Vec::with_capacity(core.len()),
+            votes: Committees::default(),
         }
     }
 
@@ -109,13 +87,9 @@ impl<'a, O: QuadrupletOracle> PairwiseCmp<'a, O> {
     /// # Panics
     /// Panics if `core` is empty.
     pub fn paper(oracle: &'a mut O, core: &'a [usize]) -> Self {
-        assert!(!core.is_empty(), "PairwiseComp needs a non-empty core");
         Self {
-            oracle,
-            core,
             threshold: PAIRWISE_THRESHOLD,
-            round: Vec::with_capacity(core.len()),
-            answers: Vec::with_capacity(core.len()),
+            ..Self::new(oracle, core)
         }
     }
 
@@ -126,19 +100,48 @@ impl<'a, O: QuadrupletOracle> PairwiseCmp<'a, O> {
         self.threshold = threshold;
         self
     }
+
+    /// Votes on every pair of `round` (each pair swapped when `REV`),
+    /// handing each verdict to `emit` in round order. The pairs' committee
+    /// votes are independent, so they go out together as rounds of whole
+    /// committees.
+    fn vote<const REV: bool>(&mut self, round: &[(usize, usize)], mut emit: impl FnMut(bool)) {
+        let Self {
+            oracle,
+            core,
+            threshold,
+            votes,
+        } = self;
+        votes.ask(
+            round.iter().copied(),
+            |(a, b), queries| {
+                let (vi, vj) = if REV { (b, a) } else { (a, b) };
+                queries.extend(core.iter().map(|&x| [x, vi, x, vj]));
+            },
+            |queries, answers| oracle.le_batch(queries, answers),
+            |_, answers| {
+                let fcount = answers.iter().filter(|&&yes| yes).count();
+                emit(fcount as f64 >= *threshold * core.len() as f64);
+            },
+        );
+    }
 }
 
 impl<O: QuadrupletOracle> Comparator<usize> for PairwiseCmp<'_, O> {
     fn le(&mut self, a: usize, b: usize) -> bool {
-        pairwise_closer_with(
-            self.oracle,
-            a,
-            b,
-            self.core,
-            self.threshold,
-            &mut self.round,
-            &mut self.answers,
-        )
+        let mut verdict = false;
+        self.vote::<false>(&[(a, b)], |yes| verdict = yes);
+        verdict
+    }
+
+    fn le_round(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
+        out.reserve(round.len());
+        self.vote::<false>(round, |yes| out.push(yes));
+    }
+
+    fn le_round_rev(&mut self, round: &[(usize, usize)], out: &mut Vec<bool>) {
+        out.reserve(round.len());
+        self.vote::<true>(round, |yes| out.push(yes));
     }
 
     fn doomed(&self) -> bool {

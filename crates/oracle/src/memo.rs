@@ -24,10 +24,12 @@
 //!   (16 bits each). Only the *within-pair* order is canonicalised
 //!   (`d` is symmetric for every metric), never the pair-of-pairs order.
 //!
-//! A batched round runs on scratch the memo keeps between rounds — a slot
-//! list, one miss list per shape and a stamped in-flight table that
-//! dedups the round's misses by cell — so a warm round allocates nothing
-//! and hashes each miss once with `splitmix64`.
+//! A batched round runs on scratch the memo keeps between rounds — the
+//! started lookups, a slot list, one miss list per shape and a stamped
+//! in-flight table that dedups the round's misses by cell — so a warm
+//! round allocates nothing. It hashes each query once with `splitmix64`
+//! to find its table slot and each miss once more to dedup it; a miss's
+//! fill resumes the probe its lookup stopped, without hashing again.
 
 use crate::persistent::PersistentNoise;
 use crate::source::Query;
@@ -38,7 +40,7 @@ use nco_metric::hashing::splitmix64;
 /// of query `(i, j)` is `2 t + (i > j)`, where `t` is the condensed index
 /// of the unordered pair, so the two directions of a pair share a nibble.
 #[derive(Debug, Clone, PartialEq)]
-struct PairMemo {
+pub(crate) struct PairMemo {
     bits: Vec<u8>,
 }
 
@@ -52,19 +54,53 @@ impl PairMemo {
             bits: vec![0u8; pairs.div_ceil(2)],
         }
     }
+}
+
+/// Where a missed lookup stopped: the empty slot of an open-addressed
+/// table, and the table's capacity at the time. A fill resumes its probe
+/// there while the capacity is unchanged: slots are never emptied, so
+/// every slot the lookup passed is still taken.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Vacancy {
+    slot: usize,
+    cap: usize,
+}
+
+/// One shape's answer table, looked up in two steps so a round can start
+/// every lookup before it finishes any: [`MemoTable::home`] loads the
+/// word a cell's probe starts at, [`MemoTable::finish`] completes the
+/// probe from there.
+pub(crate) trait MemoTable {
+    /// The slot `cell`'s probe starts at and the word stored there.
+    fn home(&self, cell: u64) -> (usize, u64);
+
+    /// The cached answer of `cell`, whose probe read `seen` at `slot`, or
+    /// the [`Vacancy`] where the probe stopped.
+    fn finish(&self, cell: u64, slot: usize, seen: u64) -> Result<bool, Vacancy>;
+
+    /// Caches `cell`'s answer after a lookup that stopped at `vacancy`.
+    fn fill(&mut self, cell: u64, vacancy: Vacancy, answer: bool);
+}
+
+impl MemoTable for PairMemo {
+    #[inline]
+    fn home(&self, cell: u64) -> (usize, u64) {
+        let slot = (cell >> 2) as usize;
+        (slot, u64::from(self.bits[slot]))
+    }
 
     #[inline]
-    fn get(&self, cell: u64) -> Option<bool> {
-        let v = self.bits[(cell >> 2) as usize] >> ((cell & 3) << 1);
+    fn finish(&self, cell: u64, _: usize, seen: u64) -> Result<bool, Vacancy> {
+        let v = (seen as u8) >> ((cell & 3) << 1);
         if v & KNOWN != 0 {
-            Some(v & ANSWER != 0)
+            Ok(v & ANSWER != 0)
         } else {
-            None
+            Err(Vacancy::default())
         }
     }
 
     #[inline]
-    fn set(&mut self, cell: u64, answer: bool) {
+    fn fill(&mut self, cell: u64, _: Vacancy, answer: bool) {
         let v = KNOWN | if answer { ANSWER } else { 0 };
         self.bits[(cell >> 2) as usize] |= v << ((cell & 3) << 1);
     }
@@ -75,7 +111,7 @@ impl PairMemo {
 /// sentinel (unreachable: it would require the two canonical pairs to be
 /// identical, which is short-circuited before lookup).
 #[derive(Debug, Clone, PartialEq)]
-struct QuadMemo {
+pub(crate) struct QuadMemo {
     keys: Vec<u64>,
     answers: Vec<u64>,
     len: usize,
@@ -93,28 +129,20 @@ impl QuadMemo {
     }
 
     #[inline]
-    fn get(&self, key: u64) -> Option<bool> {
-        let mask = self.keys.len() - 1;
-        let mut slot = (splitmix64(key) as usize) & mask;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                return Some(self.answers[slot >> 6] >> (slot & 63) & 1 != 0);
-            }
-            if k == EMPTY {
-                return None;
-            }
-            slot = (slot + 1) & mask;
-        }
+    fn mask(&self) -> usize {
+        self.keys.len() - 1
     }
 
+    /// The slot `key`'s linear probe starts at.
     #[inline]
-    fn insert(&mut self, key: u64, answer: bool) {
-        if self.len * 4 >= self.keys.len() * 3 {
-            self.grow();
-        }
-        let mask = self.keys.len() - 1;
-        let mut slot = (splitmix64(key) as usize) & mask;
+    fn home_slot(&self, key: u64) -> usize {
+        (splitmix64(key) as usize) & self.mask()
+    }
+
+    /// Stores `key` in the first empty slot at or after `slot`.
+    #[inline]
+    fn place(&mut self, key: u64, mut slot: usize, answer: bool) {
+        let mask = self.mask();
         while self.keys[slot] != EMPTY {
             debug_assert_ne!(self.keys[slot], key, "double insert");
             slot = (slot + 1) & mask;
@@ -136,9 +164,53 @@ impl QuadMemo {
         for (slot, &k) in old_keys.iter().enumerate() {
             if k != EMPTY {
                 let ans = old_answers[slot >> 6] >> (slot & 63) & 1 != 0;
-                self.insert(k, ans);
+                self.place(k, self.home_slot(k), ans);
             }
         }
+    }
+}
+
+impl MemoTable for QuadMemo {
+    #[inline]
+    fn home(&self, key: u64) -> (usize, u64) {
+        let slot = self.home_slot(key);
+        (slot, self.keys[slot])
+    }
+
+    #[inline]
+    fn finish(&self, key: u64, mut slot: usize, mut seen: u64) -> Result<bool, Vacancy> {
+        let mask = self.mask();
+        loop {
+            if seen == key {
+                return Ok(self.answers[slot >> 6] >> (slot & 63) & 1 != 0);
+            }
+            if seen == EMPTY {
+                return Err(Vacancy {
+                    slot,
+                    cap: self.keys.len(),
+                });
+            }
+            slot = (slot + 1) & mask;
+            seen = self.keys[slot];
+        }
+    }
+
+    /// Grows the table first if it is three quarters full, then resumes
+    /// the lookup's linear probe at its vacancy, or probes afresh from the
+    /// home slot if the table grew since. Either way the key lands where
+    /// an insert probing from home would put it, so the table is the one
+    /// the scalar decomposition builds.
+    #[inline]
+    fn fill(&mut self, key: u64, vacancy: Vacancy, answer: bool) {
+        if self.len * 4 >= self.keys.len() * 3 {
+            self.grow();
+        }
+        let start = if vacancy.cap == self.keys.len() {
+            vacancy.slot
+        } else {
+            self.home_slot(key)
+        };
+        self.place(key, start, answer);
     }
 }
 
@@ -210,13 +282,30 @@ impl InFlight {
 }
 
 /// Per-round scratch, kept between rounds so a warm round allocates
-/// nothing: the slot list, the in-flight table and the miss lists.
+/// nothing: the started lookups, the slot list, the in-flight table, the
+/// miss lists and each miss's cell and vacancy.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
+    lookups: Vec<Lookup>,
     slots: Vec<Slot>,
     in_flight: InFlight,
     misses: Misses,
+    vacancies: Vec<(u64, Vacancy)>,
 }
+
+/// A lookup started by the round's first pass: the query's cell
+/// ([`UNCACHED`] for a degenerate query) and its home slot and word.
+#[derive(Debug, Clone, Copy)]
+struct Lookup {
+    cell: u64,
+    slot: usize,
+    seen: u64,
+}
+
+/// The cell of a degenerate query, which no table holds: a pair cell is
+/// below `n²`, and a quadruplet key of all-ones would need two identical
+/// canonical pairs.
+const UNCACHED: u64 = u64::MAX;
 
 /// One miss list per query shape.
 #[derive(Debug, Clone, Default)]
@@ -282,15 +371,15 @@ impl<O: PersistentNoise> MemoOracle<O> {
 /// The shape-specific half of [`MemoOracle`]: the cell of a query, the
 /// table it lives in and its miss list in a round.
 pub(crate) trait MemoShape: Query {
+    /// This shape's answer table.
+    type Table: MemoTable;
+
     /// The table cell of this query over `n` records, or `None` for a
     /// degenerate query (identical operands), which is forwarded uncached.
     fn key(self, n: usize) -> Option<u64>;
 
-    /// Reads a cell, allocating this shape's table on first use.
-    fn get(tables: &mut Tables, n: usize, cell: u64) -> Option<bool>;
-
-    /// Fills a cell of the table [`MemoShape::get`] allocated.
-    fn set(tables: &mut Tables, cell: u64, answer: bool);
+    /// This shape's table, allocated on first use.
+    fn table(tables: &mut Tables, n: usize) -> &mut Self::Table;
 
     /// This shape's miss list.
     fn misses(misses: &mut Misses) -> &mut Vec<Self>;
@@ -298,6 +387,8 @@ pub(crate) trait MemoShape: Query {
 
 /// Comparison queries: the 2-bit-cell triangle.
 impl MemoShape for (usize, usize) {
+    type Table = PairMemo;
+
     #[inline]
     fn key(self, n: usize) -> Option<u64> {
         let (i, j) = self.split()?;
@@ -314,20 +405,8 @@ impl MemoShape for (usize, usize) {
     }
 
     #[inline]
-    fn get(tables: &mut Tables, n: usize, cell: u64) -> Option<bool> {
-        tables
-            .pairs
-            .get_or_insert_with(|| PairMemo::new(n))
-            .get(cell)
-    }
-
-    #[inline]
-    fn set(tables: &mut Tables, cell: u64, answer: bool) {
-        tables
-            .pairs
-            .as_mut()
-            .expect("allocated by get")
-            .set(cell, answer);
+    fn table(tables: &mut Tables, n: usize) -> &mut PairMemo {
+        tables.pairs.get_or_insert_with(|| PairMemo::new(n))
     }
 
     #[inline]
@@ -339,6 +418,8 @@ impl MemoShape for (usize, usize) {
 /// Quadruplet queries: the open-addressed table, keyed by the two
 /// within-pair-canonical record pairs packed 16 bits per index.
 impl MemoShape for [usize; 4] {
+    type Table = QuadMemo;
+
     #[inline]
     fn key(self, n: usize) -> Option<u64> {
         // Release-mode guard: an index above 16 bits would shift out of
@@ -354,17 +435,8 @@ impl MemoShape for [usize; 4] {
     }
 
     #[inline]
-    fn get(tables: &mut Tables, _: usize, cell: u64) -> Option<bool> {
-        tables.quads.get_or_insert_with(QuadMemo::new).get(cell)
-    }
-
-    #[inline]
-    fn set(tables: &mut Tables, cell: u64, answer: bool) {
-        tables
-            .quads
-            .as_mut()
-            .expect("allocated by get")
-            .insert(cell, answer);
+    fn table(tables: &mut Tables, _: usize) -> &mut QuadMemo {
+        tables.quads.get_or_insert_with(QuadMemo::new)
     }
 
     #[inline]
@@ -390,13 +462,18 @@ impl<Q: MemoShape, O: Oracle<Q> + PersistentNoise> Layer<Q> for MemoOracle<O> {
             return R::one(&mut self.inner, q);
         };
         self.lookups += 1;
-        if let Some(ans) = Q::get(&mut self.tables, n, cell) {
-            self.hits += 1;
-            return R::bit(ans);
-        }
+        let table = Q::table(&mut self.tables, n);
+        let (slot, seen) = table.home(cell);
+        let vacancy = match table.finish(cell, slot, seen) {
+            Ok(ans) => {
+                self.hits += 1;
+                return R::bit(ans);
+            }
+            Err(vacancy) => vacancy,
+        };
         let ans = R::one(&mut self.inner, q);
         if let Some(bit) = ans.answered() {
-            Q::set(&mut self.tables, cell, bit);
+            table.fill(cell, vacancy, bit);
         }
         ans
     }
@@ -414,42 +491,68 @@ impl<Q: MemoShape, O: Oracle<Q> + PersistentNoise> Layer<Q> for MemoOracle<O> {
     /// miss lanes are cached, and every duplicate of a faulted miss
     /// reports that lane's fault.
     ///
-    /// Mechanism, allocation-free once the scratch is warm: each query
-    /// gets a slot — a table bit, or the miss lane it waits on. A miss
-    /// probes the stamped in-flight table by cell, so a duplicate shares
-    /// its first occurrence's lane. The inner round appends the miss
-    /// answers straight onto `out`, each `Ok` one is cached under its
-    /// cell (`misses[k].key(n)`), and the slots then expand in place, back
-    /// to front: slot `i` reads a table bit or lane `k <= i`, which the
-    /// expansion has not yet overwritten.
+    /// Mechanism, allocation-free once the scratch is warm. A first pass
+    /// computes every query's cell and loads its home slot; the loads do
+    /// not depend on each other, so the round's table misses overlap
+    /// instead of waiting one after another. A second pass finishes each
+    /// lookup and gives the query a slot — a table bit, or the miss lane
+    /// it waits on. A miss probes the stamped in-flight table by cell, so
+    /// a duplicate shares its first occurrence's lane, and a first
+    /// occurrence keeps the vacancy where its lookup stopped. The inner
+    /// round appends the miss answers straight onto `out`, each `Ok` one
+    /// is cached, its probe resumed at its vacancy, and the slots then
+    /// expand in place, back to front: slot `i` reads a table bit or lane
+    /// `k <= i`, which the expansion has not yet overwritten.
     fn round<R: Reply>(&mut self, queries: &[Q], out: &mut Vec<R>) {
         let n = self.inner.records();
         let Scratch {
+            lookups: started,
             slots,
             in_flight,
             misses,
+            vacancies,
         } = &mut self.scratch;
         let misses = Q::misses(misses);
+        started.clear();
         slots.clear();
         misses.clear();
+        vacancies.clear();
         in_flight.start(queries.len());
+        started.extend(queries.iter().map(|&q| match q.key(n) {
+            Some(cell) => {
+                let (slot, seen) = Q::table(&mut self.tables, n).home(cell);
+                Lookup { cell, slot, seen }
+            }
+            None => Lookup {
+                cell: UNCACHED,
+                slot: 0,
+                seen: 0,
+            },
+        }));
         let (mut lookups, mut hits) = (0u64, 0u64);
-        for &q in queries {
-            let Some(cell) = q.key(n) else {
+        for (&q, &Lookup { cell, slot, seen }) in queries.iter().zip(started.iter()) {
+            if cell == UNCACHED {
                 slots.push(Slot::Pending(misses.len()));
                 misses.push(q);
+                vacancies.push((UNCACHED, Vacancy::default()));
                 continue;
-            };
+            }
             lookups += 1;
-            if let Some(ans) = Q::get(&mut self.tables, n, cell) {
-                hits += 1;
-                slots.push(Slot::Done(ans));
-            } else if let Some(k) = in_flight.claim(cell, misses.len()) {
-                hits += 1;
-                slots.push(Slot::Pending(k));
-            } else {
-                slots.push(Slot::Pending(misses.len()));
-                misses.push(q);
+            match Q::table(&mut self.tables, n).finish(cell, slot, seen) {
+                Ok(ans) => {
+                    hits += 1;
+                    slots.push(Slot::Done(ans));
+                }
+                Err(vacancy) => {
+                    if let Some(k) = in_flight.claim(cell, misses.len()) {
+                        hits += 1;
+                        slots.push(Slot::Pending(k));
+                    } else {
+                        slots.push(Slot::Pending(misses.len()));
+                        misses.push(q);
+                        vacancies.push((cell, vacancy));
+                    }
+                }
             }
         }
         self.lookups += lookups;
@@ -457,9 +560,12 @@ impl<Q: MemoShape, O: Oracle<Q> + PersistentNoise> Layer<Q> for MemoOracle<O> {
         let base = out.len();
         R::round(&mut self.inner, misses, out);
         debug_assert_eq!(out.len(), base + misses.len());
-        for (k, &q) in misses.iter().enumerate() {
-            if let (Some(cell), Some(bit)) = (q.key(n), out[base + k].answered()) {
-                Q::set(&mut self.tables, cell, bit);
+        for (k, &(cell, vacancy)) in vacancies.iter().enumerate() {
+            match out[base + k].answered() {
+                Some(bit) if cell != UNCACHED => {
+                    Q::table(&mut self.tables, n).fill(cell, vacancy, bit);
+                }
+                _ => {}
             }
         }
         out.resize(base + queries.len(), R::bit(false));
@@ -911,5 +1017,160 @@ mod tests {
             })
             .collect();
         assert_rounds_match_scalar_twin(|| ProbQuadOracle::new(m.clone(), 0.25, 6), &quads);
+    }
+
+    /// Three distinct record pairs' quadruplets `[x, a, b]` over `n`
+    /// records whose cells share one home slot in the initial 64-slot
+    /// table.
+    fn colliding_quads(n: usize) -> [[usize; 4]; 3] {
+        let table = QuadMemo::new();
+        let mut by_home: HashMap<usize, Vec<[usize; 4]>> = HashMap::new();
+        for a in 0..n {
+            for c in 0..n {
+                let q = [a, (a + 1) % n, c, (c + 2) % n];
+                if let Some(cell) = q.key(n) {
+                    let group = by_home.entry(table.home_slot(cell)).or_default();
+                    group.push(q);
+                    if let [x, a, b] = group[..] {
+                        return [x, a, b];
+                    }
+                }
+            }
+        }
+        panic!("no three colliding quadruplets over {n} records");
+    }
+
+    /// Where `q`'s lookup in `memo`'s quadruplet table stops.
+    fn vacancy_of<O>(memo: &mut MemoOracle<O>, q: [usize; 4], n: usize) -> Vacancy {
+        let cell = q.key(n).expect("not degenerate");
+        let table = <[usize; 4]>::table(&mut memo.tables, n);
+        let (slot, seen) = table.home(cell);
+        table.finish(cell, slot, seen).expect_err("a miss")
+    }
+
+    /// Sends `rounds` through a memo over `mk()`, each as one round on the
+    /// fallible or the infallible path, and the same queries as scalar
+    /// asks through a twin memo; after every round checks lanes, `hits`,
+    /// `lookups` and the tables. Returns the batched memo.
+    fn assert_quad_rounds_match_scalar<O>(
+        mk: impl Fn() -> O,
+        rounds: &[&[[usize; 4]]],
+        fallible: bool,
+    ) -> MemoOracle<O>
+    where
+        O: Oracle<[usize; 4]> + PersistentNoise,
+    {
+        let mut batched = MemoOracle::new(mk());
+        let mut scalar = MemoOracle::new(mk());
+        for (r, &round) in rounds.iter().enumerate() {
+            let mut got: Vec<Result<bool, QueryFault>> = Vec::new();
+            let expect: Vec<Result<bool, QueryFault>> = if fallible {
+                batched.try_ask_round(round, &mut got);
+                round.iter().map(|&q| scalar.try_ask(q)).collect()
+            } else {
+                let mut bits = Vec::new();
+                batched.ask_round(round, &mut bits);
+                got.extend(bits.into_iter().map(Ok));
+                round.iter().map(|&q| Ok(scalar.ask(q))).collect()
+            };
+            assert_eq!(got, expect, "round {r}");
+            assert_eq!(batched.hits(), scalar.hits(), "round {r}");
+            assert_eq!(batched.lookups(), scalar.lookups(), "round {r}");
+            assert!(batched.tables == scalar.tables, "round {r}: tables differ");
+        }
+        batched
+    }
+
+    fn small_metric(n: usize) -> EuclideanMetric {
+        EuclideanMetric::from_points(
+            &(0..n)
+                .map(|i| vec![(i * 7 % 19) as f64, i as f64 * 0.5])
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn two_misses_stopping_at_one_vacancy_fill_like_the_scalar_inserts() {
+        let n = 24;
+        let m = small_metric(n);
+        let [x, a, b] = colliding_quads(n);
+        // After the first round `x` sits in the shared home slot, so the
+        // lookups of `a` and `b` both stop at the slot after it; the fill
+        // of `b` resumes there and steps past `a`.
+        let mut probe = MemoOracle::new(ProbQuadOracle::new(m.clone(), 0.25, 8));
+        probe.le_batch(&[x], &mut Vec::new());
+        let (va, vb) = (vacancy_of(&mut probe, a, n), vacancy_of(&mut probe, b, n));
+        assert_eq!((va.slot, va.cap), (vb.slot, vb.cap));
+        let round = [a, [4, 5, 6, 7], b, a, [5, 4, 7, 6]];
+        assert_quad_rounds_match_scalar(
+            || ProbQuadOracle::new(m.clone(), 0.25, 8),
+            &[&[x], &round],
+            false,
+        );
+    }
+
+    #[test]
+    fn a_round_whose_fills_cross_the_growth_threshold_matches_the_scalar_inserts() {
+        let n = 24;
+        let m = small_metric(n);
+        let fresh = |range: std::ops::Range<usize>| -> Vec<[usize; 4]> {
+            // The first pair alone tells the cells apart: index `i % n`
+            // and its neighbour `1 + i / n` places on.
+            range
+                .map(|i| {
+                    [
+                        i % n,
+                        (i + 1 + i / n) % n,
+                        (5 * i + 3) % n,
+                        (5 * i + 11) % n,
+                    ]
+                })
+                .collect()
+        };
+        // 40 cells fill the 64-slot table to just under its 48-entry
+        // threshold; the second round's 20 fresh misses cross it on the
+        // ninth fill, so the later fills probe the grown table afresh.
+        let warm = fresh(0..40);
+        let mut round = fresh(40..60);
+        round.extend(fresh(0..6)); // hits
+        round.extend(fresh(50..53)); // in-round duplicates
+        let memo = assert_quad_rounds_match_scalar(
+            || ProbQuadOracle::new(m.clone(), 0.25, 9),
+            &[&warm, &[], &round],
+            false,
+        );
+        assert_eq!(memo.tables.quads.as_ref().unwrap().keys.len(), 128);
+    }
+
+    #[test]
+    fn a_faulted_miss_between_two_misses_sharing_a_vacancy_is_left_uncached() {
+        let n = 24;
+        let m = small_metric(n);
+        let [x, a, b] = colliding_quads(n);
+        let f = [2, 9, 3, 11];
+        let mk = |seed| {
+            FaultyOracle::new(
+                ProbQuadOracle::new(m.clone(), 0.25, 10),
+                FaultPlan::new(seed).transient(0.5),
+            )
+        };
+        // A plan whose fallible asks go Ok (x), then Ok, Err, Ok (a, f, b).
+        let seed = (0..200u64)
+            .find(|&seed| {
+                let mut memo = MemoOracle::new(mk(seed));
+                let (mut warm, mut lanes) = (Vec::new(), Vec::new());
+                memo.try_le_batch(&[x], &mut warm);
+                memo.try_le_batch(&[a, f, b], &mut lanes);
+                warm[0].is_ok() && lanes[0].is_ok() && lanes[1].is_err() && lanes[2].is_ok()
+            })
+            .expect("a plan with the wanted fates");
+        let memo = assert_quad_rounds_match_scalar(|| mk(seed), &[&[x], &[a, f, b]], true);
+        let uncached = [a, f, b].map(|q| {
+            let cell = q.key(n).unwrap();
+            let table = memo.tables.quads.as_ref().unwrap();
+            let (slot, seen) = table.home(cell);
+            table.finish(cell, slot, seen).is_err()
+        });
+        assert_eq!(uncached, [false, true, false]);
     }
 }

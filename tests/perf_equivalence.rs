@@ -490,6 +490,223 @@ mod batch_equivalence {
             assert_key_round_matches_scalar(&scenario, seed, &items, assigned, "assigned");
         }
     }
+
+    /// Records every query that reaches it, in order, and counts the
+    /// batched rounds and the scalar asks.
+    struct Recording {
+        inner: Box<dyn QuadrupletOracle>,
+        queries: Vec<[usize; 4]>,
+        rounds: usize,
+        scalar: usize,
+    }
+
+    impl Recording {
+        fn new(inner: Box<dyn QuadrupletOracle>) -> Self {
+            Self {
+                inner,
+                queries: Vec::new(),
+                rounds: 0,
+                scalar: 0,
+            }
+        }
+    }
+
+    impl QuadrupletOracle for Recording {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
+            self.scalar += 1;
+            self.queries.push([a, b, c, d]);
+            self.inner.le(a, b, c, d)
+        }
+
+        fn le_batch(&mut self, queries: &[[usize; 4]], out: &mut Vec<bool>) {
+            self.rounds += 1;
+            self.queries.extend_from_slice(queries);
+            self.inner.le_batch(queries, out);
+        }
+    }
+
+    /// Forwards scalar asks only: its `le_batch` is the trait's default
+    /// loop of `le` calls, so every round reaches the oracle below as
+    /// scalar asks.
+    struct ScalarAsks<O>(O);
+
+    impl<O: QuadrupletOracle> QuadrupletOracle for ScalarAsks<O> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+
+        fn le(&mut self, a: usize, b: usize, c: usize, d: usize) -> bool {
+            self.0.le(a, b, c, d)
+        }
+    }
+
+    /// Runs `engine` over a recording oracle from `make` and over a
+    /// scalar-only twin, and asserts equal answers and the identical query
+    /// sequence. Returns the batched run's queries, rounds and scalar asks.
+    fn assert_metric_engine_matches_scalar<T: PartialEq + std::fmt::Debug>(
+        make: impl Fn() -> Box<dyn QuadrupletOracle>,
+        engine: impl Fn(&mut dyn QuadrupletOracle) -> T,
+        label: &str,
+    ) -> (usize, usize, usize) {
+        let mut batched = Recording::new(make());
+        let mut scalar = ScalarAsks(Recording::new(make()));
+        let got = engine(&mut batched);
+        let expect = engine(&mut scalar);
+        assert_eq!(got, expect, "{label}: answers differ");
+        assert_eq!(scalar.0.rounds, 0, "{label}");
+        assert!(
+            batched.queries == scalar.0.queries,
+            "{label}: query sequences differ"
+        );
+        (batched.queries.len(), batched.rounds, batched.scalar)
+    }
+
+    /// The metric engines whose independent committees go out as whole
+    /// waves — k-center's Assign under both noise models, ClusterComp and
+    /// PairwiseComp tournament levels, the core-set scoring — answer and
+    /// ask exactly as they do when every query reaches the oracle as a
+    /// scalar ask, under the exact, adversarial, probabilistic and crowd
+    /// models across 20 seeds; and they ask in far fewer rounds than
+    /// committees, the probabilistic ones without a single scalar ask.
+    #[test]
+    fn metric_engines_ask_waves_in_scalar_order_across_20_seeds() {
+        use nco_core::kcenter::{kcenter_prob, KCenterProbParams};
+        use nco_core::neighbor::{farthest_prob, nearest_prob};
+        let scenario = MetricScenario::separated_blobs(4, 12, 30.0, 23);
+        let n = scenario.n();
+        let adv = KCenterAdvParams::experimental(4);
+        let prob = KCenterProbParams::experimental(4, 12);
+        let search = AdvParams::experimental();
+        for seed in 0..20u64 {
+            let q = (seed as usize * 5) % n;
+            for model in ["exact", "adversarial", "probabilistic", "crowd"] {
+                let make = || -> Box<dyn QuadrupletOracle> {
+                    match model {
+                        "exact" => Box::new(scenario.exact_oracle()),
+                        "adversarial" => Box::new(scenario.adversarial_oracle(0.3)),
+                        "probabilistic" => Box::new(scenario.probabilistic_oracle(0.15, seed)),
+                        _ => Box::new(scenario.crowd_oracle(AccuracyProfile::caltech_like(), seed)),
+                    }
+                };
+                let label = |engine: &str| format!("{engine}, {model}, seed {seed}");
+                let (queries, rounds, _) = assert_metric_engine_matches_scalar(
+                    make,
+                    |mut o| kcenter_adv(&adv, &mut o, &mut rng(seed)),
+                    &label("kcenter_adv"),
+                );
+                // One Assign wave per new center, not one round per point.
+                assert!(queries > 10 * rounds, "{}", label("kcenter_adv"));
+                // The probabilistic engines ask no scalar query at all (the
+                // sample holds every point, so Assign-Final never votes).
+                let (_, _, scalar) = assert_metric_engine_matches_scalar(
+                    make,
+                    |mut o| kcenter_prob(&prob, &mut o, &mut rng(seed)),
+                    &label("kcenter_prob"),
+                );
+                assert_eq!(scalar, 0, "{}", label("kcenter_prob"));
+                let (_, _, scalar) = assert_metric_engine_matches_scalar(
+                    make,
+                    |mut o| nearest_prob(&mut o, q, 0.1, &search, &mut rng(seed)),
+                    &label("nearest_prob"),
+                );
+                assert_eq!(scalar, 0, "{}", label("nearest_prob"));
+                let (_, _, scalar) = assert_metric_engine_matches_scalar(
+                    make,
+                    |mut o| farthest_prob(&mut o, q, 0.1, &search, &mut rng(seed)),
+                    &label("farthest_prob"),
+                );
+                assert_eq!(scalar, 0, "{}", label("farthest_prob"));
+            }
+        }
+    }
+
+    /// FNV-1a over a query transcript.
+    fn transcript_digest(queries: &[[usize; 4]]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &x in queries.iter().flatten() {
+            for byte in (x as u64).to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The waves ask exactly the queries, in exactly the order, that the
+    /// engines asked when every committee was its own round: FNV-1a
+    /// digests of each engine's transcript under each noise model, pinned
+    /// from that one-round-per-committee build.
+    #[test]
+    fn wave_transcripts_match_the_one_round_per_committee_engines() {
+        use nco_core::kcenter::{kcenter_prob, KCenterProbParams};
+        use nco_core::neighbor::{farthest_prob, nearest_prob};
+        let scenario = MetricScenario::separated_blobs(4, 12, 30.0, 23);
+        let adv = KCenterAdvParams::experimental(4);
+        let prob = KCenterProbParams::experimental(4, 12);
+        let search = AdvParams::experimental();
+        const PINNED: [[u64; 4]; 4] = [
+            [
+                0xe450_cdb0_2753_5b5d,
+                0xf34e_fe68_939c_c499,
+                0xcf8c_f959_9032_bd14,
+                0xbac8_0a89_245e_4b14,
+            ],
+            [
+                0x54f6_c2bf_f75f_9777,
+                0xf8e5_bd1d_37b8_6d15,
+                0xebfe_2f3e_aa53_8494,
+                0xf9c1_5004_bbff_bc94,
+            ],
+            [
+                0x5b58_13dd_11ed_1d88,
+                0x4326_9db0_9e08_29d7,
+                0xabc4_e63d_4d47_5194,
+                0xaaf6_3a34_9ea0_dc94,
+            ],
+            [
+                0x22fd_5ca5_0d44_417d,
+                0x889a_a976_1f7b_c754,
+                0xd943_ec2f_c4df_8d94,
+                0xd5ce_beea_f4d6_0d94,
+            ],
+        ];
+        for (model, pinned) in ["exact", "adversarial", "probabilistic", "crowd"]
+            .into_iter()
+            .zip(PINNED)
+        {
+            let make = || -> Box<dyn QuadrupletOracle> {
+                match model {
+                    "exact" => Box::new(scenario.exact_oracle()),
+                    "adversarial" => Box::new(scenario.adversarial_oracle(0.3)),
+                    "probabilistic" => Box::new(scenario.probabilistic_oracle(0.15, 3)),
+                    _ => Box::new(scenario.crowd_oracle(AccuracyProfile::caltech_like(), 3)),
+                }
+            };
+            let mut digests = Vec::new();
+            let mut digest = |run: &dyn Fn(&mut Recording)| {
+                let mut o = Recording::new(make());
+                run(&mut o);
+                digests.push(transcript_digest(&o.queries));
+            };
+            digest(&|mut o| {
+                kcenter_adv(&adv, &mut o, &mut rng(3));
+            });
+            digest(&|mut o| {
+                kcenter_prob(&prob, &mut o, &mut rng(3));
+            });
+            digest(&|mut o| {
+                nearest_prob(&mut o, 7, 0.1, &search, &mut rng(3));
+            });
+            digest(&|mut o| {
+                farthest_prob(&mut o, 7, 0.1, &search, &mut rng(3));
+            });
+            // kcenter_adv, kcenter_prob, nearest_prob, farthest_prob.
+            assert_eq!(digests, pinned, "{model}");
+        }
+    }
 }
 
 mod dist_cache_equivalence {
@@ -619,5 +836,35 @@ mod round_accounting {
                 }
             }
         }
+    }
+
+    /// `RunReport.rounds` of a k-center request under each noise model
+    /// and of a probabilistic nearest-neighbour request: the independent
+    /// committees of a wave share a round, so a return to one round per
+    /// committee vote moves these pins.
+    #[test]
+    fn kcenter_and_probabilistic_nearest_rounds_are_pinned() {
+        let points: Vec<Vec<f64>> = (0..48)
+            .map(|i| vec![(i % 7) as f64 * 1.9, (i / 7) as f64])
+            .collect();
+        let run = |noise: Noise, task: Task| {
+            let outcome = Session::builder()
+                .points(&points)
+                .noise(noise)
+                .seed(5)
+                .build()
+                .unwrap()
+                .run(task)
+                .unwrap();
+            (outcome.report.queries, outcome.report.rounds)
+        };
+        let prob = Noise::Probabilistic { p: 0.15, seed: 77 };
+        let adv = Noise::Adversarial { mu: 0.2 };
+        // (queries, rounds); one round per committee read (5693, 478),
+        // (608, 147) and (5634, 118), the nearest request's core-set
+        // scoring asking scalar queries outside any round.
+        assert_eq!(run(prob, Task::KCenter { k: 4 }), (5693, 19));
+        assert_eq!(run(adv, Task::KCenter { k: 4 }), (608, 15));
+        assert_eq!(run(prob, Task::Nearest { q: 9 }), (5634, 5));
     }
 }
