@@ -6,12 +6,23 @@
 //! the queue. Two mechanisms make concurrent serving cheaper than
 //! running the same requests one by one:
 //!
-//! * **A shared exact answer memo** — the backend is a
-//!   [`MemoOracle`] over the session's (persistent) noise model, so a
-//!   query any request has asked before is answered for free, across
-//!   requests. Per-request accounting is unchanged: each request bills
-//!   the queries and rounds *it issued*, exactly as a solo
-//!   [`crate::Session::run`] would (pinned in `tests/serve_plane.rs`).
+//! * **A shared exact answer memo** — the backend memoises the
+//!   session's (persistent) noise model, so a query any request has
+//!   asked before is answered for free, across requests. Per-request
+//!   accounting is unchanged: each request bills the queries and rounds
+//!   *it issued*, exactly as a solo [`crate::Session::run`] would
+//!   (pinned in `tests/serve_plane.rs`). Quadruplet queries spread over
+//!   64 memo stripes by a hash of their memo cell, each a [`MemoOracle`]
+//!   behind its own lock, so concurrent requests probe different stripes
+//!   at once; every stripe asks its misses of one shared oracle chain
+//!   behind a lock of its own. A round takes one stripe lock at a time,
+//!   leaving stripes another request holds to the end of its walk, and
+//!   the chain lock only inside one, so the lock order is always stripe,
+//!   then chain. A cell lives in exactly one stripe, whose lock
+//!   covers its lookup, ask and fill, so every distinct cell reaches the
+//!   oracle once, whichever request asks it first. Comparison queries
+//!   keep one stripe: their memo is a dense triangle that every further
+//!   stripe would allocate again.
 //! * **Budget pooling with admission control** — an optional
 //!   [`BudgetPool`] caps the total queries the server will issue across
 //!   all requests. Admission is all-or-nothing per round: a refused
@@ -68,12 +79,13 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use nco_metric::hashing::splitmix64;
 use nco_oracle::adversarial::{AdversarialOracle, InvertAdversary};
 use nco_oracle::budget::{BudgetPool, Budgeted, OVER_BUDGET_ANSWER};
 use nco_oracle::crowd::CrowdOracle;
@@ -93,8 +105,8 @@ use crate::task::Task;
 
 /// Locks a mutex, recovering from poisoning: a request that panicked
 /// while holding a shared lock must not wedge the rest of the plane. The
-/// guarded structures keep their invariants on unwind — the memo fills
-/// its cache only after the inner oracle returns, and the meters at
+/// guarded structures keep their invariants on unwind — a memo stripe
+/// fills its cache only after the chain returns, and the meters at
 /// worst undercount the aborted round — so the data is safe to reuse.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -156,52 +168,203 @@ impl<Q> PersistentNoise for Boxed<Q> {}
 // ---------------------------------------------------------------------
 
 // The shared backend chain, inside out: the template's fault plan wraps
-// the raw boxed oracle, the counter bills every ask (retries included),
-// the retry layer masks faults the policy can absorb, and the memo
-// dedups across requests — so a memo hit never spends a retry and a
-// faulted lane is never cached.
-type Backend<Q> = MemoOracle<Retrying<Counting<FaultyOracle<Boxed<Q>>>>>;
+// the raw boxed oracle, the counter bills every ask (retries included)
+// and the retry layer masks faults the policy can absorb. One chain sits
+// behind its own lock; the memo stripes in front of it dedup across
+// requests, so a memo hit never spends a retry and a faulted lane is
+// never cached.
+type Chain<Q> = Retrying<Counting<FaultyOracle<Boxed<Q>>>>;
 
-/// The shared half of the serving plane for query shape `Q`: the
-/// memoised backend and the pooled budget.
+/// One memo stripe: a [`MemoOracle`] over a handle to the shared chain.
+type Stripe<Q> = MemoOracle<ChainHandle<Q>>;
+
+/// A stripe's handle on the shared chain. It takes the chain lock for
+/// each inner ask, and only a stripe whose lock is held asks, so the
+/// lock order is always stripe, then chain.
+struct ChainHandle<Q> {
+    n: usize,
+    chain: Arc<Mutex<Chain<Q>>>,
+}
+
+impl<Q: Copy> Oracle<Q> for ChainHandle<Q>
+where
+    Chain<Q>: Oracle<Q>,
+{
+    fn records(&self) -> usize {
+        self.n
+    }
+
+    fn ask(&mut self, q: Q) -> bool {
+        relock(&self.chain).ask(q)
+    }
+
+    /// A round the memo answered in full leaves the chain lock alone; an
+    /// empty round moves no counter of the chain.
+    fn ask_round(&mut self, queries: &[Q], out: &mut Vec<bool>) {
+        if !queries.is_empty() {
+            relock(&self.chain).ask_round(queries, out);
+        }
+    }
+}
+
+/// Sound for the reason [`Boxed`]'s impl is: the chain only holds the
+/// persistent models, and its retries re-read the same belief.
+impl<Q> PersistentNoise for ChainHandle<Q> {}
+
+/// How a query shape spreads over memo stripes.
+trait Striped: Copy + Default {
+    /// The stripes a plane of this shape keeps.
+    const STRIPES: usize;
+
+    /// The stripe of this query's memo cell, below [`Self::STRIPES`]:
+    /// every query of one cell maps to the same stripe.
+    fn stripe(self) -> usize;
+}
+
+/// Comparison queries keep one stripe: their memo is a dense triangle of
+/// `n (n - 1) / 4` bytes, which every further stripe would allocate again.
+impl Striped for (usize, usize) {
+    const STRIPES: usize = 1;
+
+    #[inline]
+    fn stripe(self) -> usize {
+        0
+    }
+}
+
+/// Quadruplet queries spread over 64 stripes by the high bits of
+/// `splitmix64` over the memo's canonical cell (within-pair order
+/// sorted, 16 bits per index); the memo's open-addressed table takes a
+/// slot from the low bits of the same hash, so the two stay independent.
+impl Striped for [usize; 4] {
+    const STRIPES: usize = 1 << QUAD_STRIPE_BITS;
+
+    #[inline]
+    fn stripe(self) -> usize {
+        let [a, b, c, d] = self.map(|i| i as u64);
+        let cell = (a.min(b) << 48) | (a.max(b) << 32) | (c.min(d) << 16) | c.max(d);
+        (splitmix64(cell) >> (64 - QUAD_STRIPE_BITS)) as usize
+    }
+}
+
+const QUAD_STRIPE_BITS: u32 = 6;
+
+// A round notes its busy stripes in one `u64` mask.
+const _: () = assert!(QUAD_STRIPE_BITS <= 6);
+
+/// The shared half of the serving plane for query shape `Q`: the memo
+/// stripes, the chain behind them and the pooled budget.
 struct Plane<Q> {
-    backend: Mutex<Backend<Q>>,
+    stripes: Box<[Mutex<Stripe<Q>>]>,
+    chain: Arc<Mutex<Chain<Q>>>,
+    /// Where the next round starts its walk over the stripes, so
+    /// concurrent rounds tend to start on different stripe locks.
+    rotor: AtomicUsize,
     /// Admitted non-empty batched rounds sent to the backend.
     rounds: AtomicU64,
     pool: BudgetPool,
 }
 
-impl<Q: Copy> Plane<Q> {
+impl<Q: Striped> Plane<Q> {
     /// The plane over `raw`, under the template's fault plan and retry
     /// policy, with a pooled budget of `pool_budget` queries.
     fn new(raw: Box<dyn Oracle<Q> + Send>, cfg: &Config, pool_budget: Option<u64>) -> Self {
+        let n = raw.records();
         let plan = cfg.fault_plan.unwrap_or_else(FaultPlan::none);
         let policy = cfg.retry.unwrap_or_default();
-        let chain = Retrying::new(Counting::new(FaultyOracle::new(Boxed(raw), plan)), policy);
+        let chain = Arc::new(Mutex::new(Retrying::new(
+            Counting::new(FaultyOracle::new(Boxed(raw), plan)),
+            policy,
+        )));
+        let stripes = (0..Q::STRIPES)
+            .map(|_| {
+                Mutex::new(MemoOracle::new(ChainHandle {
+                    n,
+                    chain: Arc::clone(&chain),
+                }))
+            })
+            .collect();
         Self {
-            backend: Mutex::new(MemoOracle::new(chain)),
+            stripes,
+            chain,
+            rotor: AtomicUsize::new(0),
             rounds: AtomicU64::new(0),
             pool: BudgetPool::new(pool_budget),
         }
     }
 }
 
+/// A request's scratch for splitting its rounds by stripe, kept between
+/// its rounds: the round's queries grouped by stripe, each one's index in
+/// the round, where each stripe's group starts, and one stripe's answers.
+#[derive(Default)]
+struct Split<Q> {
+    grouped: Vec<Q>,
+    lanes: Vec<usize>,
+    starts: Vec<usize>,
+    answers: Vec<bool>,
+}
+
+impl<Q: Striped> Split<Q> {
+    /// Asks stripe `s`'s group of the round through `stripe` and
+    /// scatters the answers to their lanes of `out`.
+    fn send(&mut self, s: usize, stripe: &mut Stripe<Q>, out: &mut [bool])
+    where
+        Stripe<Q>: Oracle<Q>,
+    {
+        let (lo, hi) = (self.starts[s], self.starts[s + 1]);
+        self.answers.clear();
+        stripe.ask_round(&self.grouped[lo..hi], &mut self.answers);
+        for (&lane, &ans) in self.lanes[lo..hi].iter().zip(&self.answers) {
+            out[lane] = ans;
+        }
+    }
+
+    /// Groups `queries` by stripe, keeping query order within a group.
+    fn group(&mut self, queries: &[Q]) {
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(Q::STRIPES + 1, 0);
+        for &q in queries {
+            starts[q.stripe() + 1] += 1;
+        }
+        for s in 1..=Q::STRIPES {
+            starts[s] += starts[s - 1];
+        }
+        self.grouped.clear();
+        self.grouped.resize(queries.len(), queries[0]);
+        self.lanes.clear();
+        self.lanes.resize(queries.len(), 0);
+        // As a cursor, `starts[s]` ends at group `s`'s end, the next
+        // group's start: shifting by one slot restores every start.
+        for (i, &q) in queries.iter().enumerate() {
+            let at = &mut starts[q.stripe()];
+            self.grouped[*at] = q;
+            self.lanes[*at] = i;
+            *at += 1;
+        }
+        starts.copy_within(0..Q::STRIPES, 1);
+        starts[0] = 0;
+    }
+}
+
 /// The view one request has of the shared plane: rounds go pool
-/// admission → shared memoised backend. Wrapped in a per-request
-/// [`Budgeted`] by the worker, so the request's own meters tick exactly
-/// as in a solo run.
+/// admission → the memo stripes of their cells → the shared chain.
+/// Wrapped in a per-request [`Budgeted`] by the worker, so the request's
+/// own meters tick exactly as in a solo run.
 struct Served<'p, Q> {
     n: usize,
     plane: &'p Plane<Q>,
+    split: Split<Q>,
     /// Set once the pool refused this request a reservation; from then
     /// on the request is doomed (reported as `BudgetExceeded`) and its
     /// remaining queries get the constant refusal bit.
     starved: bool,
 }
 
-impl<Q: Copy> Oracle<Q> for Served<'_, Q>
+impl<Q: Striped> Oracle<Q> for Served<'_, Q>
 where
-    Backend<Q>: Oracle<Q>,
+    Stripe<Q>: Oracle<Q>,
 {
     fn records(&self) -> usize {
         self.n
@@ -212,9 +375,13 @@ where
             self.starved = true;
             return OVER_BUDGET_ANSWER;
         }
-        relock(&self.plane.backend).ask(q)
+        relock(&self.plane.stripes[q.stripe()]).ask(q)
     }
 
+    /// Sends the round's queries of each stripe as one sub-round through
+    /// that stripe, walking the stripes from a rotating start, holding
+    /// one stripe lock at a time and leaving busy stripes to the end,
+    /// and scatters the answers back into query order.
     fn ask_round(&mut self, queries: &[Q], out: &mut Vec<bool>) {
         if queries.is_empty() {
             return;
@@ -224,8 +391,38 @@ where
             out.extend(std::iter::repeat_n(OVER_BUDGET_ANSWER, queries.len()));
             return;
         }
-        relock(&self.plane.backend).ask_round(queries, out);
-        self.plane.rounds.fetch_add(1, Ordering::Relaxed);
+        let plane = self.plane;
+        if let [stripe] = &plane.stripes[..] {
+            relock(stripe).ask_round(queries, out);
+        } else {
+            let split = &mut self.split;
+            split.group(queries);
+            let base = out.len();
+            out.resize(base + queries.len(), false);
+            let out = &mut out[base..];
+            // A stripe another request holds is skipped and revisited
+            // once the walk is done, so two requests do not queue up
+            // behind each other stripe after stripe.
+            let first = plane.rotor.fetch_add(1, Ordering::Relaxed);
+            let mut busy = 0u64;
+            for k in 0..Q::STRIPES {
+                let s = (first + k) % Q::STRIPES;
+                if split.starts[s] == split.starts[s + 1] {
+                    continue;
+                }
+                match plane.stripes[s].try_lock() {
+                    Ok(mut stripe) => split.send(s, &mut stripe, out),
+                    Err(TryLockError::Poisoned(p)) => split.send(s, &mut p.into_inner(), out),
+                    Err(TryLockError::WouldBlock) => busy |= 1 << s,
+                }
+            }
+            while busy != 0 {
+                let s = busy.trailing_zeros() as usize;
+                busy &= busy - 1;
+                split.send(s, &mut relock(&plane.stripes[s]), out);
+            }
+        }
+        plane.rounds.fetch_add(1, Ordering::Relaxed);
     }
 
     fn is_doomed(&self) -> bool {
@@ -269,11 +466,16 @@ trait ServingPlane: Send + Sync {
     /// `[backend queries, memo hits, retries, faults masked, backend
     /// rounds, pool spent, pool cap]`.
     fn counters(&self) -> [u64; 7];
+
+    /// The memo stripes of the plane.
+    #[cfg(test)]
+    fn stripes(&self) -> usize;
 }
 
-impl<Q: Copy + Send + 'static> ServingPlane for Plane<Q>
+impl<Q: Striped + Send + 'static> ServingPlane for Plane<Q>
 where
-    Backend<Q>: Oracle<Q>,
+    Stripe<Q>: Oracle<Q>,
+    Chain<Q>: Oracle<Q>,
     for<'p> ProbeOracle<Budgeted<Served<'p, Q>>>: Engines<Q>,
 {
     fn attempt(
@@ -287,6 +489,7 @@ where
         let served = Served {
             n: session.engine().n(),
             plane: self,
+            split: Split::default(),
             starved: false,
         };
         let probe = session.probe_plan();
@@ -324,20 +527,26 @@ where
     }
 
     fn failed(&self) -> Option<u32> {
-        relock(&self.backend).inner().failed()
+        relock(&self.chain).failed()
     }
 
     fn counters(&self) -> [u64; 7] {
-        let b = relock(&self.backend);
+        let hits = self.stripes.iter().map(|s| relock(s).hits()).sum();
+        let chain = relock(&self.chain);
         [
-            b.inner().inner().queries(),
-            b.hits(),
-            b.inner().retries(),
-            b.inner().faults_masked(),
+            chain.inner().queries(),
+            hits,
+            chain.retries(),
+            chain.faults_masked(),
             self.rounds.load(Ordering::Relaxed),
             self.pool.spent(),
             self.pool.cap(),
         ]
+    }
+
+    #[cfg(test)]
+    fn stripes(&self) -> usize {
+        self.stripes.len()
     }
 }
 
@@ -649,10 +858,13 @@ pub struct ServeStats {
     /// amortisation win is `sum of per-request queries - backend_queries`.
     /// Deterministic for a given request set: under persistent noise the
     /// memo admits each distinct query exactly once, whichever request
-    /// asks it first, so the total is interleaving-independent.
+    /// asks it first — a query's memo cell lives in one stripe, whose
+    /// lock covers the lookup, the ask and the fill — so the total is
+    /// interleaving-independent. Degenerate queries (a record or pair
+    /// against itself) are not memoised and count every time.
     pub backend_queries: u64,
-    /// Cross-request memo hits at the shared backend (total lookups
-    /// minus first occurrences — interleaving-independent, like
+    /// Cross-request memo hits, summed over the memo stripes (total
+    /// lookups minus first occurrences — interleaving-independent, like
     /// [`Self::backend_queries`]).
     pub memo_hits: u64,
     /// Batched rounds sent to the shared backend: one per admitted
@@ -808,5 +1020,73 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.close_and_join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs one request on a one-worker server over `template` and
+    /// returns the plane's stripe count.
+    fn stripes_after(template: Session, task: Task) -> usize {
+        let server = Server::builder(template).workers(1).build().unwrap();
+        server
+            .submit(Request { task, seed: 3 })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(server.stats().memo_hits > 0);
+        server.shared.plane.stripes()
+    }
+
+    #[test]
+    fn a_value_server_keeps_one_dense_comparison_table() {
+        let values = Session::builder()
+            .values((0..96).map(|i| f64::from((i * 37) % 101)).collect())
+            .noise(Noise::Probabilistic { p: 0.1, seed: 4 })
+            .build()
+            .unwrap();
+        assert_eq!(stripes_after(values, Task::Max), 1);
+        let points: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![f64::from(i % 7), f64::from(i / 7)])
+            .collect();
+        let metric = Session::builder()
+            .points(&points)
+            .noise(Noise::Probabilistic { p: 0.1, seed: 4 })
+            .build()
+            .unwrap();
+        assert_eq!(stripes_after(metric, Task::KCenter { k: 3 }), 64);
+    }
+
+    #[test]
+    fn a_round_groups_by_stripe_in_query_order() {
+        let queries: Vec<[usize; 4]> = (0..300)
+            .map(|i| [i % 17, (i * 7) % 23, (i * 5) % 19, i % 29])
+            .collect();
+        let mut split = Split::default();
+        for round in [&queries[..], &queries[..40], &queries[..1]] {
+            split.group(round);
+            assert_eq!(split.starts[0], 0);
+            assert_eq!(split.starts[64], round.len());
+            for s in 0..64 {
+                let lanes = &split.lanes[split.starts[s]..split.starts[s + 1]];
+                assert!(
+                    lanes.windows(2).all(|w| w[0] < w[1]),
+                    "stripe {s} out of order"
+                );
+                for &lane in lanes {
+                    assert_eq!(round[lane].stripe(), s);
+                }
+            }
+            let mut seen = split.lanes.clone();
+            seen.sort_unstable();
+            assert!(seen.iter().copied().eq(0..round.len()));
+            for (&q, &lane) in split.grouped.iter().zip(&split.lanes) {
+                assert_eq!(q, round[lane]);
+            }
+        }
+        // Both orders within a pair share a cell, so a stripe.
+        assert_eq!([3, 9, 4, 1].stripe(), [9, 3, 1, 4].stripe());
     }
 }

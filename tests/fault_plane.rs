@@ -254,6 +254,18 @@ fn served_fault_storm_is_masked_with_identical_answers() {
         assert!(stats.faults_masked > 0);
         assert_eq!(stats.panics, 0);
         assert_eq!(stats.deadline_kills, 0);
+        // Pinned from the build whose memo sat behind one backend lock:
+        // striping the memo by cell moves no server tally.
+        assert_eq!(
+            [
+                stats.backend_queries,
+                stats.memo_hits,
+                stats.backend_rounds,
+                stats.retries
+            ],
+            [12_141, 3_594, 79, 2_250],
+            "server tallies with {workers} workers"
+        );
         stats
     };
     let (pooled, serial) = (storm(3), storm(1));

@@ -125,12 +125,105 @@ fn served_metric_requests_match_solo_sessions() {
         assert!(stats.memo_hits > 0);
         assert!(stats.backend_rounds > 0);
         assert_eq!(stats.coalesced_rounds, 0);
+        // Pinned from the build whose memo sat behind one backend lock:
+        // striping the memo by cell moves no server tally.
+        assert_eq!(
+            [
+                stats.backend_queries,
+                stats.memo_hits,
+                stats.backend_rounds,
+                stats.retries
+            ],
+            [21_899, 7_716, 549, 0],
+            "server tallies with {workers} workers"
+        );
         runs.push(stats);
     }
     let (one, three) = (&runs[0], &runs[1]);
     assert_eq!(one.backend_queries, three.backend_queries);
     assert_eq!(one.memo_hits, three.memo_hits);
     assert_eq!(one.backend_rounds, three.backend_rounds);
+}
+
+/// Copies of one request set race through a four-worker server, each
+/// request's copies picked up together. Every distinct memo cell still
+/// reaches the backend once, and every other lookup is a memo hit. (No
+/// hierarchy request: it also asks degenerate queries, a pair against
+/// itself, which the memo forwards uncached.)
+#[test]
+fn racing_copies_of_a_request_set_ask_each_cell_once() {
+    let requests = [
+        Request {
+            task: Task::Nearest { q: 7 },
+            seed: 5,
+        },
+        Request {
+            task: Task::Farthest { q: 20 },
+            seed: 6,
+        },
+        Request {
+            task: Task::KCenter { k: 3 },
+            seed: 7,
+        },
+        Request {
+            task: Task::KCenter { k: 5 },
+            seed: 8,
+        },
+    ];
+    let solo: Vec<_> = requests
+        .iter()
+        .map(|request| {
+            Session::builder()
+                .points(&grid_points(45))
+                .noise(Noise::Probabilistic { p: 0.1, seed: 77 })
+                .cache_distances(true)
+                .seed(request.seed)
+                .build()
+                .unwrap()
+                .run(request.task)
+                .unwrap()
+        })
+        .collect();
+    let billed: u64 = solo.iter().map(|o| o.report.queries).sum();
+
+    // One copy on one worker gives the set's distinct cells and its
+    // non-empty rounds.
+    let mut one = None;
+    for (workers, copies) in [(1, 1u64), (4, 4)] {
+        let server = Server::builder(metric_template(45))
+            .workers(workers)
+            .build()
+            .unwrap();
+        let handles: Vec<_> = requests
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &r)| (0..copies).map(move |_| (i, r)))
+            .map(|(i, r)| (i, server.submit(r).unwrap()))
+            .collect();
+        for (i, handle) in handles {
+            let outcome = handle.join().unwrap();
+            let request = requests[i];
+            assert_eq!(
+                outcome.answer, solo[i].answer,
+                "{request:?}, {copies} copies"
+            );
+            assert_eq!(
+                outcome.report.queries, solo[i].report.queries,
+                "{request:?}"
+            );
+            assert_eq!(outcome.report.rounds, solo[i].report.rounds, "{request:?}");
+        }
+        let stats = server.shutdown();
+        let (distinct, rounds) = *one.get_or_insert((stats.backend_queries, stats.backend_rounds));
+        assert!(distinct < billed);
+        assert_eq!(stats.backend_queries, distinct, "{copies} copies");
+        assert_eq!(
+            stats.memo_hits,
+            copies * billed - distinct,
+            "{copies} copies"
+        );
+        assert_eq!(stats.backend_rounds, copies * rounds, "{copies} copies");
+    }
 }
 
 #[test]
