@@ -16,7 +16,7 @@
 //! | `slink_crowd_n512` | single linkage under the 3-worker crowd oracle, lazy 128-d distances: a round reads a repeated right-hand pair's distance once |
 //! | `kcenter_n1024` | Algorithm 6 greedy 32-center over 1024 128-d points, adversarial `mu = 0.2`, one `DistCache` across reps |
 //! | `session_kcenter_n1024` | **A/B:** the same k-center called directly vs through the facade's `Session` front door (7 interleaved pairs) |
-//! | `serve_mixed_n512` | **A/B:** a mixed request stream as sequential solo sessions vs the concurrent serving plane (PR 6) |
+//! | `serve_mixed_n512` | **A/B:** a mixed request stream as sequential solo sessions vs the concurrent serving plane (PR 6, 5 interleaved pairs) |
 //! | `serve_faulty_n512` | the serving plane under a seeded fault storm, every fault masked by bounded retry (PR 7) |
 //! | `adaptive_noise_n512` | **A/B:** silently fixed-rate sessions vs probe + `AdaptPolicy::Escalate` under a misspecified rate (PR 8) |
 //! | `sort_n1024` | full noisy sort (skeleton insertion + polish) over 1024 hidden values, persistent `p = 0.2` (PR 9) |
@@ -512,9 +512,14 @@ fn run_session_kcenter(n: usize, k: usize, reps: usize) -> WorkloadReport {
 // plane under a seeded fault storm.
 // ---------------------------------------------------------------------
 
+/// Solo and served passes of `serve_mixed` alternate this many times;
+/// the report carries the median of each and the spread of the per-pair
+/// ratios, since one pass of a thread pool swings widely run to run.
+const SERVE_MIXED_PAIRS: usize = 5;
+
 fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
     use noisy_oracle::data::AnyMetric;
-    use noisy_oracle::{Engine, Noise, Request, Server, Session, Task};
+    use noisy_oracle::{Engine, Noise, Outcome, Request, ServeStats, Server, Session, Task};
 
     let start = Instant::now();
     let metric = mixture_points(n, 64, 8, 0x5E12);
@@ -548,24 +553,24 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
 
     // Arm A: the pre-serving shape — each request is a solo
     // `Session::run`, sequentially, over one shared engine.
-    let solo_start = Instant::now();
-    let engine = Engine::from_metric(AnyMetric::Euclidean(metric.clone()), true);
-    let mut solo = Vec::with_capacity(requests.len());
-    let mut solo_walls = Vec::with_capacity(requests.len());
-    for r in &requests {
-        let outcome = Session::builder()
-            .engine(engine.clone())
-            .noise(noise)
-            .seed(r.seed)
-            .build()
-            .expect("valid session configuration")
-            .run(r.task)
-            .expect("unbudgeted run cannot fail");
-        solo_walls.push(outcome.report.wall.as_secs_f64() * 1e3);
-        solo.push(outcome);
-    }
-    let solo_ms = ms(solo_start);
-    let queries: u64 = solo.iter().map(|o| o.report.queries).sum();
+    let solo_arm = || -> (Vec<Outcome>, f64) {
+        let solo_start = Instant::now();
+        let engine = Engine::from_metric(AnyMetric::Euclidean(metric.clone()), true);
+        let solo = requests
+            .iter()
+            .map(|r| {
+                Session::builder()
+                    .engine(engine.clone())
+                    .noise(noise)
+                    .seed(r.seed)
+                    .build()
+                    .expect("valid session configuration")
+                    .run(r.task)
+                    .expect("unbudgeted run cannot fail")
+            })
+            .collect();
+        (solo, ms(solo_start))
+    };
 
     // Arm B: the same stream submitted up front to the serving plane — a
     // worker pool over one memoised backend, which answers every
@@ -573,43 +578,73 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
     // the host: on one core a single worker drains the stream and the
     // win is the shared memo alone.
     let workers = host_logical_cores().min(4);
-    let served_start = Instant::now();
-    let template = Session::builder()
-        .engine(Engine::from_metric(AnyMetric::Euclidean(metric), true))
-        .noise(noise)
-        .build()
-        .expect("valid session configuration");
-    let server = Server::builder(template)
-        .workers(workers)
-        .queue(requests.len())
-        .build()
-        .expect("valid server configuration");
-    let handles: Vec<_> = requests
-        .iter()
-        .map(|&r| server.submit(r).expect("queue sized to the stream"))
-        .collect();
-    let served: Vec<_> = handles
-        .into_iter()
-        .map(|h| h.join().expect("unbudgeted request cannot fail"))
-        .collect();
-    let stats = server.shutdown();
-    let served_ms = ms(served_start);
+    let served_arm = || -> (Vec<Outcome>, ServeStats, f64) {
+        let served_start = Instant::now();
+        let template = Session::builder()
+            .engine(Engine::from_metric(
+                AnyMetric::Euclidean(metric.clone()),
+                true,
+            ))
+            .noise(noise)
+            .build()
+            .expect("valid session configuration");
+        let server = Server::builder(template)
+            .workers(workers)
+            .queue(requests.len())
+            .build()
+            .expect("valid server configuration");
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|&r| server.submit(r).expect("queue sized to the stream"))
+            .collect();
+        let served = handles
+            .into_iter()
+            .map(|h| h.join().expect("unbudgeted request cannot fail"))
+            .collect();
+        let stats = server.shutdown();
+        (served, stats, ms(served_start))
+    };
 
-    let identical = requests.len() == served.len()
-        && solo.iter().zip(&served).all(|(s, o)| {
-            s.answer == o.answer
-                && s.report.queries == o.report.queries
-                && s.report.rounds == o.report.rounds
-        });
+    // Interleave the two so a drift in host speed hits both alike. Every
+    // pass is deterministic in what it answers and bills, so the first
+    // pair's outcomes stand for all of them in the digest.
+    let mut solo_ms = Vec::with_capacity(SERVE_MIXED_PAIRS);
+    let mut served_ms = Vec::with_capacity(SERVE_MIXED_PAIRS);
+    let mut solo_walls = Vec::new();
+    let mut served_walls = Vec::new();
+    let mut identical = true;
+    let mut first: Option<(Vec<Outcome>, Vec<Outcome>, ServeStats)> = None;
+    for _ in 0..SERVE_MIXED_PAIRS {
+        let (solo, solo_pass_ms) = solo_arm();
+        let (served, stats, served_pass_ms) = served_arm();
+        solo_ms.push(solo_pass_ms);
+        served_ms.push(served_pass_ms);
+        let wall = |o: &Outcome| o.report.wall.as_secs_f64() * 1e3;
+        solo_walls.extend(solo.iter().map(wall));
+        served_walls.extend(served.iter().map(wall));
+        identical &= requests.len() == served.len()
+            && solo.iter().zip(&served).all(|(s, o)| {
+                s.answer == o.answer
+                    && s.report.queries == o.report.queries
+                    && s.report.rounds == o.report.rounds
+            });
+        if let Some((solo0, _, stats0)) = &first {
+            identical &= solo.iter().zip(solo0).all(|(s, s0)| s.answer == s0.answer)
+                && stats.backend_queries == stats0.backend_queries
+                && stats.memo_hits == stats0.memo_hits;
+        } else {
+            first = Some((solo, served, stats));
+        }
+    }
+    let (solo, served, stats) = first.expect("at least one pair");
+    let queries: u64 = solo.iter().map(|o| o.report.queries).sum();
     let mut digest = Digest::new();
     for outcome in solo.iter().chain(&served) {
         digest.answer(&outcome.answer);
     }
+    let mut ratios: Vec<f64> = solo_ms.iter().zip(&served_ms).map(|(s, o)| s / o).collect();
+    let ratio_median = median(&mut ratios);
 
-    let mut served_walls: Vec<f64> = served
-        .iter()
-        .map(|o| o.report.wall.as_secs_f64() * 1e3)
-        .collect();
     served_walls.sort_by(f64::total_cmp);
     solo_walls.sort_by(f64::total_cmp);
     let pct = |sorted: &[f64], q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
@@ -634,11 +669,15 @@ fn run_serve_mixed(n: usize, batches: usize) -> WorkloadReport {
         // requests' solo bills sum to).
         outputs_match: Some(identical && stats.backend_queries < queries),
         detail: Some(format!(
-            "solo_ms={solo_ms:.3} served_ms={served_ms:.3} solo/served={:.3} \
-             solo_p50_ms={:.3} solo_p99_ms={:.3} served_p50_ms={:.3} served_p99_ms={:.3} \
-             queries_per_request_solo={:.1} queries_per_request_backend={:.1} \
-             backend_memo_hits={}",
-            solo_ms / served_ms,
+            "medians of {SERVE_MIXED_PAIRS} interleaved pairs: solo_ms={:.3} served_ms={:.3}; \
+             per-pair solo/served median {ratio_median:.3} min {:.3} max {:.3}; \
+             over all pairs solo_p50_ms={:.3} solo_p99_ms={:.3} served_p50_ms={:.3} \
+             served_p99_ms={:.3}; queries_per_request_solo={:.1} \
+             queries_per_request_backend={:.1} backend_memo_hits={}",
+            median(&mut solo_ms),
+            median(&mut served_ms),
+            ratios[0],
+            ratios[ratios.len() - 1],
             pct(&solo_walls, 0.50),
             pct(&solo_walls, 0.99),
             pct(&served_walls, 0.50),

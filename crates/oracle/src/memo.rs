@@ -368,6 +368,19 @@ impl<O: PersistentNoise> MemoOracle<O> {
     }
 }
 
+/// The table cell [`MemoOracle`] keeps quadruplet query `q` over `n`
+/// records in, or `None` for a degenerate query (two identical canonical
+/// pairs), which it forwards uncached. Two queries share a cell exactly
+/// when a memo answers both from one entry, so a cache sharded by this
+/// cell keeps each entry in one shard.
+///
+/// # Panics
+///
+/// If `n` exceeds `1 << 16`, like the memo itself.
+pub fn quad_cell(q: [usize; 4], n: usize) -> Option<u64> {
+    q.key(n)
+}
+
 /// The shape-specific half of [`MemoOracle`]: the cell of a query, the
 /// table it lives in and its miss list in a round.
 pub(crate) trait MemoShape: Query {

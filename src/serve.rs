@@ -79,7 +79,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
@@ -90,6 +90,7 @@ use nco_oracle::adversarial::{AdversarialOracle, InvertAdversary};
 use nco_oracle::budget::{BudgetPool, Budgeted, OVER_BUDGET_ANSWER};
 use nco_oracle::crowd::CrowdOracle;
 use nco_oracle::fault::{FaultPlan, FaultyOracle, QueryFault, Retrying};
+use nco_oracle::memo::quad_cell;
 use nco_oracle::persistent::PersistentNoise;
 use nco_oracle::probabilistic::ProbOracle;
 use nco_oracle::value::TrueOracle;
@@ -216,9 +217,9 @@ trait Striped: Copy + Default {
     /// The stripes a plane of this shape keeps.
     const STRIPES: usize;
 
-    /// The stripe of this query's memo cell, below [`Self::STRIPES`]:
-    /// every query of one cell maps to the same stripe.
-    fn stripe(self) -> usize;
+    /// The stripe of this query's memo cell over `n` records, below
+    /// [`Self::STRIPES`]: every query of one cell maps to the same stripe.
+    fn stripe(self, n: usize) -> usize;
 }
 
 /// Comparison queries keep one stripe: their memo is a dense triangle of
@@ -227,23 +228,24 @@ impl Striped for (usize, usize) {
     const STRIPES: usize = 1;
 
     #[inline]
-    fn stripe(self) -> usize {
+    fn stripe(self, _: usize) -> usize {
         0
     }
 }
 
 /// Quadruplet queries spread over 64 stripes by the high bits of
-/// `splitmix64` over the memo's canonical cell (within-pair order
-/// sorted, 16 bits per index); the memo's open-addressed table takes a
-/// slot from the low bits of the same hash, so the two stay independent.
+/// `splitmix64` over the memo's own cell ([`quad_cell`]); the memo's
+/// open-addressed table takes a slot from the low bits of the same hash,
+/// so the two stay independent. A degenerate query has no cell and is
+/// forwarded uncached by whichever stripe it reaches, so it takes stripe 0.
 impl Striped for [usize; 4] {
     const STRIPES: usize = 1 << QUAD_STRIPE_BITS;
 
     #[inline]
-    fn stripe(self) -> usize {
-        let [a, b, c, d] = self.map(|i| i as u64);
-        let cell = (a.min(b) << 48) | (a.max(b) << 32) | (c.min(d) << 16) | c.max(d);
-        (splitmix64(cell) >> (64 - QUAD_STRIPE_BITS)) as usize
+    fn stripe(self, n: usize) -> usize {
+        quad_cell(self, n).map_or(0, |cell| {
+            (splitmix64(cell) >> (64 - QUAD_STRIPE_BITS)) as usize
+        })
     }
 }
 
@@ -257,9 +259,6 @@ const _: () = assert!(QUAD_STRIPE_BITS <= 6);
 struct Plane<Q> {
     stripes: Box<[Mutex<Stripe<Q>>]>,
     chain: Arc<Mutex<Chain<Q>>>,
-    /// Where the next round starts its walk over the stripes, so
-    /// concurrent rounds tend to start on different stripe locks.
-    rotor: AtomicUsize,
     /// Admitted non-empty batched rounds sent to the backend.
     rounds: AtomicU64,
     pool: BudgetPool,
@@ -287,7 +286,6 @@ impl<Q: Striped> Plane<Q> {
         Self {
             stripes,
             chain,
-            rotor: AtomicUsize::new(0),
             rounds: AtomicU64::new(0),
             pool: BudgetPool::new(pool_budget),
         }
@@ -320,13 +318,14 @@ impl<Q: Striped> Split<Q> {
         }
     }
 
-    /// Groups `queries` by stripe, keeping query order within a group.
-    fn group(&mut self, queries: &[Q]) {
+    /// Groups `queries` over `n` records by stripe, keeping query order
+    /// within a group.
+    fn group(&mut self, queries: &[Q], n: usize) {
         let starts = &mut self.starts;
         starts.clear();
         starts.resize(Q::STRIPES + 1, 0);
         for &q in queries {
-            starts[q.stripe() + 1] += 1;
+            starts[q.stripe(n) + 1] += 1;
         }
         for s in 1..=Q::STRIPES {
             starts[s] += starts[s - 1];
@@ -338,7 +337,7 @@ impl<Q: Striped> Split<Q> {
         // As a cursor, `starts[s]` ends at group `s`'s end, the next
         // group's start: shifting by one slot restores every start.
         for (i, &q) in queries.iter().enumerate() {
-            let at = &mut starts[q.stripe()];
+            let at = &mut starts[q.stripe(n)];
             self.grouped[*at] = q;
             self.lanes[*at] = i;
             *at += 1;
@@ -375,13 +374,14 @@ where
             self.starved = true;
             return OVER_BUDGET_ANSWER;
         }
-        relock(&self.plane.stripes[q.stripe()]).ask(q)
+        relock(&self.plane.stripes[q.stripe(self.n)]).ask(q)
     }
 
     /// Sends the round's queries of each stripe as one sub-round through
-    /// that stripe, walking the stripes from a rotating start, holding
-    /// one stripe lock at a time and leaving busy stripes to the end,
-    /// and scatters the answers back into query order.
+    /// that stripe, walking the stripes in order, holding one stripe lock
+    /// at a time and leaving busy stripes to the end, and scatters the
+    /// answers back into query order. A comparison round has one stripe,
+    /// so it goes through whole.
     fn ask_round(&mut self, queries: &[Q], out: &mut Vec<bool>) {
         if queries.is_empty() {
             return;
@@ -392,35 +392,29 @@ where
             return;
         }
         let plane = self.plane;
-        if let [stripe] = &plane.stripes[..] {
-            relock(stripe).ask_round(queries, out);
-        } else {
-            let split = &mut self.split;
-            split.group(queries);
-            let base = out.len();
-            out.resize(base + queries.len(), false);
-            let out = &mut out[base..];
-            // A stripe another request holds is skipped and revisited
-            // once the walk is done, so two requests do not queue up
-            // behind each other stripe after stripe.
-            let first = plane.rotor.fetch_add(1, Ordering::Relaxed);
-            let mut busy = 0u64;
-            for k in 0..Q::STRIPES {
-                let s = (first + k) % Q::STRIPES;
-                if split.starts[s] == split.starts[s + 1] {
-                    continue;
-                }
-                match plane.stripes[s].try_lock() {
-                    Ok(mut stripe) => split.send(s, &mut stripe, out),
-                    Err(TryLockError::Poisoned(p)) => split.send(s, &mut p.into_inner(), out),
-                    Err(TryLockError::WouldBlock) => busy |= 1 << s,
-                }
+        let split = &mut self.split;
+        split.group(queries, self.n);
+        let base = out.len();
+        out.resize(base + queries.len(), false);
+        let out = &mut out[base..];
+        // A stripe another request holds is skipped and revisited once
+        // the walk is done, so two requests do not queue up behind each
+        // other stripe after stripe.
+        let mut busy = 0u64;
+        for s in 0..Q::STRIPES {
+            if split.starts[s] == split.starts[s + 1] {
+                continue;
             }
-            while busy != 0 {
-                let s = busy.trailing_zeros() as usize;
-                busy &= busy - 1;
-                split.send(s, &mut relock(&plane.stripes[s]), out);
+            match plane.stripes[s].try_lock() {
+                Ok(mut stripe) => split.send(s, &mut stripe, out),
+                Err(TryLockError::Poisoned(p)) => split.send(s, &mut p.into_inner(), out),
+                Err(TryLockError::WouldBlock) => busy |= 1 << s,
             }
+        }
+        while busy != 0 {
+            let s = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
+            split.send(s, &mut relock(&plane.stripes[s]), out);
         }
         plane.rounds.fetch_add(1, Ordering::Relaxed);
     }
@@ -1066,7 +1060,7 @@ mod tests {
             .collect();
         let mut split = Split::default();
         for round in [&queries[..], &queries[..40], &queries[..1]] {
-            split.group(round);
+            split.group(round, 29);
             assert_eq!(split.starts[0], 0);
             assert_eq!(split.starts[64], round.len());
             for s in 0..64 {
@@ -1076,7 +1070,7 @@ mod tests {
                     "stripe {s} out of order"
                 );
                 for &lane in lanes {
-                    assert_eq!(round[lane].stripe(), s);
+                    assert_eq!(round[lane].stripe(29), s);
                 }
             }
             let mut seen = split.lanes.clone();
@@ -1086,7 +1080,9 @@ mod tests {
                 assert_eq!(q, round[lane]);
             }
         }
-        // Both orders within a pair share a cell, so a stripe.
-        assert_eq!([3, 9, 4, 1].stripe(), [9, 3, 1, 4].stripe());
+        // Both orders within a pair share a cell, so a stripe; a query
+        // without a cell takes stripe 0.
+        assert_eq!([3, 9, 4, 1].stripe(10), [9, 3, 1, 4].stripe(10));
+        assert_eq!([2, 5, 5, 2].stripe(10), 0);
     }
 }
